@@ -26,9 +26,10 @@
 //                           multi-core host the packed row's line ping-pong
 //                           costs several × the padded rate.
 //
-// All pipeline rows use real time: the work happens on shard worker
-// threads while the submitting thread blocks in collect(), so CPU time of
-// the main thread alone would be meaningless.
+// All pipeline rows use real time: the submitting thread runs only shard
+// 0's share inside collect() and the other shards' work happens on their
+// worker threads, so CPU time of the main thread alone would be
+// meaningless.
 //
 // `bench/run_ingest.sh` records the tracked baseline BENCH_ingest.json at
 // the repo root from a Release build, verifies the provenance stamps and

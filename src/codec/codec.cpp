@@ -157,7 +157,7 @@ void StructuredMaskCodec::restore_mutable_state(
 // ----------------------------------------------------------------- factory
 
 bool is_dense_spec(const std::string& spec) {
-  return spec == "dense" || spec == "float32";
+  return spec == "dense";
 }
 
 namespace {
@@ -193,9 +193,6 @@ std::unique_ptr<UpdateCodec> make_update_codec(const std::string& spec,
                                                std::uint64_t seed) {
   if (is_dense_spec(spec)) return std::make_unique<DenseCodec>();
   if (spec == "sign") return std::make_unique<SignCodec>();
-  if (spec == "quantize8") {  // legacy alias for quant:8
-    return std::make_unique<QuantCodec>(8, seed);
-  }
   const auto colon = spec.find(':');
   if (colon != std::string::npos && colon + 1 < spec.size()) {
     const std::string kind = spec.substr(0, colon);

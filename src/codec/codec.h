@@ -114,16 +114,15 @@ class UpdateCodec {
 struct CodecOptions {
   /// "dense" | "sign[:<chunk>]" | "quant:<bits>" | "topk:<k-or-fraction>" |
   /// "codebook:<k>[,<refresh>]" | "subsample:<keep>" |
-  /// "structured:<density>".  Legacy aliases: "float32" -> dense,
-  /// "quantize8" -> quant:8.
+  /// "structured:<density>".
   std::string spec = "dense";
   /// Client k's codec is seeded seed_salt + k, so every client owns an
   /// independent deterministic stream regardless of execution order.
   std::uint64_t seed_salt = 9000;
 };
 
-/// True when `spec` names the lossless dense format (incl. the "float32"
-/// alias) — the fast path that skips codec objects entirely.
+/// True when `spec` names the lossless dense format — the fast path that
+/// skips codec objects entirely.
 bool is_dense_spec(const std::string& spec);
 
 /// Factory; throws std::invalid_argument on an unknown or malformed spec.

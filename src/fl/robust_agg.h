@@ -7,9 +7,13 @@
 // norm-exploded updates (they must never reach the model), and robust
 // aggregation rules — coordinate-wise median, trimmed mean, norm-clipped
 // mean — that bound the influence of any single update even when it passes
-// validation.  Both the in-process FederatedSimulation and the net cluster
-// route their GlobalOptimization step through aggregate_updates(), so every
-// execution mode shares one hardened aggregation path.  See DESIGN.md §10.
+// validation.  Every runtime's GlobalOptimization step runs through
+// fl::RoundCommitter (fl/round_commit.h), which screens with UpdateValidator
+// and aggregates with the range form of these rules on fl::ShardedAggregator
+// — one hardened aggregation path for every execution mode.
+// aggregate_updates() and the span overload of screen_round() are the serial
+// reference implementations that path is tested against.  See DESIGN.md §10
+// and §18.
 #pragma once
 
 #include <cstddef>
@@ -62,9 +66,9 @@ void aggregate_updates(Aggregation rule,
 // median radius) are NOT range-splittable without changing double summation
 // order, so the pipeline computes them upload-parallel with the exact serial
 // helpers below, then applies the per-coordinate work range-parallel.  Every
-// function here is the byte-identical building block the legacy serial path
-// itself is expressed in terms of — sharded and single-master trajectories
-// therefore agree bit-for-bit by construction.
+// function here is the byte-identical building block the serial reference
+// itself is expressed in terms of — trajectories at any shard count agree
+// with it bit-for-bit by construction.
 // ---------------------------------------------------------------------------
 
 /// Serial double-accumulation L2 norm of one update — the exact reduction

@@ -29,14 +29,17 @@ ShardedAggregator::ShardedAggregator(std::size_t dim,
                                      const ShardOptions& options)
     : dim_(dim), ranges_(shard_partition(dim, options.shards)) {
   shards_.resize(options.shards);
-  threads_.reserve(options.shards);
-  for (auto& shard : shards_) {
+  // Shard 0 has no worker: the coordinating thread runs its jobs.
+  threads_.reserve(options.shards - 1);
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
     threads_.emplace_back([this, &shard] { worker(shard); });
   }
 }
 
 ShardedAggregator::~ShardedAggregator() {
-  for (auto& shard : shards_) {
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
     std::lock_guard lock(shard.mu);
     shard.stop = true;
     shard.cv.notify_all();
@@ -61,9 +64,31 @@ void ShardedAggregator::worker(Shard& shard) {
 void ShardedAggregator::enqueue(std::size_t shard_index,
                                 std::function<void()> fn) {
   Shard& shard = shards_[shard_index];
-  std::lock_guard lock(shard.mu);
-  shard.jobs.push_back(std::move(fn));
-  shard.cv.notify_one();
+  {
+    std::lock_guard lock(shard.mu);
+    shard.jobs.push_back(std::move(fn));
+  }
+  if (shard_index != 0) {
+    shard.cv.notify_one();
+    return;
+  }
+  std::lock_guard lock(done_mu_);
+  shard_zero_pending_ = true;
+  done_cv_.notify_all();
+}
+
+void ShardedAggregator::run_shard_zero() {
+  Shard& shard = shards_.front();
+  for (;;) {
+    std::function<void()> job;
+    {
+      std::lock_guard lock(shard.mu);
+      if (shard.jobs.empty()) return;
+      job = std::move(shard.jobs.front());
+      shard.jobs.pop_front();
+    }
+    job();
+  }
 }
 
 void ShardedAggregator::begin_batch(std::size_t capacity) {
@@ -127,7 +152,15 @@ std::vector<ShardedAggregator::UploadResult> ShardedAggregator::collect(
   if (count != submitted_) {
     throw std::logic_error("ShardedAggregator: collect count != submitted");
   }
-  done_cv_.wait(lock, [&] { return completed_ == submitted_; });
+  while (completed_ != submitted_) {
+    shard_zero_pending_ = false;
+    lock.unlock();
+    run_shard_zero();
+    lock.lock();
+    done_cv_.wait(lock, [&] {
+      return completed_ == submitted_ || shard_zero_pending_;
+    });
+  }
   std::vector<UploadResult> out(
       std::make_move_iterator(results_.begin()),
       std::make_move_iterator(results_.begin() +
@@ -145,7 +178,9 @@ void ShardedAggregator::run_on_all_shards(
   std::mutex mu;
   std::condition_variable cv;
   std::size_t remaining = n;
-  for (std::size_t s = 0; s < n; ++s) {
+  // Shard 0 last: the workers start on their slices while this thread
+  // runs shard 0's.
+  for (std::size_t s = n; s-- > 0;) {
     enqueue(s, [&, s] {
       try {
         fn(s);
@@ -163,6 +198,7 @@ void ShardedAggregator::run_on_all_shards(
       }
     });
   }
+  run_shard_zero();
   std::unique_lock lock(mu);
   cv.wait(lock, [&] { return remaining == 0; });
   for (auto& e : errors) {

@@ -1,23 +1,29 @@
-// Sharded parameter-server aggregation pipeline.
+// Sharded parameter-server aggregation pipeline — the only aggregation path
+// of every round runtime (fl::RoundCommitter drives it).
 //
-// One master thread used to serialize every upload: decode, validity scan,
-// relevance score, and the robust-aggregation pass all ran back to back on
-// the coordinator.  This module range-partitions the flat parameter vector
-// across S aggregator shards, each owning a worker thread and a
-// finely-locked MPSC ingest queue, so an upload burst from an over-selected
-// cohort is processed concurrently:
+// The flat parameter vector is range-partitioned across S aggregator
+// shards, each with a finely-locked MPSC ingest queue, so an upload burst
+// from an over-selected cohort is processed concurrently:
 //
 //   * upload-parallel scalar pass — each arriving upload is handed to shard
-//     (index mod S), whose worker decodes it (caller-supplied job) and
-//     computes the structural scalars screening needs: finiteness, the
-//     serial double-accumulation L2 norm, and optionally the CMFL
-//     sign-agreement count against the broadcast estimate;
+//     (index mod S), which decodes it (caller-supplied job) and computes
+//     the structural scalars screening needs: finiteness, the serial
+//     double-accumulation L2 norm, and optionally the CMFL sign-agreement
+//     count against the broadcast estimate;
 //   * range-parallel apply pass — aggregate() fans the per-coordinate work
 //     of aggregate_updates out as one job per shard over that shard's
 //     [lo, hi) slice of the output vector.
 //
+// Shards 1..S-1 each own a worker thread.  Shard 0 is served by the
+// coordinating thread itself, which drains shard 0's queue inside
+// collect() and aggregate() while the other shards' workers run — so S
+// shards start S − 1 threads, and a one-shard aggregator runs the whole
+// pipeline inline on the caller with no thread hand-off.
+//
 // Determinism contract (DESIGN.md §17): results are bit-identical to the
-// single-master path at any shard count and any thread interleaving.
+// serial reference (aggregate_updates and the span overload of
+// UpdateValidator::screen_round) at any shard count and any thread
+// interleaving.
 //   - Scalar results are stored by upload index and collected in index
 //     order, so screening sees exactly the sequence the serial path saw;
 //     each scalar is computed by the exact serial helper on the full vector
@@ -49,15 +55,14 @@
 
 namespace cmfl::fl {
 
-/// Sharding knobs, embedded in SimulationOptions / ClusterOptions.
+/// Sharding knobs, embedded in SimulationOptions (and through it in
+/// ClusterOptions).
 struct ShardOptions {
-  /// Aggregator shard count.  0 (the default) keeps the legacy
-  /// single-master path untouched; S >= 1 routes ingest and aggregation
-  /// through S shard threads (S = 1 exercises the pipeline with one shard —
-  /// useful for isolating pipeline overhead, still bit-identical).
+  /// Aggregator shard count.  The round runtimes treat 0 (the default)
+  /// like 1: one shard, served by the coordinating thread.  S >= 2 adds
+  /// S − 1 shard worker threads; trajectories are bit-identical at any S.
+  /// ShardedAggregator itself requires S >= 1.
   std::size_t shards = 0;
-
-  bool enabled() const noexcept { return shards > 0; }
 };
 
 /// Half-open slice [lo, hi) of the flat parameter vector owned by one shard.
@@ -86,10 +91,11 @@ struct ShardStats {
   bool operator==(const ShardStats&) const = default;
 };
 
-/// S range-partitioned aggregator shards with worker threads and MPSC
-/// ingest queues.  One instance per engine/cluster run; submit/collect and
-/// aggregate are driven by the coordinator thread (single consumer), while
-/// submissions may come from any thread (multiple producers).
+/// S range-partitioned aggregator shards with MPSC ingest queues: shard 0
+/// served by the coordinating thread, shards 1..S-1 by worker threads.
+/// collect() and aggregate() are driven by the coordinating thread (the
+/// single consumer of shard 0's queue), while submissions may come from any
+/// thread (multiple producers).
 class ShardedAggregator {
  public:
   /// What the scalar pass produces for one upload.
@@ -103,8 +109,9 @@ class ShardedAggregator {
   /// scalars.  Anything it throws is captured into UploadResult::error.
   using UploadJob = std::function<UploadResult()>;
 
-  /// Spawns `options.shards` worker threads (>= 1 required) over a
-  /// dim-sized parameter vector.
+  /// Spawns `options.shards` − 1 worker threads (options.shards >= 1
+  /// required; throws std::invalid_argument on 0) over a dim-sized
+  /// parameter vector.
   ShardedAggregator(std::size_t dim, const ShardOptions& options);
   ~ShardedAggregator();
 
@@ -131,13 +138,15 @@ class ShardedAggregator {
                      const tensor::SignPack* estimate,
                      std::uint64_t wire_bytes);
 
-  /// Barrier: waits until the first `count` submitted jobs of this batch
-  /// completed and returns their results in index order (count must equal
-  /// the number submitted since begin_batch).
+  /// Barrier: runs shard 0's jobs on the calling thread, waits until the
+  /// first `count` submitted jobs of this batch completed and returns their
+  /// results in index order (count must equal the number submitted since
+  /// begin_batch, every one of those submit calls having returned).
   std::vector<UploadResult> collect(std::size_t count);
 
   /// Range-parallel aggregate_updates: each shard applies its slice via
-  /// aggregate_updates_range, bit-identical to the serial call.  `norms`
+  /// aggregate_updates_range (shard 0's on the calling thread),
+  /// bit-identical to the serial call.  `norms`
   /// is required for kNormClippedMean (full-vector norms in update order —
   /// exactly what the scalar pass produced); pass empty otherwise.  Blocks
   /// until all shards finish; rethrows the first shard error.
@@ -173,6 +182,9 @@ class ShardedAggregator {
 
   void worker(Shard& shard);
   void enqueue(std::size_t shard_index, std::function<void()> fn);
+  /// Runs shard 0's queued jobs on the calling thread until its queue is
+  /// empty.
+  void run_shard_zero();
   /// Runs one job per shard and blocks until all complete; rethrows the
   /// first error by shard index.
   void run_on_all_shards(
@@ -183,7 +195,7 @@ class ShardedAggregator {
   // deque: Shard is neither movable nor copyable; deque constructs in place
   // and never relocates.
   std::deque<Shard> shards_;
-  std::vector<std::thread> threads_;
+  std::vector<std::thread> threads_;  // shards 1..S-1
 
   // Scalar-pass batch state.  results_ is sized by begin_batch before any
   // submit, so workers store to disjoint, stable slots.
@@ -192,6 +204,9 @@ class ShardedAggregator {
   std::condition_variable done_cv_;
   std::size_t submitted_ = 0;
   std::size_t completed_ = 0;
+  // Set (under done_mu_) when a job lands in shard 0's queue, so a
+  // coordinator waiting in collect() wakes up to run it.
+  bool shard_zero_pending_ = false;
 };
 
 }  // namespace cmfl::fl

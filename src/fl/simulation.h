@@ -64,9 +64,8 @@ struct SimulationOptions {
   /// Update codec applied to *uploaded* updates (see codec/codec.h for the
   /// spec grammar: "dense", "sign[:<chunk>]", "quant:<bits>",
   /// "topk:<k-or-fraction>", "codebook:<k>[,<refresh>]",
-  /// "subsample:<keep>", "structured:<density>"; legacy aliases "float32"
-  /// and "quantize8" still parse).  Codecs compose with any filter — the
-  /// orthogonality the paper claims in §I.
+  /// "subsample:<keep>", "structured:<density>").  Codecs compose with any
+  /// filter — the orthogonality the paper claims in §I.
   codec::CodecOptions codec;
   /// Server aggregation rule (fl/robust_agg.h).
   Aggregation aggregation = Aggregation::kUniformMean;
@@ -87,12 +86,12 @@ struct SimulationOptions {
   /// and buffered-async rounds run through sched::RoundEngine, which takes
   /// the full SimulationOptions including this field.
   sched::ScheduleOptions schedule;
-  /// Sharded parameter-server aggregation (fl/shard.h).  shards == 0 keeps
-  /// the legacy single-master path; S >= 1 routes upload screening and the
-  /// robust-aggregation pass through S range-partitioned shard threads —
-  /// bit-identical trajectories either way.  Honoured by sched::RoundEngine
-  /// and the net cluster (FederatedSimulation itself is single-threaded on
-  /// the server side and ignores it).
+  /// Sharded parameter-server aggregation (fl/shard.h).  Every runtime
+  /// screens and aggregates uploads through fl::RoundCommitter on
+  /// max(1, shards) range-partitioned shards; shard 0 runs on the
+  /// coordinating thread, so S shards add S − 1 threads.  Trajectories are
+  /// bit-identical at any shard count.  The replicated cluster accepts only
+  /// shards <= 1 (DESIGN.md §17).
   ShardOptions sharding;
   /// Seed for server-side randomness (client sampling).
   std::uint64_t seed = 1234;

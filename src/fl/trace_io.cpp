@@ -15,9 +15,6 @@ constexpr char kHeaderV2[] =
     "iteration,uploads,participants,rejected,cumulative_rounds,"
     "cumulative_upload_bytes,mean_score,mean_train_loss,delta_update,"
     "staleness_mean,staleness_max,accuracy,loss";
-constexpr char kHeaderV1[] =
-    "iteration,uploads,cumulative_rounds,mean_score,mean_train_loss,"
-    "delta_update,accuracy,loss";
 
 std::vector<std::string> split_csv(const std::string& line) {
   std::vector<std::string> cells;
@@ -40,21 +37,6 @@ void finalize_summary(SimulationResult& result) {
       break;
     }
   }
-}
-
-IterationRecord parse_row_v1(const std::vector<std::string>& cells) {
-  IterationRecord rec;
-  rec.iteration = std::stoull(cells[0]);
-  rec.uploads = std::stoull(cells[1]);
-  rec.cumulative_rounds = std::stoull(cells[2]);
-  rec.mean_score = std::stod(cells[3]);
-  rec.mean_train_loss = std::stod(cells[4]);
-  rec.delta_update = std::stod(cells[5]);
-  if (!cells[6].empty()) {
-    rec.accuracy = std::stod(cells[6]);
-    rec.loss = std::stod(cells[7]);
-  }
-  return rec;
 }
 
 IterationRecord parse_row_v2(const std::vector<std::string>& cells) {
@@ -94,8 +76,8 @@ void write_trace_csv(std::ostream& os, const SimulationResult& result) {
     os << '\n';
   }
   // Per-client counters ride as trailing rows keyed by the literal
-  // "client"; either vector may be empty (e.g. a trace read from v1),
-  // in which case rows carry whichever counter exists.
+  // "client"; either vector may be empty, in which case rows carry
+  // whichever counter exists.
   const std::size_t clients = std::max(result.uploads_per_client.size(),
                                        result.eliminations_per_client.size());
   for (std::size_t id = 0; id < clients; ++id) {
@@ -125,33 +107,13 @@ SimulationResult read_trace_csv(std::istream& is) {
     throw std::runtime_error("read_trace_csv: empty input");
   }
 
-  SimulationResult result;
-  if (line == kHeaderV1) {
-    // Legacy schema: 8 columns, no sentinel, no client rows.
-    while (std::getline(is, line)) {
-      if (line.empty()) continue;
-      const auto cells = split_csv(line);
-      if (cells.size() != 8) {
-        throw std::runtime_error("read_trace_csv: expected 8 cells, got " +
-                                 std::to_string(cells.size()));
-      }
-      try {
-        result.history.push_back(parse_row_v1(cells));
-      } catch (const std::exception&) {
-        throw std::runtime_error("read_trace_csv: malformed row '" + line +
-                                 "'");
-      }
-    }
-    finalize_summary(result);
-    return result;
-  }
-
   if (line != kVersionLine) {
     throw std::runtime_error("read_trace_csv: missing or wrong header");
   }
   if (!std::getline(is, line) || line != kHeaderV2) {
     throw std::runtime_error("read_trace_csv: v2 column header missing");
   }
+  SimulationResult result;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const auto cells = split_csv(line);

@@ -1,10 +1,8 @@
 // Persistence of simulation traces.
 //
 // Benches print their tables to stdout; for downstream plotting the full
-// per-iteration history can be exported as CSV and read back.  Two schema
-// versions exist:
-//
-//   v2 (written by write_trace_csv) opens with a version sentinel line
+// per-iteration history can be exported as CSV and read back.  The schema
+// (v2) opens with a version sentinel line
 //       # cmfl-trace v2
 //   followed by the column header
 //       iteration,uploads,participants,rejected,cumulative_rounds,
@@ -14,11 +12,8 @@
 //   not evaluated), and then one trailing row per client
 //       client,<id>,<uploads>,<eliminations>
 //   carrying the per-client communication counters (Fig.-6-style outlier
-//   analysis needs them from a saved trace).
-//
-//   v1 (the legacy schema: no sentinel, 8 columns, no client rows) is still
-//   read transparently — read_trace_csv detects the version from the first
-//   line, and v1 traces load with the newer fields defaulted to zero.
+//   analysis needs them from a saved trace).  Input without the sentinel —
+//   including the retired 8-column v1 schema — is rejected.
 #pragma once
 
 #include <iosfwd>
@@ -34,9 +29,9 @@ void write_trace_csv(std::ostream& os, const SimulationResult& result);
 void write_trace_csv_file(const std::string& path,
                           const SimulationResult& result);
 
-/// Reads a v1 or v2 trace back into a SimulationResult (history plus, for
-/// v2, the per-client counters; model parameters are not part of the CSV).
-/// Throws std::runtime_error on malformed input.
+/// Reads a v2 trace back into a SimulationResult (history plus the
+/// per-client counters; model parameters are not part of the CSV).  Throws
+/// std::runtime_error on malformed input.
 SimulationResult read_trace_csv(std::istream& is);
 SimulationResult read_trace_csv_file(const std::string& path);
 

@@ -8,12 +8,10 @@
 #include <stdexcept>
 
 #include "codec/codec.h"
-#include "core/estimator.h"
 #include "fl/checkpoint.h"
-#include "fl/shard.h"
+#include "fl/round_commit.h"
 #include "net/raft.h"
 #include "net/replicated_master.h"
-#include "tensor/vector_ops.h"
 
 namespace cmfl::net {
 
@@ -42,7 +40,7 @@ struct ReplyView {
 };
 
 /// One accepted upload: decoded update plus the wire size of the frame that
-/// carried it (feeds the per-shard byte meters on the sharded path).
+/// carried it (feeds the per-shard byte counters).
 struct ReceivedUpload {
   std::uint32_t id = 0;
   std::vector<float> update;
@@ -127,7 +125,7 @@ FlCluster::FlCluster(std::vector<std::unique_ptr<fl::FlClient>> clients,
         "first_k_reports / staleness suspicion): the committed cohort must "
         "be a pure function of replicated state");
   }
-  if (options_.fl.sharding.enabled()) {
+  if (options_.fl.sharding.shards > 1) {
     throw std::invalid_argument(
         "FlCluster: sharded aggregation is not supported with a replicated "
         "control plane (the replicated master applies uploads through its "
@@ -180,18 +178,6 @@ ClusterResult FlCluster::run_internal(
   Channel master_inbox;
   ByteMeter uplink_meter;
   ByteMeter downlink_meter;
-  // Sharded ingest pipeline (options.fl.sharding): the per-upload scalar
-  // screening pass and the aggregation apply pass fan out across shard
-  // worker threads, with one cache-line-aligned ByteMeter per shard
-  // accounting the upload bytes that shard ingested.  Null/empty keeps the
-  // single-master commit path.
-  std::unique_ptr<fl::ShardedAggregator> shard_agg;
-  std::vector<ByteMeter> shard_meters;
-  if (options_.fl.sharding.enabled()) {
-    shard_agg = std::make_unique<fl::ShardedAggregator>(dim_,
-                                                        options_.fl.sharding);
-    shard_meters = std::vector<ByteMeter>(options_.fl.sharding.shards);
-  }
   FaultStats fault_stats;
   std::atomic<std::uint64_t> upload_frames{0};
   std::atomic<std::uint64_t> elimination_frames{0};
@@ -204,18 +190,13 @@ ClusterResult FlCluster::run_internal(
   const std::size_t batch_size = options_.fl.batch_size;
 
   ClusterResult result;
-  result.sim.eliminations_per_client.assign(num_workers, 0);
-  result.sim.uploads_per_client.assign(num_workers, 0);
   result.faults.max_staleness_per_client.assign(num_workers, 0);
-  std::vector<float> global(dim_);
-  clients_.front()->get_params(global);  // pre-thread-start? see note below
-  // NOTE: clients_.front() is also owned by worker thread k=0, but workers
-  // only touch clients after receiving a frame; reading initial params here
+  std::vector<float> initial(dim_);
+  // clients_.front() is also owned by worker thread k=0, but workers only
+  // touch clients after receiving a frame; reading initial params here
   // happens-before the first send.
-  core::GlobalUpdateEstimator estimator(dim_, options_.fl.estimator_ema);
-  fl::UpdateValidator validator(num_workers, options_.fl.validation);
-  std::vector<float> prev_global_update;
-  std::size_t cumulative_rounds = 0;
+  clients_.front()->get_params(initial);
+  fl::RoundCommitter committer(options_.fl, num_workers, std::move(initial));
   std::vector<std::uint64_t> last_acked(num_workers, 0);
   // Consecutive *deadline-expired* rounds a worker was invited to but did
   // not answer.  Deliberately not `t - last_acked`: a worker that answers
@@ -256,28 +237,12 @@ ClusterResult FlCluster::run_internal(
   // (no happens-before subtleties: the threads do not exist yet) ---
   if (resume_from != nullptr) {
     const fl::TrainerCheckpoint& ck = *resume_from;
-    if (ck.global_params.size() != dim_) {
-      throw std::invalid_argument(
-          "FlCluster: checkpoint parameter dimension mismatch");
-    }
-    if (ck.client_state.size() != num_workers ||
-        ck.eliminations_per_client.size() != num_workers ||
-        ck.uploads_per_client.size() != num_workers) {
+    if (ck.client_state.size() != num_workers) {
       throw std::invalid_argument(
           "FlCluster: checkpoint worker count mismatch");
     }
-    global = ck.global_params;
-    estimator.restore(ck.estimator_estimate, ck.estimator_observed);
-    validator.restore(ck.validation);
-    prev_global_update = ck.prev_global_update;
-    cumulative_rounds = static_cast<std::size_t>(ck.cumulative_rounds);
-    result.sim.history = ck.history;
-    result.sim.uploaded_bytes = ck.uploaded_bytes;
+    committer.restore(ck);
     for (std::size_t k = 0; k < num_workers; ++k) {
-      result.sim.eliminations_per_client[k] =
-          static_cast<std::size_t>(ck.eliminations_per_client[k]);
-      result.sim.uploads_per_client[k] =
-          static_cast<std::size_t>(ck.uploads_per_client[k]);
       clients_[k]->restore_mutable_state(ck.client_state[k]);
       // A resumed worker has trivially "answered" every round up to the
       // checkpoint — without this, staleness suspicion would fire on the
@@ -452,22 +417,7 @@ ClusterResult FlCluster::run_internal(
   // Serializes every piece of trainer state the master owns or — because
   // the round is quiesced — may safely read from the workers.
   const auto snapshot = [&](std::size_t t) {
-    fl::TrainerCheckpoint ck;
-    ck.iteration = t;
-    ck.global_params = global;
-    const std::span<const float> est = estimator.estimate();
-    ck.estimator_estimate.assign(est.begin(), est.end());
-    ck.estimator_observed = estimator.has_observation();
-    ck.prev_global_update = prev_global_update;
-    ck.cumulative_rounds = cumulative_rounds;
-    ck.uploaded_bytes = result.sim.uploaded_bytes;
-    ck.history = result.sim.history;
-    ck.eliminations_per_client.assign(
-        result.sim.eliminations_per_client.begin(),
-        result.sim.eliminations_per_client.end());
-    ck.uploads_per_client.assign(result.sim.uploads_per_client.begin(),
-                                 result.sim.uploads_per_client.end());
-    ck.validation = validator.report();
+    fl::TrainerCheckpoint ck = committer.checkpoint(t);
     ck.client_state.reserve(num_workers);
     for (std::size_t k = 0; k < num_workers; ++k) {
       ck.client_state.push_back(clients_[k]->mutable_state());
@@ -503,7 +453,7 @@ ClusterResult FlCluster::run_internal(
     // downlink bytes) the moment they are tripped.
     std::size_t active_count = 0;
     for (std::size_t k = 0; k < num_workers; ++k) {
-      if (alive[k] && !validator.quarantined(k)) ++active_count;
+      if (alive[k] && !committer.quarantined(k)) ++active_count;
     }
     if (active_count == 0) break;
 
@@ -513,14 +463,15 @@ ClusterResult FlCluster::run_internal(
     bc.learning_rate = lr;
     bc.codec_id = codec_id;
     bc.codec_version = codec_version;
-    bc.global_params = global;
-    bc.global_update.assign(estimator.estimate().begin(),
-                            estimator.estimate().end());
+    bc.global_params.assign(committer.global().begin(),
+                            committer.global().end());
+    bc.global_update.assign(committer.estimate().begin(),
+                            committer.estimate().end());
 
     std::vector<char> pending(num_workers, 0);
     std::size_t pending_count = 0;
     for (std::size_t k = 0; k < num_workers; ++k) {
-      if (alive[k] && !validator.quarantined(k)) {
+      if (alive[k] && !committer.quarantined(k)) {
         pending[k] = 1;
         ++pending_count;
         ++seq[k];  // fresh sequence number; retransmissions reuse it
@@ -653,7 +604,7 @@ ClusterResult FlCluster::run_internal(
           uploads.push_back({view.client_id, std::move(decoded),
                              static_cast<std::uint64_t>(reply_frame->size())});
         } else {
-          ++result.sim.eliminations_per_client[k];
+          committer.record_elimination(k);
         }
         if (rec_opt.first_k_reports > 0 &&
             accepted >= rec_opt.first_k_reports && pending_count > 0) {
@@ -699,7 +650,7 @@ ClusterResult FlCluster::run_internal(
     if (round_timed_out) ++result.faults.timed_out_rounds;
     if (round_missing > 0 && !k_committed) ++result.faults.quorum_rounds;
     for (std::size_t k = 0; k < num_workers; ++k) {
-      if (validator.quarantined(k)) continue;  // legitimately excluded
+      if (committer.quarantined(k)) continue;  // legitimately excluded
       const std::uint64_t staleness = t - last_acked[k];
       result.faults.max_staleness_per_client[k] =
           std::max(result.faults.max_staleness_per_client[k], staleness);
@@ -716,7 +667,7 @@ ClusterResult FlCluster::run_internal(
     }
     if (rec_opt.suspect_after_stale_rounds > 0) {
       for (std::size_t k = 0; k < num_workers; ++k) {
-        if (alive[k] && !validator.quarantined(k) &&
+        if (alive[k] && !committer.quarantined(k) &&
             stale_misses[k] >= static_cast<std::uint64_t>(
                                    rec_opt.suspect_after_stale_rounds)) {
           declare_dead(k);
@@ -729,8 +680,6 @@ ClusterResult FlCluster::run_internal(
     rec.iteration = t;
     rec.uploads = uploads.size();
     rec.participants = accepted;
-    cumulative_rounds += uploads.size();
-    rec.cumulative_rounds = cumulative_rounds;
     double score_sum = 0.0;
     for (std::size_t k = 0; k < num_workers; ++k) {
       if (answered[k]) score_sum += scores[k];  // fixed id order: see note
@@ -740,120 +689,24 @@ ClusterResult FlCluster::run_internal(
     rec.mean_score =
         accepted > 0 ? score_sum / static_cast<double>(accepted) : 0.0;
 
+    // The server screens and aggregates in client-id order, whatever order
+    // the replies arrived in.
+    std::sort(uploads.begin(), uploads.end(),
+              [](const auto& a, const auto& b) { return a.id < b.id; });
+    fl::RoundUploads received;
     for (const auto& up : uploads) {
-      ++result.sim.uploads_per_client[up.id];
-    }
-    if (!uploads.empty()) {
-      std::sort(uploads.begin(), uploads.end(),
-                [](const auto& a, const auto& b) { return a.id < b.id; });
-      // Server-side validation of the received updates: non-finite or
-      // norm-exploded uploads must never touch the model, whatever the
-      // aggregation rule.
-      std::vector<std::size_t> upload_ids;
-      std::vector<std::span<const float>> received;
-      upload_ids.reserve(uploads.size());
-      received.reserve(uploads.size());
-      for (const auto& up : uploads) {
-        upload_ids.push_back(up.id);
-        received.emplace_back(up.update);
-      }
-      // Sharded path: the screening scalars (finiteness, exact L2 norm) are
-      // computed concurrently on the shard workers — upload i on shard
-      // (i mod S) — and collected in index order, so the validator sees
-      // exactly the sequence the serial scan produces.
-      std::vector<fl::UpdateValidator::UploadScalars> pre;
-      if (shard_agg) {
-        shard_agg->begin_batch(received.size());
-        for (std::size_t i = 0; i < received.size(); ++i) {
-          shard_agg->submit_update(i, received[i], nullptr,
-                                   uploads[i].frame_bytes);
-          shard_meters[i % shard_meters.size()].record(
-              static_cast<std::size_t>(uploads[i].frame_bytes));
-        }
-        std::vector<fl::ShardedAggregator::UploadResult> shard_results =
-            shard_agg->collect(received.size());
-        pre.reserve(shard_results.size());
-        for (fl::ShardedAggregator::UploadResult& r : shard_results) {
-          if (r.error) std::rethrow_exception(r.error);
-          pre.push_back(r.scalars);
-        }
-      }
-      const std::vector<fl::Verdict> verdicts =
-          shard_agg ? validator.screen_round(upload_ids, pre)
-                    : validator.screen_round(upload_ids, received);
-      std::vector<std::span<const float>> views;
-      std::vector<std::size_t> accepted_ids;
-      views.reserve(uploads.size());
-      for (std::size_t i = 0; i < uploads.size(); ++i) {
-        if (verdicts[i] == fl::Verdict::kAccept) {
-          views.push_back(received[i]);
-          accepted_ids.push_back(upload_ids[i]);
-        } else {
-          ++rec.rejected;
-        }
-      }
-
-      if (!views.empty()) {
-        std::vector<float> global_update(dim_, 0.0f);
-        std::vector<float> weights;
-        if (options_.fl.aggregation == fl::Aggregation::kSampleWeighted) {
-          double total_weight = 0.0;
-          for (std::size_t id : accepted_ids) {
-            total_weight += static_cast<double>(local_samples[id]);
-          }
-          weights.reserve(accepted_ids.size());
-          for (std::size_t id : accepted_ids) {
-            weights.push_back(static_cast<float>(
-                static_cast<double>(local_samples[id]) / total_weight));
-          }
-        }
-        if (shard_agg) {
-          // The clipped rule's cross-upload plan reuses the scalar-pass
-          // norms (same serial accumulation — bit-identical to recomputing).
-          std::vector<double> norms;
-          if (options_.fl.aggregation == fl::Aggregation::kNormClippedMean) {
-            norms.reserve(views.size());
-            for (std::size_t i = 0; i < uploads.size(); ++i) {
-              if (verdicts[i] == fl::Verdict::kAccept) {
-                norms.push_back(pre[i].norm);
-              }
-            }
-          }
-          shard_agg->aggregate(options_.fl.aggregation, views, weights,
-                               options_.fl.robust_aggregation, norms,
-                               global_update);
-        } else {
-          fl::aggregate_updates(options_.fl.aggregation, views, weights,
-                                options_.fl.robust_aggregation, global_update);
-        }
-        tensor::add(global, global_update, global);
-        if (!prev_global_update.empty()) {
-          rec.delta_update = core::normalized_update_difference(
-              prev_global_update, global_update);
-        }
-        prev_global_update = global_update;
-        estimator.observe(global_update);
-      }
+      committer.record_upload(up.id, 0);
+      received.add(up.id, up.update, local_samples[up.id], up.frame_bytes);
     }
     // Byte-valued Φ: in cluster runs "uploaded bytes" is what actually
     // crossed the uplink — update frames, elimination frames, retransmits.
-    result.sim.uploaded_bytes = uplink_meter.total_bytes();
-    rec.cumulative_upload_bytes = result.sim.uploaded_bytes;
-
-    const bool last = t == options_.fl.max_iterations;
-    bool stop_at_target = false;
-    if (options_.fl.eval_every > 0 &&
-        (t % options_.fl.eval_every == 0 || last)) {
-      const nn::EvalResult eval = evaluator_(global);
-      rec.accuracy = eval.accuracy;
-      rec.loss = eval.loss;
-      result.footprint.push_back(
-          {t, eval.accuracy, uplink_meter.total_bytes()});
-      stop_at_target = options_.fl.target_accuracy > 0.0 &&
-                       std::isfinite(eval.loss) &&
-                       eval.accuracy >= options_.fl.target_accuracy;
+    committer.set_uploaded_bytes(uplink_meter.total_bytes());
+    const fl::RoundOutcome outcome =
+        committer.commit(rec, received, evaluator_);
+    if (outcome.evaluated) {
+      const fl::IterationRecord& r = committer.history().back();
+      result.footprint.push_back({t, r.accuracy, r.cumulative_upload_bytes});
     }
-    result.sim.history.push_back(rec);
 
     // Checkpoint only when the round is quiesced: every worker this round
     // answered (each reply happens-before this point via the channel), and
@@ -861,12 +714,10 @@ ClusterResult FlCluster::run_internal(
     // still be running, so its client state cannot be read safely).
     const bool quiesced =
         round_missing == 0 && result.faults.crashed_workers.empty();
-    if (options_.fl.checkpoint_every > 0 &&
-        !options_.fl.checkpoint_path.empty() && quiesced &&
-        (t % options_.fl.checkpoint_every == 0 || last || stop_at_target)) {
+    if (quiesced && committer.checkpoint_due(t, outcome.stop)) {
       fl::save_checkpoint_file(options_.fl.checkpoint_path, snapshot(t));
     }
-    if (stop_at_target) break;
+    if (outcome.stop) break;
   }
 
   // Drain stray frames (late replies, injected duplicates) so the
@@ -887,31 +738,17 @@ ClusterResult FlCluster::run_internal(
   for (auto& ep : endpoints) ep.inbox.send(shutdown);
   for (auto& w : workers) w.join();
 
-  result.sim.total_rounds = cumulative_rounds;
-  result.sim.final_params = std::move(global);
-  result.sim.validation = validator.report();
-  for (auto it = result.sim.history.rbegin();
-       it != result.sim.history.rend(); ++it) {
-    if (!std::isnan(it->accuracy)) {
-      result.sim.final_accuracy = it->accuracy;
-      break;
-    }
+  for (const fl::ShardStats& shard : committer.aggregator().stats()) {
+    result.shard_uplink_bytes.push_back(shard.bytes);
+    result.shard_uploads.push_back(shard.uploads);
   }
+  result.sim = committer.finish();
   result.uplink_bytes = uplink_meter.total_bytes();
   result.downlink_bytes = downlink_meter.total_bytes();
   result.uplink_retransmitted_bytes = uplink_meter.retransmitted_bytes();
   result.downlink_retransmitted_bytes = downlink_meter.retransmitted_bytes();
   result.upload_messages = upload_frames.load();
   result.elimination_messages = elimination_frames.load();
-  if (shard_agg) {
-    const std::vector<fl::ShardStats> sstats = shard_agg->stats();
-    result.shard_uplink_bytes.reserve(shard_meters.size());
-    result.shard_uploads.reserve(shard_meters.size());
-    for (std::size_t s = 0; s < shard_meters.size(); ++s) {
-      result.shard_uplink_bytes.push_back(shard_meters[s].total_bytes());
-      result.shard_uploads.push_back(sstats[s].uploads);
-    }
-  }
   result.faults.frames_dropped = fault_stats.frames_dropped.load();
   result.faults.frames_corrupted = fault_stats.frames_corrupted.load();
   result.faults.frames_duplicated = fault_stats.frames_duplicated.load();

@@ -109,7 +109,10 @@ struct ReplicationOptions {
 };
 
 struct ClusterOptions {
-  fl::SimulationOptions fl;   // E, B, η_t schedule, eval cadence, etc.
+  /// E, B, η_t schedule, eval cadence, etc.  `fl.min_uploads` is accepted
+  /// but not honoured: a worker whose filter eliminated its update sent
+  /// only a status frame, so the master has no update to force upload.
+  fl::SimulationOptions fl;
   LinkModel uplink;           // per-worker upload link model
   LinkModel downlink;         // broadcast link model
   FaultPlan fault;            // injected faults (default: none)
@@ -174,9 +177,10 @@ struct ClusterResult {
   /// and is therefore not bit-reproducible.
   std::uint64_t control_plane_bytes = 0;
   /// Sharded ingest (options.fl.sharding): upload wire bytes / upload count
-  /// ingested per aggregator shard, in shard order.  Empty when sharding is
-  /// off.  Deterministic at quorum 1.0 (uploads route by commit index mod
-  /// S, not arrival order).
+  /// ingested per aggregator shard, in shard order — one entry per shard,
+  /// one shard when shards <= 1.  Empty for replicated runs.
+  /// Deterministic at quorum 1.0 (uploads route by commit index mod S, not
+  /// arrival order).
   std::vector<std::uint64_t> shard_uplink_bytes;
   std::vector<std::uint64_t> shard_uploads;
   /// Simulated transfer time had the links been real edge connections

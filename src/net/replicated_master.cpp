@@ -15,10 +15,9 @@
 #include <vector>
 
 #include "codec/codec.h"
-#include "core/estimator.h"
 #include "fl/checkpoint.h"
+#include "fl/round_commit.h"
 #include "net/raft.h"
-#include "tensor/vector_ops.h"
 
 namespace cmfl::net {
 namespace {
@@ -197,13 +196,9 @@ struct Shared {
 // this is what makes the footprint curve bit-identical under failover.
 
 struct StateMachine {
-  StateMachine(const ClusterOptions& opt, std::size_t dim, std::size_t n,
+  StateMachine(const ClusterOptions& opt, std::size_t n,
                std::vector<float> initial_global)
-      : global(std::move(initial_global)),
-        estimator(dim, opt.fl.estimator_ema),
-        validator(n, opt.fl.validation) {
-    eliminations_per_client.assign(n, 0);
-    uploads_per_client.assign(n, 0);
+      : committer(opt.fl, n, std::move(initial_global)) {
     alive.assign(n, 1);
     last_acked.assign(n, 0);
     max_staleness.assign(n, 0);
@@ -214,14 +209,7 @@ struct StateMachine {
   }
 
   // Closed-round trainer state.
-  std::vector<float> global;
-  core::GlobalUpdateEstimator estimator;
-  fl::UpdateValidator validator;
-  std::vector<float> prev_global_update;
-  std::size_t cumulative_rounds = 0;
-  std::vector<fl::IterationRecord> history;
-  std::vector<std::size_t> eliminations_per_client;
-  std::vector<std::size_t> uploads_per_client;
+  fl::RoundCommitter committer;
   std::vector<FootprintPoint> footprint;
   double sim_transfer = 0.0;
 
@@ -285,7 +273,7 @@ void StateMachine::apply_round_start(std::uint64_t t, std::uint64_t bytes) {
   crashed_this_round = false;
   uploads.clear();
   for (std::size_t k = 0; k < alive.size(); ++k) {
-    active[k] = alive[k] && !validator.quarantined(k) ? 1 : 0;
+    active[k] = alive[k] && !committer.quarantined(k) ? 1 : 0;
     answered[k] = 0;
     scores[k] = 0.0;
     reply_bytes[k] = 0;
@@ -311,7 +299,7 @@ void StateMachine::apply_reply(const ReplyCmd& c) {
     uploads.emplace_back(c.worker, c.update);
     ++upload_frames;
   } else {
-    ++eliminations_per_client[k];
+    committer.record_elimination(k);
     ++elimination_frames;
   }
 }
@@ -328,15 +316,12 @@ void StateMachine::apply_worker_crash(std::uint64_t t, std::uint32_t worker) {
 
 void StateMachine::apply_round_commit(std::uint64_t t, Shared& sh) {
   if (!round_open || t != round) return;
-  const fl::SimulationOptions& flopt = sh.options->fl;
   const std::size_t n = alive.size();
 
   fl::IterationRecord rec;
   rec.iteration = static_cast<std::size_t>(t);
   rec.uploads = uploads.size();
   rec.participants = accepted;
-  cumulative_rounds += uploads.size();
-  rec.cumulative_rounds = cumulative_rounds;
   double score_sum = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
     if (answered[k]) score_sum += scores[k];  // fixed id order
@@ -344,57 +329,25 @@ void StateMachine::apply_round_commit(std::uint64_t t, Shared& sh) {
   rec.mean_score =
       accepted > 0 ? score_sum / static_cast<double>(accepted) : 0.0;
 
-  for (const auto& [id, u] : uploads) ++uploads_per_client[id];
-  if (!uploads.empty()) {
-    std::sort(uploads.begin(), uploads.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<std::size_t> upload_ids;
-    std::vector<std::span<const float>> received;
-    upload_ids.reserve(uploads.size());
-    received.reserve(uploads.size());
-    for (const auto& [id, u] : uploads) {
-      upload_ids.push_back(id);
-      received.emplace_back(u);
-    }
-    const std::vector<fl::Verdict> verdicts =
-        validator.screen_round(upload_ids, received);
-    std::vector<std::span<const float>> views;
-    std::vector<std::size_t> accepted_ids;
-    views.reserve(uploads.size());
-    for (std::size_t i = 0; i < uploads.size(); ++i) {
-      if (verdicts[i] == fl::Verdict::kAccept) {
-        views.push_back(received[i]);
-        accepted_ids.push_back(upload_ids[i]);
-      } else {
-        ++rec.rejected;
-      }
-    }
-    if (!views.empty()) {
-      std::vector<float> global_update(sh.dim, 0.0f);
-      std::vector<float> weights;
-      if (flopt.aggregation == fl::Aggregation::kSampleWeighted) {
-        double total_weight = 0.0;
-        for (std::size_t id : accepted_ids) {
-          total_weight += static_cast<double>((*sh.local_samples)[id]);
-        }
-        weights.reserve(accepted_ids.size());
-        for (std::size_t id : accepted_ids) {
-          weights.push_back(static_cast<float>(
-              static_cast<double>((*sh.local_samples)[id]) / total_weight));
-        }
-      }
-      fl::aggregate_updates(flopt.aggregation, views, weights,
-                            flopt.robust_aggregation, global_update);
-      tensor::add(global, global_update, global);
-      if (!prev_global_update.empty()) {
-        rec.delta_update = core::normalized_update_difference(
-            prev_global_update, global_update);
-      }
-      prev_global_update = global_update;
-      estimator.observe(global_update);
-    }
+  std::sort(uploads.begin(), uploads.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  fl::RoundUploads received;
+  for (const auto& [id, u] : uploads) {
+    committer.record_upload(id, 0);
+    received.add(id, u, (*sh.local_samples)[id], reply_bytes[id]);
   }
-  rec.cumulative_upload_bytes = up_bytes;
+  committer.set_uploaded_bytes(up_bytes);
+  const fl::RoundOutcome outcome =
+      committer.commit(rec, received, [&sh](std::span<const float> params) {
+        // The evaluator is shared by all replicas.
+        std::lock_guard<std::mutex> lock(sh.eval_mutex);
+        return (*sh.evaluator)(params);
+      });
+  if (outcome.evaluated) {
+    footprint.push_back({static_cast<std::size_t>(t),
+                         committer.history().back().accuracy, up_bytes});
+  }
+  if (outcome.stop) stop = true;
 
   double max_upload_transfer = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
@@ -408,28 +361,10 @@ void StateMachine::apply_round_commit(std::uint64_t t, Shared& sh) {
                   max_upload_transfer;
 
   for (std::size_t k = 0; k < n; ++k) {
-    if (validator.quarantined(k)) continue;
+    if (committer.quarantined(k)) continue;
     max_staleness[k] = std::max(max_staleness[k], t - last_acked[k]);
   }
   if (crashed_this_round) ++quorum_rounds;
-
-  const bool last = t == flopt.max_iterations;
-  if (flopt.eval_every > 0 && (t % flopt.eval_every == 0 || last)) {
-    nn::EvalResult eval;
-    {
-      std::lock_guard<std::mutex> lock(sh.eval_mutex);
-      eval = (*sh.evaluator)(global);
-    }
-    rec.accuracy = eval.accuracy;
-    rec.loss = eval.loss;
-    footprint.push_back(
-        {static_cast<std::size_t>(t), eval.accuracy, up_bytes});
-    if (flopt.target_accuracy > 0.0 && std::isfinite(eval.loss) &&
-        eval.accuracy >= flopt.target_accuracy) {
-      stop = true;
-    }
-  }
-  history.push_back(rec);
   round_open = false;
 }
 
@@ -505,21 +440,7 @@ void StateMachine::apply(std::span<const std::byte> command, Shared& sh,
 fl::TrainerCheckpoint StateMachine::build_checkpoint(
     std::vector<std::vector<std::uint64_t>> client_states,
     std::vector<std::vector<std::uint64_t>> codec_states) const {
-  fl::TrainerCheckpoint ck;
-  ck.iteration = round;
-  ck.global_params = global;
-  const std::span<const float> est = estimator.estimate();
-  ck.estimator_estimate.assign(est.begin(), est.end());
-  ck.estimator_observed = estimator.has_observation();
-  ck.prev_global_update = prev_global_update;
-  ck.cumulative_rounds = cumulative_rounds;
-  ck.uploaded_bytes = up_bytes;
-  ck.history = history;
-  ck.eliminations_per_client.assign(eliminations_per_client.begin(),
-                                    eliminations_per_client.end());
-  ck.uploads_per_client.assign(uploads_per_client.begin(),
-                               uploads_per_client.end());
-  ck.validation = validator.report();
+  fl::TrainerCheckpoint ck = committer.checkpoint(round);
   ck.client_state = std::move(client_states);
   ck.compressor_state = std::move(codec_states);
   fl::ClusterMeterState& m = ck.meters;
@@ -540,19 +461,8 @@ fl::TrainerCheckpoint StateMachine::build_checkpoint(
 }
 
 void StateMachine::restore_checkpoint(const fl::TrainerCheckpoint& ck) {
-  global = ck.global_params;
-  estimator.restore(ck.estimator_estimate, ck.estimator_observed);
-  validator.restore(ck.validation);
-  prev_global_update = ck.prev_global_update;
-  cumulative_rounds = static_cast<std::size_t>(ck.cumulative_rounds);
-  history = ck.history;
-  const std::size_t n = alive.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    eliminations_per_client[k] =
-        static_cast<std::size_t>(ck.eliminations_per_client[k]);
-    uploads_per_client[k] = static_cast<std::size_t>(ck.uploads_per_client[k]);
-    last_acked[k] = ck.iteration;
-  }
+  committer.restore(ck);
+  for (std::size_t k = 0; k < alive.size(); ++k) last_acked[k] = ck.iteration;
   const fl::ClusterMeterState& m = ck.meters;
   up_bytes = m.uplink_bytes;
   up_msgs = m.uplink_messages;
@@ -793,9 +703,10 @@ std::vector<std::byte> make_broadcast(const Replica& self, const Shared& sh,
   bc.codec_version = sh.codec_version;
   bc.learning_rate =
       static_cast<float>(sh.options->fl.learning_rate.at(t));
-  bc.global_params = self.sm.global;
-  bc.global_update.assign(self.sm.estimator.estimate().begin(),
-                          self.sm.estimator.estimate().end());
+  bc.global_params.assign(self.sm.committer.global().begin(),
+                          self.sm.committer.global().end());
+  bc.global_update.assign(self.sm.committer.estimate().begin(),
+                          self.sm.committer.estimate().end());
   auto frame = encode(Message(bc));
   seal_frame(frame);
   return frame;
@@ -939,10 +850,9 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
   // Between rounds: checkpoint if due, then advance or finish.
   const std::uint64_t t = sm.round;
   const bool last = t >= flopt.max_iterations;
-  const bool checkpoint_due =
-      flopt.checkpoint_every > 0 && !flopt.checkpoint_path.empty() &&
-      t >= 1 && sm.states_round < t && sm.crashed_workers.empty() &&
-      (t % flopt.checkpoint_every == 0 || last || sm.stop);
+  const bool checkpoint_due = t >= 1 && sm.states_round < t &&
+                              sm.crashed_workers.empty() &&
+                              sm.committer.checkpoint_due(t, sm.stop);
   if (checkpoint_due) {
     if (drv.proposed_states != t) {
       // Safe to read worker-owned state: every active worker's round-t
@@ -968,7 +878,7 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
   }
   std::size_t active_count = 0;
   for (std::size_t k = 0; k < sh.num_workers; ++k) {
-    if (sm.alive[k] && !sm.validator.quarantined(k)) ++active_count;
+    if (sm.alive[k] && !sm.committer.quarantined(k)) ++active_count;
   }
   if (sm.stop || last || active_count == 0) {
     if (!drv.proposed_finish) {
@@ -1170,7 +1080,7 @@ bool rebuild_replica(Replica& self, Shared& sh, const CrashEvent& ev) {
     // the inbox Channel itself must survive (workers hold references).
     while (self.inbox.recv_for(Clock::duration::zero())) {
     }
-    StateMachine sm(options, sh.dim, sh.num_workers, *sh.initial_global);
+    StateMachine sm(options, sh.num_workers, *sh.initial_global);
     if (sh.resume_from != nullptr) sm.restore_checkpoint(*sh.resume_from);
     const RaftPersistentState& rec = storage->recovered();
     if (rec.snapshot_index > 0) sm.restore_snapshot(rec.snapshot);
@@ -1406,18 +1316,13 @@ ClusterResult run_replicated_cluster(
   }
 
   if (resume_from != nullptr) {
+    // The model, counters and history are restored (and validated) by
+    // each replica's state machine below.
     const fl::TrainerCheckpoint& ck = *resume_from;
-    if (ck.global_params.size() != dim) {
-      throw std::invalid_argument(
-          "FlCluster: checkpoint parameter dimension mismatch");
-    }
-    if (ck.client_state.size() != num_workers ||
-        ck.eliminations_per_client.size() != num_workers ||
-        ck.uploads_per_client.size() != num_workers) {
+    if (ck.client_state.size() != num_workers) {
       throw std::invalid_argument(
           "FlCluster: checkpoint worker count mismatch");
     }
-    global = ck.global_params;
     for (std::size_t k = 0; k < num_workers; ++k) {
       clients[k]->restore_mutable_state(ck.client_state[k]);
     }
@@ -1436,7 +1341,7 @@ ClusterResult run_replicated_cluster(
   std::vector<std::unique_ptr<Replica>> replicas;
   replicas.reserve(num_replicas);
   for (std::uint32_t r = 0; r < num_replicas; ++r) {
-    StateMachine sm(options, dim, num_workers, global);
+    StateMachine sm(options, num_workers, global);
     if (resume_from != nullptr) sm.restore_checkpoint(*resume_from);
     std::unique_ptr<RaftStorage> storage;
     if (!options.replication.storage_dir.empty()) {
@@ -1531,23 +1436,10 @@ ClusterResult run_replicated_cluster(
         "replicated cluster: no replica finished the run (did the fault "
         "plan crash a majority of replicas?)");
   }
-  const StateMachine& sm = replicas[static_cast<std::size_t>(fid)]->sm;
+  StateMachine& sm = replicas[static_cast<std::size_t>(fid)]->sm;
 
   ClusterResult result;
-  result.sim.history = sm.history;
-  result.sim.eliminations_per_client = sm.eliminations_per_client;
-  result.sim.uploads_per_client = sm.uploads_per_client;
-  result.sim.final_params = sm.global;
-  result.sim.uploaded_bytes = sm.up_bytes;
-  result.sim.total_rounds = sm.cumulative_rounds;
-  result.sim.validation = sm.validator.report();
-  for (auto it = result.sim.history.rbegin(); it != result.sim.history.rend();
-       ++it) {
-    if (!std::isnan(it->accuracy)) {
-      result.sim.final_accuracy = it->accuracy;
-      break;
-    }
-  }
+  result.sim = sm.committer.finish();
   result.uplink_bytes = uplink_meter.total_bytes();
   result.downlink_bytes = downlink_meter.total_bytes();
   result.uplink_retransmitted_bytes = uplink_meter.retransmitted_bytes();

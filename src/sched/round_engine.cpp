@@ -7,9 +7,8 @@
 #include <unordered_set>
 
 #include "codec/codec.h"
-#include "core/estimator.h"
 #include "fl/checkpoint.h"
-#include "fl/shard.h"
+#include "fl/round_commit.h"
 #include "sched/work_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/vector_ops.h"
@@ -46,19 +45,15 @@ struct RoundEngine::Trained {
 };
 
 struct RoundEngine::Ctx {
-  core::GlobalUpdateEstimator estimator;
-  fl::UpdateValidator validator;
-  util::Rng engine_rng;
+  // Declared first, so destroyed last: the exiting pool threads' malloc
+  // arenas are then the first the next run's pool threads pick up, which
+  // keeps their freed client memory reusable (a shard thread exiting last
+  // would hand a pool thread its nearly empty arena and grow peak RSS).
   std::unique_ptr<WorkStealingPool> pool;
-  // Sharded ingest + aggregation pipeline (options.sharding); null keeps
-  // the legacy single-master path.
-  std::unique_ptr<fl::ShardedAggregator> shards;
+  fl::RoundCommitter committer;
+  util::Rng engine_rng;
 
-  std::vector<float> global;
-  std::vector<float> prev_global_update;
-  fl::SimulationResult sim;
   ScheduleReport sched;
-  std::size_t cumulative_rounds = 0;
   std::uint64_t invite_counter = 0;
 
   // Buffered-async state (version doubles as the aggregation count).
@@ -80,10 +75,10 @@ struct RoundEngine::Ctx {
   // Shared read-only by every client's relevance check within a broadcast.
   tensor::SignPack estimate_pack;
 
-  Ctx(std::size_t dim, std::uint64_t devices,
+  Ctx(std::vector<float> initial_global, std::uint64_t devices,
       const fl::SimulationOptions& options)
-      : estimator(dim, options.estimator_ema),
-        validator(static_cast<std::size_t>(devices), options.validation),
+      : committer(options, static_cast<std::size_t>(devices),
+                  std::move(initial_global)),
         engine_rng(options.seed) {}
 };
 
@@ -157,24 +152,15 @@ EngineResult RoundEngine::resume(const fl::TrainerCheckpoint& checkpoint) {
 
 EngineResult RoundEngine::run_internal(
     const fl::TrainerCheckpoint* resume_from) {
-  Ctx ctx(dim_, population_.size(), options_);
-  const auto devices = static_cast<std::size_t>(population_.size());
-  ctx.sim.eliminations_per_client.assign(devices, 0);
-  ctx.sim.uploads_per_client.assign(devices, 0);
-  ctx.sim.history.reserve(options_.max_iterations);
-  if (options_.parallel) {
-    ctx.pool = std::make_unique<WorkStealingPool>();
-  }
-  if (options_.sharding.enabled()) {
-    ctx.shards = std::make_unique<fl::ShardedAggregator>(dim_,
-                                                         options_.sharding);
-  }
-
-  ctx.global.resize(dim_);
+  std::vector<float> initial(dim_);
   {
     fl::FlClient& c0 = population_.acquire(0);
-    c0.get_params(ctx.global);
+    c0.get_params(initial);
     population_.release(0);
+  }
+  Ctx ctx(std::move(initial), population_.size(), options_);
+  if (options_.parallel) {
+    ctx.pool = std::make_unique<WorkStealingPool>();
   }
 
   if (resume_from != nullptr) {
@@ -183,28 +169,7 @@ EngineResult RoundEngine::run_internal(
       throw std::invalid_argument(
           "RoundEngine: checkpoint was not written by a scheduler run");
     }
-    if (ck.global_params.size() != dim_) {
-      throw std::invalid_argument(
-          "RoundEngine: checkpoint parameter dimension mismatch");
-    }
-    if (ck.eliminations_per_client.size() != devices ||
-        ck.uploads_per_client.size() != devices) {
-      throw std::invalid_argument(
-          "RoundEngine: checkpoint population size mismatch");
-    }
-    ctx.global = ck.global_params;
-    ctx.estimator.restore(ck.estimator_estimate, ck.estimator_observed);
-    ctx.validator.restore(ck.validation);
-    ctx.prev_global_update = ck.prev_global_update;
-    ctx.cumulative_rounds = static_cast<std::size_t>(ck.cumulative_rounds);
-    ctx.sim.uploaded_bytes = ck.uploaded_bytes;
-    ctx.sim.history = ck.history;
-    for (std::size_t k = 0; k < devices; ++k) {
-      ctx.sim.eliminations_per_client[k] =
-          static_cast<std::size_t>(ck.eliminations_per_client[k]);
-      ctx.sim.uploads_per_client[k] =
-          static_cast<std::size_t>(ck.uploads_per_client[k]);
-    }
+    ctx.committer.restore(ck);
     util::restore_rng_state(ctx.engine_rng, ck.sched.engine_rng);
     ctx.invite_counter = ck.sched.invite_counter;
     ctx.version = ck.sched.version;
@@ -226,15 +191,11 @@ EngineResult RoundEngine::run_internal(
       codec_for(ctx, ck.sched.codec_devices[i])
           .restore_mutable_state(ck.sched.codec_state[i]);
     }
+    // Checkpoints from runs without an aggregator carry no shard stats; a
+    // present word count must match this run's shard count, so a resume
+    // under a different one fails loudly instead of mis-merging.
     if (!ck.sched.shard_stats.empty()) {
-      if (!ctx.shards) {
-        throw std::invalid_argument(
-            "RoundEngine: checkpoint has shard stats but sharding is "
-            "disabled");
-      }
-      // Validates the count against options_.sharding.shards, so a resume
-      // under a different shard count fails loudly instead of mis-merging.
-      ctx.shards->restore_stats_words(ck.sched.shard_stats);
+      ctx.committer.aggregator().restore_stats_words(ck.sched.shard_stats);
     }
     ctx.start_round = ck.iteration + 1;
   }
@@ -245,21 +206,11 @@ EngineResult RoundEngine::run_internal(
     run_sync_rounds(ctx);
   }
 
-  ctx.sim.total_rounds = ctx.cumulative_rounds;
-  ctx.sim.final_params = std::move(ctx.global);
-  ctx.sim.validation = ctx.validator.report();
-  for (auto it = ctx.sim.history.rbegin(); it != ctx.sim.history.rend();
-       ++it) {
-    if (!std::isnan(it->accuracy)) {
-      ctx.sim.final_accuracy = it->accuracy;
-      break;
-    }
-  }
   ctx.sched.materializations = population_.materializations();
   ctx.sched.peak_resident_clients = population_.peak_resident();
   ctx.sched.evictions = population_.evictions();
   ctx.sched.steals = ctx.pool ? ctx.pool->steals() : 0;
-  return {std::move(ctx.sim), ctx.sched};
+  return {ctx.committer.finish(), ctx.sched};
 }
 
 std::vector<RoundEngine::Trained> RoundEngine::train_cohort(
@@ -269,9 +220,10 @@ std::vector<RoundEngine::Trained> RoundEngine::train_cohort(
   std::vector<Trained> out(devices.size());
   if (devices.empty()) return out;
 
+  const std::span<const float> global = ctx.committer.global();
   core::FilterContext fctx;
-  fctx.global_model = ctx.global;
-  fctx.estimated_global_update = ctx.estimator.estimate();
+  fctx.global_model = global;
+  fctx.estimated_global_update = ctx.committer.estimate();
   ctx.estimate_pack.assign(fctx.estimated_global_update);
   fctx.estimated_global_update_pack = &ctx.estimate_pack;
   fctx.iteration = filter_iteration;
@@ -291,14 +243,14 @@ std::vector<RoundEngine::Trained> RoundEngine::train_cohort(
     r.latency = population_.draw_latency(r.device, seqs[i]);
     r.dropped = population_.drops_mid_round(r.device, round);
     fl::FlClient& c = population_.acquire(devices[i]);
-    c.set_params(ctx.global);
+    c.set_params(global);
     r.train_loss =
         c.train_local(options_.local_epochs, options_.batch_size, lr);
     r.local_samples = c.local_samples();
     r.update.resize(dim_);
     c.get_params(r.update);
     // u = trained local params − broadcast global params.
-    for (std::size_t j = 0; j < dim_; ++j) r.update[j] -= ctx.global[j];
+    for (std::size_t j = 0; j < dim_; ++j) r.update[j] -= global[j];
     r.decision = filter_->decide(r.update, fctx);
     population_.release(devices[i], seqs[i]);
   };
@@ -311,109 +263,9 @@ std::vector<RoundEngine::Trained> RoundEngine::train_cohort(
   return out;
 }
 
-void RoundEngine::commit_uploads(Ctx& ctx,
-                                 const std::vector<std::size_t>& devices,
-                                 const std::vector<std::span<const float>>&
-                                     views,
-                                 const std::vector<double>& raw_weights,
-                                 bool staleness_weighted,
-                                 fl::IterationRecord& rec) {
-  // Sharded path: the per-upload structural scalars (finiteness, exact L2
-  // norm) are computed concurrently on the shard workers and collected in
-  // index order, so screening sees exactly what the serial scan produces.
-  std::vector<fl::UpdateValidator::UploadScalars> pre;
-  if (ctx.shards) {
-    ctx.shards->begin_batch(views.size());
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      ctx.shards->submit_update(
-          i, views[i], nullptr,
-          static_cast<std::uint64_t>(views[i].size() * sizeof(float)));
-    }
-    std::vector<fl::ShardedAggregator::UploadResult> results =
-        ctx.shards->collect(views.size());
-    pre.reserve(results.size());
-    for (fl::ShardedAggregator::UploadResult& r : results) {
-      if (r.error) std::rethrow_exception(r.error);
-      pre.push_back(r.scalars);
-    }
-  }
-  const std::vector<fl::Verdict> verdicts =
-      ctx.shards ? ctx.validator.screen_round(devices, pre)
-                 : ctx.validator.screen_round(devices, views);
-  std::vector<std::size_t> accepted;
-  accepted.reserve(devices.size());
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    if (verdicts[i] == fl::Verdict::kAccept) {
-      accepted.push_back(i);
-    } else {
-      ++rec.rejected;
-    }
-  }
-  if (accepted.empty()) return;
-
-  fl::Aggregation rule = options_.aggregation;
-  const bool weighted =
-      rule == fl::Aggregation::kSampleWeighted ||
-      (staleness_weighted && rule == fl::Aggregation::kUniformMean);
-  std::vector<float> weights;
-  if (weighted) {
-    if (raw_weights.size() != views.size()) {
-      throw std::logic_error("RoundEngine: missing per-upload weights");
-    }
-    rule = fl::Aggregation::kSampleWeighted;
-    double total = 0.0;
-    for (std::size_t i : accepted) total += raw_weights[i];
-    weights.reserve(accepted.size());
-    for (std::size_t i : accepted) {
-      weights.push_back(static_cast<float>(raw_weights[i] / total));
-    }
-  }
-  std::vector<std::span<const float>> accepted_views;
-  accepted_views.reserve(accepted.size());
-  for (std::size_t i : accepted) accepted_views.push_back(views[i]);
-
-  std::vector<float> global_update(dim_);
-  if (ctx.shards) {
-    // The clipped rule's cross-upload plan reuses the scalar-pass norms
-    // (same serial accumulation — bit-identical to recomputing them).
-    std::vector<double> norms;
-    if (rule == fl::Aggregation::kNormClippedMean) {
-      norms.reserve(accepted.size());
-      for (std::size_t i : accepted) norms.push_back(pre[i].norm);
-    }
-    ctx.shards->aggregate(rule, accepted_views, weights,
-                          options_.robust_aggregation, norms, global_update);
-  } else {
-    fl::aggregate_updates(rule, accepted_views, weights,
-                          options_.robust_aggregation, global_update);
-  }
-  tensor::add(ctx.global, global_update, ctx.global);
-  if (!ctx.prev_global_update.empty()) {
-    rec.delta_update = core::normalized_update_difference(
-        ctx.prev_global_update, global_update);
-  }
-  ctx.estimator.observe(global_update);
-  ctx.prev_global_update = std::move(global_update);
-}
-
 fl::TrainerCheckpoint RoundEngine::snapshot(Ctx& ctx,
                                             std::uint64_t iteration) {
-  fl::TrainerCheckpoint ck;
-  ck.iteration = iteration;
-  ck.global_params = ctx.global;
-  const std::span<const float> est = ctx.estimator.estimate();
-  ck.estimator_estimate.assign(est.begin(), est.end());
-  ck.estimator_observed = ctx.estimator.has_observation();
-  ck.prev_global_update = ctx.prev_global_update;
-  ck.cumulative_rounds = ctx.cumulative_rounds;
-  ck.uploaded_bytes = ctx.sim.uploaded_bytes;
-  ck.history = ctx.sim.history;
-  ck.eliminations_per_client.assign(ctx.sim.eliminations_per_client.begin(),
-                                    ctx.sim.eliminations_per_client.end());
-  ck.uploads_per_client.assign(ctx.sim.uploads_per_client.begin(),
-                               ctx.sim.uploads_per_client.end());
-  ck.validation = ctx.validator.report();
-
+  fl::TrainerCheckpoint ck = ctx.committer.checkpoint(iteration);
   fl::SchedulerCheckpoint& s = ck.sched;
   s.engaged = 1;
   s.version = ctx.version;
@@ -434,7 +286,7 @@ fl::TrainerCheckpoint RoundEngine::snapshot(Ctx& ctx,
   }
   // Shard counters are deterministic (index-mod-S routing), so a resumed
   // run reports the same ingest totals as an uninterrupted one.
-  if (ctx.shards) s.shard_stats = ctx.shards->stats_words();
+  s.shard_stats = ctx.committer.aggregator().stats_words();
   return ck;
 }
 
@@ -442,7 +294,7 @@ void RoundEngine::run_sync_rounds(Ctx& ctx) {
   const ScheduleOptions& sch = options_.schedule;
   const bool over_select = sch.mode == RoundMode::kOverSelect;
   const auto quarantined = [&](std::uint64_t id) {
-    return ctx.validator.quarantined(static_cast<std::size_t>(id));
+    return ctx.committer.quarantined(static_cast<std::size_t>(id));
   };
 
   for (std::uint64_t t = ctx.start_round; t <= options_.max_iterations; ++t) {
@@ -518,10 +370,10 @@ void RoundEngine::run_sync_rounds(Ctx& ctx) {
       // aggregator.
       for (std::size_t i = keep; i < reports.size(); ++i) {
         ++ctx.sched.discarded_stragglers;
-        if (reports[i]->decision.upload) {
-          ++ctx.sim.uploads_per_client[reports[i]->device];
-          ctx.sim.uploaded_bytes +=
-              encode_upload(ctx, reports[i]->device, reports[i]->update);
+        Trained& r = *reports[i];
+        if (r.decision.upload) {
+          ctx.committer.record_upload(r.device,
+                                      encode_upload(ctx, r.device, r.update));
         }
       }
       reports.resize(keep);
@@ -533,37 +385,32 @@ void RoundEngine::run_sync_rounds(Ctx& ctx) {
                 });
     }
 
-    fl::IterationRecord rec;
-    rec.iteration = static_cast<std::size_t>(t);
-    rec.participants = reports.size();
-    ctx.sched.reported += reports.size();
-
     // --- Collect relevant updates S_t over the committed reports ---
     std::vector<Trained*> uploads;
-    uploads.reserve(reports.size());
+    std::vector<Trained*> eliminated;
     for (Trained* r : reports) {
-      if (r->decision.upload) {
-        uploads.push_back(r);
-      } else {
-        ++ctx.sim.eliminations_per_client[r->device];
-      }
+      (r->decision.upload ? uploads : eliminated).push_back(r);
     }
-    if (uploads.empty() && options_.min_uploads > 0 && !reports.empty()) {
+    if (uploads.empty() && options_.min_uploads > 0) {
       std::vector<Trained*> order = reports;
       std::sort(order.begin(), order.end(),
                 [](const Trained* a, const Trained* b) {
                   return a->decision.score > b->decision.score;
                 });
-      const std::size_t forced = std::min(options_.min_uploads, order.size());
-      for (std::size_t i = 0; i < forced; ++i) {
-        uploads.push_back(order[i]);
-        --ctx.sim.eliminations_per_client[order[i]->device];
-      }
+      const auto forced = static_cast<std::ptrdiff_t>(
+          std::min(options_.min_uploads, order.size()));
+      uploads.assign(order.begin(), order.begin() + forced);
+      eliminated.assign(order.begin() + forced, order.end());
+    }
+    for (const Trained* r : eliminated) {
+      ctx.committer.record_elimination(static_cast<std::size_t>(r->device));
     }
 
+    fl::IterationRecord rec;
+    rec.iteration = static_cast<std::size_t>(t);
+    rec.participants = reports.size();
     rec.uploads = uploads.size();
-    ctx.cumulative_rounds += uploads.size();
-    rec.cumulative_rounds = ctx.cumulative_rounds;
+    ctx.sched.reported += reports.size();
     if (!reports.empty()) {
       double score_sum = 0.0;
       double loss_sum = 0.0;
@@ -576,52 +423,22 @@ void RoundEngine::run_sync_rounds(Ctx& ctx) {
     }
 
     // --- GlobalOptimization over the committed uploads ---
-    // Encodes run here on the engine thread, in committed (device) order;
-    // the aggregator sees the decoded reconstructions.
+    // Encodes run here on the engine thread, in committed order; the
+    // server screens and aggregates the decoded reconstructions.
+    fl::RoundUploads received;
     for (Trained* r : uploads) {
-      ++ctx.sim.uploads_per_client[r->device];
-      ctx.sim.uploaded_bytes += encode_upload(ctx, r->device, r->update);
+      const auto device = static_cast<std::size_t>(r->device);
+      const std::uint64_t bytes = encode_upload(ctx, r->device, r->update);
+      ctx.committer.record_upload(device, bytes);
+      received.add(device, r->update, r->local_samples, bytes);
     }
-    if (!uploads.empty()) {
-      std::vector<std::size_t> devices;
-      std::vector<std::span<const float>> views;
-      std::vector<double> raw_weights;
-      devices.reserve(uploads.size());
-      views.reserve(uploads.size());
-      for (const Trained* r : uploads) {
-        devices.push_back(static_cast<std::size_t>(r->device));
-        views.emplace_back(r->update);
-      }
-      if (options_.aggregation == fl::Aggregation::kSampleWeighted) {
-        raw_weights.reserve(uploads.size());
-        for (const Trained* r : uploads) {
-          raw_weights.push_back(static_cast<double>(r->local_samples));
-        }
-      }
-      commit_uploads(ctx, devices, views, raw_weights,
-                     /*staleness_weighted=*/false, rec);
-    }
-    rec.cumulative_upload_bytes = ctx.sim.uploaded_bytes;
+    const fl::RoundOutcome outcome =
+        ctx.committer.commit(rec, received, evaluator_);
 
-    // --- Periodic evaluation and checkpointing ---
-    const bool last = t == options_.max_iterations;
-    bool stop_at_target = false;
-    if (options_.eval_every > 0 &&
-        (t % options_.eval_every == 0 || last)) {
-      const nn::EvalResult eval = evaluator_(ctx.global);
-      rec.accuracy = eval.accuracy;
-      rec.loss = eval.loss;
-      stop_at_target = options_.target_accuracy > 0.0 &&
-                       std::isfinite(eval.loss) &&
-                       eval.accuracy >= options_.target_accuracy;
-    }
-    ctx.sim.history.push_back(rec);
-
-    if (options_.checkpoint_every > 0 && !options_.checkpoint_path.empty() &&
-        (t % options_.checkpoint_every == 0 || last || stop_at_target)) {
+    if (ctx.committer.checkpoint_due(t, outcome.stop)) {
       fl::save_checkpoint_file(options_.checkpoint_path, snapshot(ctx, t));
     }
-    if (stop_at_target) break;
+    if (outcome.stop) break;
   }
 }
 
@@ -649,7 +466,7 @@ void RoundEngine::run_buffered_async(Ctx& ctx) {
         static_cast<float>(options_.learning_rate.at(ctx.version + 1));
     const auto excluded = [&](std::uint64_t id) {
       return ctx.in_flight.contains(id) || wasted.contains(id) ||
-             ctx.validator.quarantined(static_cast<std::size_t>(id));
+             ctx.committer.quarantined(static_cast<std::size_t>(id));
     };
     while (ctx.in_flight.size() < sch.sample_size) {
       const std::size_t need = sch.sample_size - ctx.in_flight.size();
@@ -723,7 +540,7 @@ void RoundEngine::run_buffered_async(Ctx& ctx) {
         break;
       case kKindElimination:
         ++ctx.sched.reported;
-        ++ctx.sim.eliminations_per_client[static_cast<std::size_t>(e.device)];
+        ctx.committer.record_elimination(static_cast<std::size_t>(e.device));
         ++arrivals;
         score_sum += e.score;
         loss_sum += e.train_loss;
@@ -734,8 +551,8 @@ void RoundEngine::run_buffered_async(Ctx& ctx) {
         score_sum += e.score;
         loss_sum += e.train_loss;
         ++uploads_arrived;
-        ++ctx.sim.uploads_per_client[static_cast<std::size_t>(e.device)];
-        ctx.sim.uploaded_bytes += e.wire_bytes;
+        ctx.committer.record_upload(static_cast<std::size_t>(e.device),
+                                    e.wire_bytes);
         const std::uint64_t staleness = ctx.version - e.version;
         if (sch.max_staleness > 0 && staleness > sch.max_staleness) {
           ++ctx.sched.stale_discarded;  // arrived too late to be useful
@@ -756,39 +573,19 @@ void RoundEngine::run_buffered_async(Ctx& ctx) {
       rec.iteration = static_cast<std::size_t>(v);
       rec.uploads = uploads_arrived;
       rec.participants = arrivals;
-      ctx.cumulative_rounds += uploads_arrived;
-      rec.cumulative_rounds = ctx.cumulative_rounds;
       if (arrivals > 0) {
         rec.mean_score = score_sum / static_cast<double>(arrivals);
         rec.mean_train_loss = loss_sum / static_cast<double>(arrivals);
       }
 
-      std::vector<std::size_t> devices;
-      std::vector<std::span<const float>> views;
-      std::vector<double> raw_weights;
-      devices.reserve(buffer.size());
-      views.reserve(buffer.size());
-      raw_weights.reserve(buffer.size());
-      double stale_sum = 0.0;
-      std::size_t stale_max = 0;
+      fl::RoundUploads received;
       for (const fl::SchedInFlightReport& f : buffer) {
-        devices.push_back(static_cast<std::size_t>(f.device));
-        views.emplace_back(f.update);
-        const std::uint64_t s = (v - 1) - f.version;
-        stale_sum += static_cast<double>(s);
-        stale_max = std::max(stale_max, static_cast<std::size_t>(s));
-        double w = std::pow(1.0 + static_cast<double>(s),
-                            -sch.staleness_exponent);
-        if (options_.aggregation == fl::Aggregation::kSampleWeighted) {
-          w *= static_cast<double>(f.local_samples);
-        }
-        raw_weights.push_back(w);
+        received.add(static_cast<std::size_t>(f.device), f.update,
+                     f.local_samples, f.wire_bytes);
+        received.staleness.push_back((v - 1) - f.version);
       }
-      rec.staleness_mean = stale_sum / static_cast<double>(buffer.size());
-      rec.staleness_max = stale_max;
-      commit_uploads(ctx, devices, views, raw_weights,
-                     /*staleness_weighted=*/true, rec);
-      rec.cumulative_upload_bytes = ctx.sim.uploaded_bytes;
+      const fl::RoundOutcome outcome =
+          ctx.committer.commit(rec, received, evaluator_);
 
       buffer.clear();
       arrivals = 0;
@@ -796,26 +593,11 @@ void RoundEngine::run_buffered_async(Ctx& ctx) {
       score_sum = 0.0;
       loss_sum = 0.0;
 
-      const bool last = v == options_.max_iterations;
-      bool stop_at_target = false;
-      if (options_.eval_every > 0 &&
-          (v % options_.eval_every == 0 || last)) {
-        const nn::EvalResult eval = evaluator_(ctx.global);
-        rec.accuracy = eval.accuracy;
-        rec.loss = eval.loss;
-        stop_at_target = options_.target_accuracy > 0.0 &&
-                         std::isfinite(eval.loss) &&
-                         eval.accuracy >= options_.target_accuracy;
-      }
-      ctx.sim.history.push_back(rec);
-
-      if (options_.checkpoint_every > 0 &&
-          !options_.checkpoint_path.empty() &&
-          (v % options_.checkpoint_every == 0 || last || stop_at_target)) {
+      if (ctx.committer.checkpoint_due(v, outcome.stop)) {
         fl::save_checkpoint_file(options_.checkpoint_path, snapshot(ctx, v));
       }
-      if (stop_at_target) break;
-      if (!last) flush_invites();
+      if (outcome.stop) break;
+      if (v != options_.max_iterations) flush_invites();
     } else if (ctx.heap.empty()) {
       // The cohort drained without filling the buffer (eliminations or
       // dropouts all round) — replace it so progress continues.

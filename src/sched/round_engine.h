@@ -27,12 +27,12 @@
 // work-stealing pool when SimulationOptions::parallel is set (clients are
 // materialized inside the jobs and parked back under their invitation
 // sequence, so the warm pool evolves identically to the serial walk —
-// DESIGN.md §17), and upload screening plus aggregation fan out across
-// SimulationOptions::sharding aggregator shards when enabled, bit-identical
-// to the single-master path.  Runs checkpoint and resume bit-identically
-// through fl::TrainerCheckpoint (v4 adds the per-shard ingest counters),
-// including the in-flight report queue of a buffered-async run.  See
-// DESIGN.md §11 and §17.
+// DESIGN.md §17), and every round commits through fl::RoundCommitter, whose
+// upload screening and aggregation fan out across SimulationOptions::
+// sharding aggregator shards, bit-identical at any shard count.  Runs
+// checkpoint and resume bit-identically through fl::TrainerCheckpoint
+// (which carries the per-shard ingest counters), including the in-flight
+// report queue of a buffered-async run.  See DESIGN.md §11, §17 and §18.
 #pragma once
 
 #include <memory>
@@ -125,15 +125,6 @@ class RoundEngine {
                                     const std::vector<std::uint64_t>& seqs,
                                     std::uint64_t round,
                                     std::size_t filter_iteration, float lr);
-  /// Screens `views` (uploaded by `devices`), aggregates the accepted ones
-  /// and applies the result to the global model.  `raw_weights` are
-  /// pre-normalization per-upload weights, consulted when the rule is
-  /// kSampleWeighted or (`staleness_weighted` and kUniformMean); robust
-  /// rules ignore them by construction.
-  void commit_uploads(Ctx& ctx, const std::vector<std::size_t>& devices,
-                      const std::vector<std::span<const float>>& views,
-                      const std::vector<double>& raw_weights,
-                      bool staleness_weighted, fl::IterationRecord& rec);
   fl::TrainerCheckpoint snapshot(Ctx& ctx, std::uint64_t iteration);
   /// Lazily materializes device `device`'s codec (seeded
   /// codec.seed_salt + device).

@@ -35,14 +35,20 @@ WorkStealingPool::~WorkStealingPool() {
 void WorkStealingPool::worker_loop(std::size_t self) {
   std::uint64_t seen = 0;
   for (;;) {
+    const std::function<void(std::size_t)>* job = nullptr;
     {
       std::unique_lock lock(mu_);
       start_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
+      // A worker that wakes after its run finished finds job_ cleared and
+      // sits the run out: joining with a stale (null) job would let it pop
+      // indices the next run deals into its slot.
+      job = job_;
+      if (job == nullptr) continue;
       ++active_;
     }
-    work(self);
+    work(self, *job);
     {
       std::lock_guard lock(mu_);
       --active_;
@@ -51,12 +57,8 @@ void WorkStealingPool::worker_loop(std::size_t self) {
   }
 }
 
-void WorkStealingPool::work(std::size_t self) {
-  const std::function<void(std::size_t)>* job;
-  {
-    std::lock_guard lock(mu_);
-    job = job_;
-  }
+void WorkStealingPool::work(std::size_t self,
+                            const std::function<void(std::size_t)>& job) {
   Slot& own = *slots_[self];
   const std::size_t nslots = slots_.size();
   for (;;) {
@@ -95,7 +97,7 @@ void WorkStealingPool::work(std::size_t self) {
       continue;
     }
     try {
-      (*job)(i);
+      job(i);
     } catch (...) {
       std::lock_guard lock(mu_);
       if (!error_) error_ = std::current_exception();
@@ -137,7 +139,7 @@ void WorkStealingPool::run(std::size_t n,
     start_cv_.notify_all();
   }
 
-  work(0);
+  work(0, fn);
 
   std::exception_ptr error;
   {

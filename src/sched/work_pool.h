@@ -65,7 +65,7 @@ class WorkStealingPool {
     std::size_t hi = 0;
   };
 
-  void work(std::size_t self);
+  void work(std::size_t self, const std::function<void(std::size_t)>& job);
   void worker_loop(std::size_t self);
 
   std::vector<std::unique_ptr<Slot>> slots_;

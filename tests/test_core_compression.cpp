@@ -122,8 +122,6 @@ TEST(StructuredMaskCodec, KeepsValuesUnscaled) {
 
 TEST(MakeUpdateCodec, FactoryDispatch) {
   EXPECT_EQ(make_update_codec("dense", 1)->name(), "dense");
-  EXPECT_EQ(make_update_codec("float32", 1)->name(), "dense");  // legacy
-  EXPECT_EQ(make_update_codec("quantize8", 1)->name(), "quant:8");  // legacy
   EXPECT_EQ(make_update_codec("subsample:0.10", 1)->name(),
             "subsample:0.10");
   EXPECT_EQ(make_update_codec("structured:0.25", 1)->name(),
@@ -131,6 +129,8 @@ TEST(MakeUpdateCodec, FactoryDispatch) {
   EXPECT_THROW(make_update_codec("bogus", 1), std::invalid_argument);
   EXPECT_THROW(make_update_codec("bogus:0.5", 1), std::invalid_argument);
   EXPECT_THROW(make_update_codec("zstd", 1), std::invalid_argument);
+  EXPECT_THROW(make_update_codec("quantize8", 1), std::invalid_argument);
+  EXPECT_THROW(make_update_codec("float32", 1), std::invalid_argument);
 }
 
 TEST(Codecs, CorruptIndexRejected) {

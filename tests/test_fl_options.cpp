@@ -108,7 +108,7 @@ TEST(Compression, BytesAccountedAndSmallerWhenCompressed) {
       raw.total_rounds * (8 + 4 * static_cast<std::uint64_t>(w.param_count));
   EXPECT_EQ(raw.uploaded_bytes, expected);
 
-  opt.codec.spec = "quantize8";  // legacy alias for quant:8
+  opt.codec.spec = "quant:8";
   const SimulationResult quant = run(opt);
   EXPECT_LT(quant.uploaded_bytes, raw.uploaded_bytes / 3);
   EXPECT_GT(quant.final_accuracy, 0.2);  // lossy but training still works
@@ -123,6 +123,8 @@ TEST(Compression, BytesAccountedAndSmallerWhenCompressed) {
 TEST(Compression, UnknownSpecRejected) {
   auto opt = fast_options();
   opt.codec.spec = "zstd";
+  EXPECT_THROW(run(opt), std::invalid_argument);
+  opt.codec.spec = "quantize8";
   EXPECT_THROW(run(opt), std::invalid_argument);
 }
 

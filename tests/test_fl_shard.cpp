@@ -2,15 +2,20 @@
 // parameter-server pipeline (DESIGN.md §17) — partition alignment, the
 // index-order collect barrier, exact scalar-pass parity with the serial
 // helpers, range-fan-out aggregation equal to aggregate_updates for every
-// rule at every shard count, and checkpointable per-shard counters.
+// rule at every shard count, checkpointable per-shard counters, and the
+// threading model (shard 0 runs on the collecting thread, S shards start
+// S − 1 workers, submit is safe from any thread).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "fl/robust_agg.h"
@@ -231,6 +236,81 @@ TEST(ShardedAggregator, StatsAccumulateDeterministicallyAndRoundTrip) {
   // Word count must be 3 * shards.
   ShardedAggregator other(dim, shard_opts(2));
   EXPECT_THROW(other.restore_stats_words(words), std::invalid_argument);
+}
+
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ShardedAggregator, ShardZeroRunsOnTheCollectingThread) {
+  // The coordinating thread serves shard 0: its jobs run inside collect(),
+  // on the caller; every other shard's jobs run on that shard's worker.
+  for (const std::size_t s : {1u, 3u}) {
+    SCOPED_TRACE("shards " + std::to_string(s));
+    ShardedAggregator agg(256, shard_opts(s));
+    std::vector<std::thread::id> ran_on(3 * s);
+    agg.begin_batch(ran_on.size());
+    for (std::size_t i = 0; i < ran_on.size(); ++i) {
+      agg.submit(i, 0, [&ran_on, i] {
+        ran_on[i] = std::this_thread::get_id();
+        return ShardedAggregator::UploadResult{};
+      });
+    }
+    agg.collect(ran_on.size());
+    for (std::size_t i = 0; i < ran_on.size(); ++i) {
+      if (i % s == 0) {
+        EXPECT_EQ(ran_on[i], std::this_thread::get_id()) << "upload " << i;
+      } else {
+        EXPECT_NE(ran_on[i], std::this_thread::get_id()) << "upload " << i;
+      }
+    }
+  }
+}
+
+TEST(ShardedAggregator, StartsOneThreadPerShardBeyondTheFirst) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task to count threads";
+  }
+  // Runtimes that start a helper thread on the first thread creation
+  // (ThreadSanitizer does) get to do so before the baseline count.
+  std::thread([] {}).join();
+  const std::size_t before = live_threads();
+  for (const std::size_t s : {1u, 2u, 4u}) {
+    ShardedAggregator agg(256, shard_opts(s));
+    EXPECT_EQ(live_threads(), before + s - 1) << "shards " << s;
+  }
+}
+
+TEST(ShardedAggregator, SubmitIsSafeFromProducerThreads) {
+  // Uploads arrive from several producer threads — shard 0's included —
+  // and collect() on the coordinating thread still returns every result in
+  // index order.
+  const std::size_t dim = 512;
+  const auto updates = make_updates(24, dim);
+  for (const std::size_t s : {1u, 3u}) {
+    SCOPED_TRACE("shards " + std::to_string(s));
+    ShardedAggregator agg(dim, shard_opts(s));
+    agg.begin_batch(updates.size());
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < 4; ++p) {
+      producers.emplace_back([&, p] {
+        for (std::size_t i = p; i < updates.size(); i += 4) {
+          agg.submit_update(i, updates[i], nullptr, i);
+        }
+      });
+    }
+    for (auto& t : producers) t.join();
+    const auto results = agg.collect(updates.size());
+    ASSERT_EQ(results.size(), updates.size());
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      EXPECT_EQ(results[i].scalars.norm, update_l2_norm(updates[i]));
+    }
+  }
 }
 
 TEST(ShardedAggregator, RejectsZeroShards) {

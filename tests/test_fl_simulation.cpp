@@ -209,6 +209,18 @@ TEST(FederatedSimulation, ConstructorValidation) {
   EXPECT_THROW(
       FederatedSimulation(std::move(w2.clients), nullptr, w2.evaluator, opt),
       std::invalid_argument);
+  // A participation fraction outside (0, 1] fails at construction, before
+  // any buffer or thread pool exists — not on the first run().
+  for (const double participation : {0.0, 1.5}) {
+    SCOPED_TRACE("participation " + std::to_string(participation));
+    Workload wp = make_digits_mlp_workload(small_spec());
+    SimulationOptions bad = opt;
+    bad.participation = participation;
+    EXPECT_THROW(FederatedSimulation(std::move(wp.clients),
+                                     std::make_unique<core::AcceptAllFilter>(),
+                                     wp.evaluator, bad),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Metrics, SavingAndRows) {

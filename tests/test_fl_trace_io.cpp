@@ -81,29 +81,6 @@ TEST(TraceIo, V2RoundTripPreservesNewFields) {
             original.eliminations_per_client);
 }
 
-TEST(TraceIo, ReadsLegacyV1Traces) {
-  // A v1 trace as the previous revision wrote it: no version sentinel,
-  // 8 columns, no per-client rows.
-  const std::string v1 =
-      "iteration,uploads,cumulative_rounds,mean_score,mean_train_loss,"
-      "delta_update,accuracy,loss\n"
-      "1,9,9,0.51,2,0.1,,\n"
-      "2,8,17,0.52,1,0.2,0.2,0.5\n";
-  std::stringstream ss(v1);
-  const SimulationResult loaded = read_trace_csv(ss);
-  ASSERT_EQ(loaded.history.size(), 2u);
-  EXPECT_EQ(loaded.history[0].iteration, 1u);
-  EXPECT_EQ(loaded.history[1].uploads, 8u);
-  EXPECT_EQ(loaded.history[1].cumulative_rounds, 17u);
-  EXPECT_NEAR(loaded.history[1].accuracy, 0.2, 1e-12);
-  // v2-only fields default to zero on a v1 trace.
-  EXPECT_EQ(loaded.history[1].participants, 0u);
-  EXPECT_EQ(loaded.history[1].cumulative_upload_bytes, 0u);
-  EXPECT_TRUE(loaded.uploads_per_client.empty());
-  EXPECT_EQ(loaded.total_rounds, 17u);
-  EXPECT_NEAR(loaded.final_accuracy, 0.2, 1e-12);
-}
-
 TEST(TraceIo, RejectsMalformedClientRow) {
   std::stringstream ss;
   write_trace_csv(ss, sample_result());
@@ -116,6 +93,12 @@ TEST(TraceIo, RejectsMalformedClientRow) {
 TEST(TraceIo, RejectsWrongHeader) {
   std::stringstream ss("nope,nope\n1,2\n");
   EXPECT_THROW(read_trace_csv(ss), std::runtime_error);
+  // The retired v1 schema: no version sentinel, 8 columns.
+  std::stringstream v1(
+      "iteration,uploads,cumulative_rounds,mean_score,mean_train_loss,"
+      "delta_update,accuracy,loss\n"
+      "1,9,9,0.51,2,0.1,,\n");
+  EXPECT_THROW(read_trace_csv(v1), std::runtime_error);
 }
 
 TEST(TraceIo, RejectsMalformedRow) {
@@ -126,9 +109,11 @@ TEST(TraceIo, RejectsMalformedRow) {
   std::stringstream broken(data);
   EXPECT_THROW(read_trace_csv(broken), std::runtime_error);
   std::stringstream garbage_cells(
-      std::string("iteration,uploads,cumulative_rounds,mean_score,"
-                  "mean_train_loss,delta_update,accuracy,loss\n") +
-      "x,1,2,3,4,5,,\n");
+      std::string("# cmfl-trace v2\n"
+                  "iteration,uploads,participants,rejected,cumulative_rounds,"
+                  "cumulative_upload_bytes,mean_score,mean_train_loss,"
+                  "delta_update,staleness_mean,staleness_max,accuracy,loss\n") +
+      "x,1,2,3,4,5,6,7,8,9,10,,\n");
   EXPECT_THROW(read_trace_csv(garbage_cells), std::runtime_error);
 }
 

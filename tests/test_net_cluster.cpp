@@ -124,8 +124,11 @@ TEST(FlCluster, ShardedIngestMatchesSingleMasterAndMetersPerShard) {
     return cluster.run();
   };
   const ClusterResult single = run_with(0);
-  EXPECT_TRUE(single.shard_uplink_bytes.empty());
-  EXPECT_TRUE(single.shard_uploads.empty());
+  // shards == 0 means one shard, served by the master thread itself: it
+  // ingests every upload.
+  ASSERT_EQ(single.shard_uplink_bytes.size(), 1u);
+  ASSERT_EQ(single.shard_uploads.size(), 1u);
+  EXPECT_EQ(single.shard_uploads[0], single.upload_messages);
 
   for (const std::size_t s : {1u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(s));

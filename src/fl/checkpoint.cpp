@@ -226,7 +226,7 @@ TrainerCheckpoint decode_checkpoint(std::span<const std::byte> payload) {
   }
   m.footprint.reserve(static_cast<std::size_t>(points));
   for (std::uint64_t i = 0; i < points; ++i) {
-    CheckpointFootprintPoint p;
+    FootprintPoint p;
     p.iteration = r.u64();
     p.accuracy = r.f64();
     p.uplink_bytes = r.u64();

@@ -33,12 +33,12 @@
 namespace cmfl::fl {
 
 /// One accuracy-vs-bytes sample of a cluster run's footprint curve.
-struct CheckpointFootprintPoint {
+struct FootprintPoint {
   std::uint64_t iteration = 0;
   double accuracy = 0.0;
-  std::uint64_t uplink_bytes = 0;
+  std::uint64_t uplink_bytes = 0;  // cumulative at this evaluation
 
-  bool operator==(const CheckpointFootprintPoint&) const = default;
+  bool operator==(const FootprintPoint&) const = default;
 };
 
 /// Cluster-side accounting state (all zero/empty for in-process runs).
@@ -55,7 +55,7 @@ struct ClusterMeterState {
   std::uint64_t upload_messages = 0;
   std::uint64_t elimination_messages = 0;
   double simulated_transfer_seconds = 0.0;
-  std::vector<CheckpointFootprintPoint> footprint;
+  std::vector<FootprintPoint> footprint;
 
   bool operator==(const ClusterMeterState&) const = default;
 };

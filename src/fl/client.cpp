@@ -11,6 +11,21 @@ void FlClient::restore_mutable_state(std::span<const std::uint64_t> state) {
   }
 }
 
+LocalStep local_update(FlClient& client, const core::UpdateFilter& filter,
+                       const core::FilterContext& ctx, int epochs,
+                       std::size_t batch_size, float lr,
+                       std::vector<float>& update) {
+  const std::span<const float> global = ctx.global_model;
+  client.set_params(global);
+  LocalStep step;
+  step.train_loss = client.train_local(epochs, batch_size, lr);
+  update.resize(global.size());
+  client.get_params(update);
+  for (std::size_t i = 0; i < update.size(); ++i) update[i] -= global[i];
+  step.decision = filter.decide(update, ctx);
+  return step;
+}
+
 DenseClient::DenseClient(nn::FeedForward model,
                          const data::DenseDataset* dataset,
                          std::vector<std::size_t> shard, util::Rng rng)

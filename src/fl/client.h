@@ -1,10 +1,11 @@
 // Federated clients: a local model bound to a private data shard.
 //
-// The simulation drives clients through a minimal interface — download the
-// global model, train E local epochs, read back the trained parameters.
-// Update construction (trained − global) and the upload decision live in the
-// simulation/filter layer, mirroring Algorithm 1's split between
-// LocalUpdate and CheckRelevance.
+// Clients expose a minimal interface — install the global model, train E
+// local epochs, read back the trained parameters.  fl::local_update (below)
+// is the one client step of Algorithm 1 built on it: it forms the update
+// (trained − global) and asks the upload filter about it, mirroring the
+// algorithm's split between LocalUpdate and CheckRelevance.  The
+// simulation, sched::RoundEngine and the cluster workers all call it.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "core/filter.h"
 #include "data/batcher.h"
 #include "data/dataset.h"
 #include "nn/feed_forward.h"
@@ -59,6 +61,23 @@ class FlClient {
   /// std::invalid_argument on a malformed blob.
   virtual void restore_mutable_state(std::span<const std::uint64_t> state);
 };
+
+/// What one client step produced besides its update.
+struct LocalStep {
+  core::FilterDecision decision;
+  double train_loss = 0.0;  ///< mean training loss of the final epoch
+};
+
+/// One client step of Algorithm 1 (lines 10–16), in this order: installs
+/// x_{t-1} = ctx.global_model, trains `epochs` local epochs, sizes `update`
+/// like x_{t-1} and reads the trained parameters into it, subtracts x_{t-1}
+/// element by element (u = x_local − x_{t-1}) and asks `filter` whether u
+/// is relevant (Eq. 9).  The caller builds `ctx`, so how ū is packed for
+/// the relevance check stays its choice.
+LocalStep local_update(FlClient& client, const core::UpdateFilter& filter,
+                       const core::FilterContext& ctx, int epochs,
+                       std::size_t batch_size, float lr,
+                       std::vector<float>& update);
 
 /// FeedForward model over a DenseDataset shard (CNN and MLP workloads).
 class DenseClient final : public FlClient {

@@ -12,9 +12,10 @@
 // always run through fl::ShardedAggregator — the only aggregation path —
 // on max(1, sharding.shards) shards, bit-identical at any shard count.
 //
-// Each runtime keeps what is its own: cohort choice, training, the filter
-// call, min_uploads forcing, codecs and byte accounting, its wire protocol,
-// and its own checkpoint blocks.  See DESIGN.md §18.
+// Each runtime keeps what is its own: cohort choice, min_uploads forcing,
+// codecs and byte accounting, its wire protocol, and its own checkpoint
+// blocks.  Training and the filter call are the shared client step,
+// fl::local_update (fl/client.h).  See DESIGN.md §18 and §19.
 #pragma once
 
 #include <cstddef>

@@ -101,8 +101,7 @@ SimulationResult FederatedSimulation::run_internal(
   // population (small sample_size / participation) costs memory only for
   // the clients that actually train.
   std::vector<std::vector<float>> updates(num_clients);
-  std::vector<core::FilterDecision> decisions(num_clients);
-  std::vector<double> train_losses(num_clients, 0.0);
+  std::vector<LocalStep> steps(num_clients);  // decision + training loss
   std::vector<std::vector<float>> client_params;
 
   std::unique_ptr<util::ThreadPool> pool;
@@ -187,15 +186,9 @@ SimulationResult FederatedSimulation::run_internal(
     // per-client step-counter regression test in test_fl_simulation.cpp).
     auto train_one = [&](std::size_t p) {
       const std::size_t k = participants[p];
-      updates[k].resize(dim_);
-      clients_[k]->set_params(global);
-      train_losses[k] = clients_[k]->train_local(
-          options_.local_epochs, options_.batch_size, lr);
-      auto& u = updates[k];
-      clients_[k]->get_params(u);
-      // u_{k,t} = trained local params − broadcast global params.
-      for (std::size_t i = 0; i < dim_; ++i) u[i] -= global[i];
-      decisions[k] = filter_->decide(u, ctx);
+      steps[k] = local_update(*clients_[k], *filter_, ctx,
+                              options_.local_epochs, options_.batch_size, lr,
+                              updates[k]);
     };
     if (pool) {
       pool->parallel_for(participants.size(), train_one);
@@ -218,14 +211,14 @@ SimulationResult FederatedSimulation::run_internal(
     std::vector<std::size_t> uploaded;
     std::vector<std::size_t> eliminated;
     for (std::size_t k : participants) {
-      (decisions[k].upload ? uploaded : eliminated).push_back(k);
+      (steps[k].decision.upload ? uploaded : eliminated).push_back(k);
     }
     if (uploaded.empty() && options_.min_uploads > 0) {
       // Force the highest-scoring participants to upload so the round is
       // not wasted entirely.
       std::vector<std::size_t> order = participants;
       std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return decisions[a].score > decisions[b].score;
+        return steps[a].decision.score > steps[b].decision.score;
       });
       const auto forced = static_cast<std::ptrdiff_t>(
           std::min(options_.min_uploads, order.size()));
@@ -239,10 +232,10 @@ SimulationResult FederatedSimulation::run_internal(
     rec.uploads = uploaded.size();
     rec.participants = participants.size();
     double score_sum = 0.0;
-    for (std::size_t k : participants) score_sum += decisions[k].score;
+    for (std::size_t k : participants) score_sum += steps[k].decision.score;
     rec.mean_score = score_sum / static_cast<double>(participants.size());
     double loss_sum = 0.0;
-    for (std::size_t k : participants) loss_sum += train_losses[k];
+    for (std::size_t k : participants) loss_sum += steps[k].train_loss;
     rec.mean_train_loss =
         loss_sum / static_cast<double>(participants.size());
 

@@ -1,10 +1,8 @@
 #include "net/cluster.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "codec/codec.h"
@@ -12,32 +10,11 @@
 #include "fl/round_commit.h"
 #include "net/raft.h"
 #include "net/replicated_master.h"
+#include "net/worker.h"
 
 namespace cmfl::net {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// One worker's endpoint: an inbox it reads and the shared master inbox it
-/// writes, with byte meters on both directions.
-struct WorkerEndpoint {
-  Channel inbox;
-};
-
-Clock::duration seconds_to_duration(double s) {
-  return std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(s));
-}
-
-/// The fields common to all reply frame types.
-struct ReplyView {
-  std::uint64_t iteration = 0;
-  std::uint32_t client_id = 0;
-  double score = 0.0;
-  const UpdateUploadMsg* upload = nullptr;       // dense uploads
-  const CodecUploadMsg* codec_upload = nullptr;  // encoded uploads
-};
 
 /// One accepted upload: decoded update plus the wire size of the frame that
 /// carried it (feeds the per-shard byte counters).
@@ -174,20 +151,14 @@ ClusterResult FlCluster::run_internal(
                                   dim_, resume_from);
   }
   const std::size_t num_workers = clients_.size();
-  std::vector<WorkerEndpoint> endpoints(num_workers);
   Channel master_inbox;
-  ByteMeter uplink_meter;
-  ByteMeter downlink_meter;
   FaultStats fault_stats;
-  std::atomic<std::uint64_t> upload_frames{0};
-  std::atomic<std::uint64_t> elimination_frames{0};
-  // Receiver-side accounting on the worker threads.
-  std::atomic<std::uint64_t> worker_corrupt_rejected{0};
-  std::atomic<std::uint64_t> worker_redundant{0};
-  std::atomic<std::uint64_t> worker_retransmits{0};
-
-  const int local_epochs = options_.fl.local_epochs;
-  const std::size_t batch_size = options_.fl.batch_size;
+  // Declared after everything its threads use, so that on every exit path
+  // it shuts the workers down and joins them first.
+  WorkerGroup workers(clients_, *filter_, options_);
+  const WorkerStats& worker_stats = workers.stats();
+  const CodecPlane& codecs = workers.codecs();
+  ByteMeter downlink_meter;
 
   ClusterResult result;
   result.faults.max_staleness_per_client.assign(num_workers, 0);
@@ -205,188 +176,31 @@ ClusterResult FlCluster::run_internal(
   std::vector<std::uint64_t> stale_misses(num_workers, 0);
   std::size_t start_t = 1;
 
-  // Immutable per-worker sample counts, snapshotted before the worker
-  // threads take ownership of the clients (needed by kSampleWeighted).
-  std::vector<std::size_t> local_samples(num_workers, 0);
-  for (std::size_t k = 0; k < num_workers; ++k) {
-    local_samples[k] = clients_[k]->local_samples();
-  }
-
-  // Per-worker codecs, shared between each worker thread (encode) and the
-  // master (decode).  Safe without locks: a worker touches its codec only
-  // between receiving a broadcast and sending its reply, and the master
-  // decodes worker k's payload only after receiving that reply — the
-  // channel provides the happens-before edge — while late/duplicate/stale
-  // frames are discarded by the seq/iteration/pending checks *before* any
-  // decode, so codec state advances exactly once per accepted upload.
-  const bool use_codec = !codec::is_dense_spec(options_.fl.codec.spec);
-  std::vector<std::unique_ptr<codec::UpdateCodec>> codecs;
-  std::uint8_t codec_id = 0;       // negotiated at round start via the
-  std::uint8_t codec_version = 1;  // broadcast's codec_id/codec_version
-  if (use_codec) {
-    codecs.reserve(num_workers);
-    for (std::size_t k = 0; k < num_workers; ++k) {
-      codecs.push_back(codec::make_update_codec(
-          options_.fl.codec.spec, options_.fl.codec.seed_salt + k));
-    }
-    codec_id = codecs.front()->id();
-    codec_version = codecs.front()->version();
-  }
-
   // --- Resume: restore all mutable state before any worker thread starts
   // (no happens-before subtleties: the threads do not exist yet) ---
   if (resume_from != nullptr) {
     const fl::TrainerCheckpoint& ck = *resume_from;
-    if (ck.client_state.size() != num_workers) {
-      throw std::invalid_argument(
-          "FlCluster: checkpoint worker count mismatch");
-    }
     committer.restore(ck);
-    for (std::size_t k = 0; k < num_workers; ++k) {
-      clients_[k]->restore_mutable_state(ck.client_state[k]);
-      // A resumed worker has trivially "answered" every round up to the
-      // checkpoint — without this, staleness suspicion would fire on the
-      // first resumed rounds.
-      last_acked[k] = ck.iteration;
-    }
-    if (use_codec) {
-      if (ck.compressor_state.size() != num_workers) {
-        throw std::invalid_argument(
-            "FlCluster: checkpoint codec state count mismatch");
-      }
-      for (std::size_t k = 0; k < num_workers; ++k) {
-        codecs[k]->restore_mutable_state(ck.compressor_state[k]);
-      }
-    }
+    workers.restore(ck);
+    // A resumed worker has trivially "answered" every round up to the
+    // checkpoint — without this, staleness suspicion would fire on the
+    // first resumed rounds.
+    last_acked.assign(num_workers, ck.iteration);
     const fl::ClusterMeterState& m = ck.meters;
-    uplink_meter.restore(m.uplink_bytes, m.uplink_messages,
-                         m.uplink_retransmitted);
     downlink_meter.restore(m.downlink_bytes, m.downlink_messages,
                            m.downlink_retransmitted);
-    upload_frames.store(m.upload_messages, std::memory_order_relaxed);
-    elimination_frames.store(m.elimination_messages,
-                             std::memory_order_relaxed);
     result.simulated_transfer_seconds = m.simulated_transfer_seconds;
-    result.footprint.reserve(m.footprint.size());
-    for (const auto& p : m.footprint) {
-      result.footprint.push_back({static_cast<std::size_t>(p.iteration),
-                                  p.accuracy, p.uplink_bytes});
-    }
+    result.footprint = m.footprint;
     start_t = static_cast<std::size_t>(ck.iteration) + 1;
   }
 
-  // --- Worker threads: the "slaves" of the paper's implementation ---
-  std::vector<std::thread> workers;
-  workers.reserve(num_workers);
-  for (std::size_t k = 0; k < num_workers; ++k) {
-    workers.emplace_back([&, k] {
-      fl::FlClient& client = *clients_[k];
-      FaultyChannel uplink(master_inbox, options_.fault.uplink_for(k),
-                           options_.fault.link_rng(k, /*is_uplink=*/true),
-                           &fault_stats);
-      const auto crash_at = options_.fault.crash_iteration_for(k);
-      const double straggle_s = options_.fault.straggler_delay_for(k);
-      std::vector<float> update(dim_);
-      std::uint32_t last_seq = 0;  // broadcast seq numbers start at 1
-      std::vector<std::byte> cached_reply;
-      for (;;) {
-        auto frame = endpoints[k].inbox.recv();
-        if (!frame) return;
-        const auto payload = try_open_frame(*frame);
-        if (!payload) {
-          // Corrupted in transit; the master's round deadline will expire
-          // and the broadcast will be retransmitted.
-          worker_corrupt_rejected.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        Message msg;
-        try {
-          msg = decode(*payload);
-        } catch (const std::exception&) {
-          worker_corrupt_rejected.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        if (std::holds_alternative<ShutdownMsg>(msg)) return;
-        const auto& bc = std::get<BroadcastMsg>(msg);
-        if (bc.global_params.size() != dim_) {
-          throw std::runtime_error("worker: broadcast size mismatch");
-        }
-        if (bc.codec_id != codec_id || bc.codec_version != codec_version) {
-          throw std::runtime_error("worker: codec negotiation mismatch");
-        }
-        if (bc.seq == last_seq && !cached_reply.empty()) {
-          // Already-processed round, seen again: either the master did not
-          // get our reply and retransmitted, or the network duplicated the
-          // frame.  Re-send the cached reply instead of retraining — this
-          // is what makes retransmission idempotent.
-          worker_redundant.fetch_add(1, std::memory_order_relaxed);
-          worker_retransmits.fetch_add(1, std::memory_order_relaxed);
-          uplink_meter.record_retransmit(cached_reply.size());
-          uplink.send(cached_reply);
-          continue;
-        }
-        if (bc.seq < last_seq) {  // stale duplicate of an older round
-          worker_redundant.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        if (crash_at && bc.iteration >= *crash_at) return;  // crash-stop
-        if (straggle_s > 0.0) {
-          std::this_thread::sleep_for(seconds_to_duration(straggle_s));
-        }
-
-        client.set_params(bc.global_params);
-        client.train_local(local_epochs, batch_size, bc.learning_rate);
-        client.get_params(update);
-        for (std::size_t i = 0; i < dim_; ++i) {
-          update[i] -= bc.global_params[i];
-        }
-
-        core::FilterContext ctx;
-        ctx.global_model = bc.global_params;
-        ctx.estimated_global_update = bc.global_update;
-        ctx.iteration = bc.iteration;
-        const core::FilterDecision decision = filter_->decide(update, ctx);
-
-        Message reply;
-        if (decision.upload) {
-          if (use_codec) {
-            CodecUploadMsg up;
-            up.seq = bc.seq;
-            up.iteration = bc.iteration;
-            up.client_id = static_cast<std::uint32_t>(k);
-            up.score = decision.score;
-            up.codec_id = codec_id;
-            up.codec_version = codec_version;
-            up.payload = codecs[k]->encode(update).payload;
-            reply = std::move(up);
-          } else {
-            UpdateUploadMsg up;
-            up.seq = bc.seq;
-            up.iteration = bc.iteration;
-            up.client_id = static_cast<std::uint32_t>(k);
-            up.update = update;
-            up.score = decision.score;
-            reply = std::move(up);
-          }
-          upload_frames.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          EliminationMsg el;
-          el.seq = bc.seq;
-          el.iteration = bc.iteration;
-          el.client_id = static_cast<std::uint32_t>(k);
-          el.score = decision.score;
-          reply = el;
-          elimination_frames.fetch_add(1, std::memory_order_relaxed);
-        }
-        auto bytes = encode(reply);
-        seal_frame(bytes);
-        uplink_meter.record(bytes.size());
-        cached_reply = bytes;
-        last_seq = bc.seq;
-        uplink.send(std::move(bytes));
-      }
-    });
-  }
+  // --- Worker threads: the "slaves" of the paper's implementation, each
+  // with one uplink to this master ---
+  workers.start(1, [&](std::size_t k, std::uint32_t) {
+    return FaultyChannel(master_inbox, options_.fault.uplink_for(k),
+                         options_.fault.link_rng(k, /*is_uplink=*/true),
+                         &fault_stats);
+  });
 
   // --- Master loop (Algorithm 1 GlobalOptimization over the wire) ---
   const RecoveryOptions& rec_opt = options_.recovery;
@@ -397,7 +211,7 @@ ClusterResult FlCluster::run_internal(
   std::vector<FaultyChannel> downlinks;
   downlinks.reserve(num_workers);
   for (std::size_t k = 0; k < num_workers; ++k) {
-    downlinks.emplace_back(endpoints[k].inbox, options_.fault.downlink_for(k),
+    downlinks.emplace_back(workers.inbox(k), options_.fault.downlink_for(k),
                            options_.fault.link_rng(k, /*is_uplink=*/false),
                            &fault_stats);
   }
@@ -418,32 +232,26 @@ ClusterResult FlCluster::run_internal(
   // the round is quiesced — may safely read from the workers.
   const auto snapshot = [&](std::size_t t) {
     fl::TrainerCheckpoint ck = committer.checkpoint(t);
-    ck.client_state.reserve(num_workers);
-    for (std::size_t k = 0; k < num_workers; ++k) {
-      ck.client_state.push_back(clients_[k]->mutable_state());
-    }
     // Quiesced (see the checkpoint call site): every worker replied this
-    // round, so reading its codec is ordered after its last encode.
-    ck.compressor_state.reserve(num_workers);
-    for (std::size_t k = 0; k < num_workers; ++k) {
-      ck.compressor_state.push_back(use_codec ? codecs[k]->mutable_state()
-                                              : std::vector<std::uint64_t>{});
-    }
+    // round, so reading its client and codec is ordered after its last
+    // training and encode.
+    ck.client_state = workers.client_states();
+    ck.compressor_state = workers.codec_states();
+    ck.compressor_state.resize(num_workers);  // dense: one empty state each
     fl::ClusterMeterState& m = ck.meters;
+    const ByteMeter& uplink_meter = worker_stats.uplink;
     m.uplink_bytes = uplink_meter.total_bytes();
     m.uplink_messages = uplink_meter.messages();
     m.uplink_retransmitted = uplink_meter.retransmitted_bytes();
     m.downlink_bytes = downlink_meter.total_bytes();
     m.downlink_messages = downlink_meter.messages();
     m.downlink_retransmitted = downlink_meter.retransmitted_bytes();
-    m.upload_messages = upload_frames.load(std::memory_order_relaxed);
+    m.upload_messages =
+        worker_stats.upload_frames.load(std::memory_order_relaxed);
     m.elimination_messages =
-        elimination_frames.load(std::memory_order_relaxed);
+        worker_stats.elimination_frames.load(std::memory_order_relaxed);
     m.simulated_transfer_seconds = result.simulated_transfer_seconds;
-    m.footprint.reserve(result.footprint.size());
-    for (const auto& p : result.footprint) {
-      m.footprint.push_back({p.iteration, p.accuracy, p.uplink_bytes});
-    }
+    m.footprint = result.footprint;
     return ck;
   };
 
@@ -461,8 +269,8 @@ ClusterResult FlCluster::run_internal(
     BroadcastMsg bc;
     bc.iteration = t;
     bc.learning_rate = lr;
-    bc.codec_id = codec_id;
-    bc.codec_version = codec_version;
+    bc.codec_id = codecs.id();
+    bc.codec_version = codecs.version();
     bc.global_params.assign(committer.global().begin(),
                             committer.global().end());
     bc.global_update.assign(committer.estimate().begin(),
@@ -538,74 +346,38 @@ ClusterResult FlCluster::run_internal(
             std::max(max_upload_transfer,
                      options_.uplink.transfer_seconds(reply_frame->size()));
         const auto payload = try_open_frame(*reply_frame);
-        if (!payload) {
+        std::optional<Reply> reply;
+        if (payload) reply = read_reply(*payload, workers);
+        if (!reply) {
           ++master_corrupt;
           continue;
         }
-        Message reply;
-        try {
-          reply = decode(*payload);
-        } catch (const std::exception&) {
-          ++master_corrupt;
-          continue;
+        if (reply->iteration > t) {
+          throw std::runtime_error("FlCluster: reply from a future round");
         }
-        ReplyView view;
-        if (const auto* up = std::get_if<UpdateUploadMsg>(&reply)) {
-          view = {up->iteration, up->client_id, up->score, up, nullptr};
-        } else if (const auto* cu = std::get_if<CodecUploadMsg>(&reply)) {
-          view = {cu->iteration, cu->client_id, cu->score, nullptr, cu};
-        } else if (const auto* el = std::get_if<EliminationMsg>(&reply)) {
-          view = {el->iteration, el->client_id, el->score, nullptr, nullptr};
-        } else {
-          throw std::runtime_error("FlCluster: unexpected frame from worker");
-        }
-        if (view.client_id >= num_workers || view.iteration > t) {
-          throw std::runtime_error("FlCluster: malformed reply frame");
-        }
-        if (view.codec_upload &&
-            (!use_codec || view.codec_upload->codec_id != codec_id ||
-             view.codec_upload->codec_version != codec_version)) {
-          throw std::runtime_error(
-              "FlCluster: reply codec does not match the negotiated one");
-        }
-        if (view.upload && use_codec) {
-          throw std::runtime_error(
-              "FlCluster: dense upload on a codec-negotiated round");
-        }
-        if (view.iteration < t || !pending[view.client_id]) {
+        const std::size_t k = reply->client_id;
+        if (reply->iteration < t || !pending[k]) {
           // A late reply to an already-committed round, or a duplicate of
           // one accepted this round — idempotently discarded (and, for
           // codec frames, discarded *before* any decode touches state).
           ++master_redundant;
           continue;
         }
-        if (view.upload && view.upload->update.size() != dim_) {
-          throw std::runtime_error("FlCluster: bad update size");
+        if (reply->is_upload()) {
+          // Decoded through worker k's own codec (stateful decoders, such
+          // as the codebook cache, are allowed on a single master).
+          uploads.push_back({reply->client_id,
+                             reply_update(*reply, codecs.at(k), dim_),
+                             static_cast<std::uint64_t>(reply_frame->size())});
+        } else {
+          committer.record_elimination(k);
         }
-        const std::size_t k = view.client_id;
         pending[k] = 0;
         --pending_count;
         answered[k] = 1;
         last_acked[k] = t;
         ++accepted;
-        scores[k] = view.score;
-        if (view.upload) {
-          uploads.push_back({view.client_id, view.upload->update,
-                             static_cast<std::uint64_t>(reply_frame->size())});
-        } else if (view.codec_upload) {
-          // The frame CRC already vouched for transit integrity; a payload
-          // the codec rejects here is a protocol bug, so decode errors
-          // propagate loudly instead of being counted as corruption.
-          std::vector<float> decoded =
-              codecs[k]->decode(view.codec_upload->payload);
-          if (decoded.size() != dim_) {
-            throw std::runtime_error("FlCluster: bad decoded update size");
-          }
-          uploads.push_back({view.client_id, std::move(decoded),
-                             static_cast<std::uint64_t>(reply_frame->size())});
-        } else {
-          committer.record_elimination(k);
-        }
+        scores[k] = reply->score;
         if (rec_opt.first_k_reports > 0 &&
             accepted >= rec_opt.first_k_reports && pending_count > 0) {
           // Over-selection: the Kth reply commits the round right now.
@@ -696,11 +468,12 @@ ClusterResult FlCluster::run_internal(
     fl::RoundUploads received;
     for (const auto& up : uploads) {
       committer.record_upload(up.id, 0);
-      received.add(up.id, up.update, local_samples[up.id], up.frame_bytes);
+      received.add(up.id, up.update, workers.local_samples()[up.id],
+                   up.frame_bytes);
     }
     // Byte-valued Φ: in cluster runs "uploaded bytes" is what actually
     // crossed the uplink — update frames, elimination frames, retransmits.
-    committer.set_uploaded_bytes(uplink_meter.total_bytes());
+    committer.set_uploaded_bytes(worker_stats.uplink.total_bytes());
     const fl::RoundOutcome outcome =
         committer.commit(rec, received, evaluator_);
     if (outcome.evaluated) {
@@ -731,31 +504,29 @@ ClusterResult FlCluster::run_internal(
     }
   }
 
-  // --- Shutdown (management plane: bypasses fault injection so workers
-  // always terminate) ---
-  auto shutdown = encode(Message(ShutdownMsg{}));
-  seal_frame(shutdown);
-  for (auto& ep : endpoints) ep.inbox.send(shutdown);
-  for (auto& w : workers) w.join();
+  workers.stop();
 
   for (const fl::ShardStats& shard : committer.aggregator().stats()) {
     result.shard_uplink_bytes.push_back(shard.bytes);
     result.shard_uploads.push_back(shard.uploads);
   }
   result.sim = committer.finish();
-  result.uplink_bytes = uplink_meter.total_bytes();
+  result.uplink_bytes = worker_stats.uplink.total_bytes();
   result.downlink_bytes = downlink_meter.total_bytes();
-  result.uplink_retransmitted_bytes = uplink_meter.retransmitted_bytes();
+  result.uplink_retransmitted_bytes =
+      worker_stats.uplink.retransmitted_bytes();
   result.downlink_retransmitted_bytes = downlink_meter.retransmitted_bytes();
-  result.upload_messages = upload_frames.load();
-  result.elimination_messages = elimination_frames.load();
+  result.upload_messages = worker_stats.upload_frames.load();
+  result.elimination_messages = worker_stats.elimination_frames.load();
   result.faults.frames_dropped = fault_stats.frames_dropped.load();
   result.faults.frames_corrupted = fault_stats.frames_corrupted.load();
   result.faults.frames_duplicated = fault_stats.frames_duplicated.load();
   result.faults.corrupt_rejected =
-      master_corrupt + worker_corrupt_rejected.load();
-  result.faults.redundant_frames = master_redundant + worker_redundant.load();
-  result.faults.retransmits = master_retransmits + worker_retransmits.load();
+      master_corrupt + worker_stats.corrupt_rejected.load();
+  result.faults.redundant_frames =
+      master_redundant + worker_stats.redundant_frames.load();
+  result.faults.retransmits =
+      master_retransmits + worker_stats.retransmits.load();
   return result;
 }
 

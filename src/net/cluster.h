@@ -3,11 +3,11 @@
 // the faulty edge networks CMFL actually targets.
 //
 // The master (the caller's thread) serializes a Broadcast frame per worker
-// per iteration; each worker thread deserializes it, trains its FlClient,
-// applies the upload filter, and answers with either a full UpdateUpload
-// frame or a tiny Elimination frame.  Every frame crosses a Channel as real
-// bytes and is counted by the direction's ByteMeter — giving byte-exact
-// network-footprint numbers for Fig. 7b.
+// per iteration; each worker thread (net/worker.h) deserializes it, trains
+// its FlClient, applies the upload filter, and answers with either a full
+// update frame or a tiny Elimination frame.  Every frame crosses a Channel
+// as real bytes and is counted by the direction's ByteMeter — giving
+// byte-exact network-footprint numbers for Fig. 7b.
 //
 // With a FaultPlan configured, frames may be dropped, bit-flipped (caught
 // by the CRC), duplicated, delayed, or lost to crashed workers.  Recovery
@@ -24,6 +24,7 @@
 #include <thread>
 
 #include "core/filter.h"
+#include "fl/checkpoint.h"
 #include "fl/client.h"
 #include "fl/simulation.h"
 #include "net/fault.h"
@@ -120,12 +121,6 @@ struct ClusterOptions {
   ReplicationOptions replication;  // master failover (default: off)
 };
 
-struct FootprintPoint {
-  std::size_t iteration = 0;
-  double accuracy = 0.0;
-  std::uint64_t uplink_bytes = 0;  // cumulative at this evaluation
-};
-
 /// Fault and recovery accounting for one cluster run.  In the quorum-1.0
 /// regime every counter is deterministic for a fixed FaultPlan seed.
 struct FaultReport {
@@ -186,7 +181,7 @@ struct ClusterResult {
   /// Simulated transfer time had the links been real edge connections
   /// (per-iteration max across workers, summed).
   double simulated_transfer_seconds = 0.0;
-  std::vector<FootprintPoint> footprint;   // one point per evaluation
+  std::vector<fl::FootprintPoint> footprint;  // one point per evaluation
   FaultReport faults;
 };
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
+#include <exception>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -18,20 +18,10 @@
 #include "fl/checkpoint.h"
 #include "fl/round_commit.h"
 #include "net/raft.h"
+#include "net/worker.h"
 
 namespace cmfl::net {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-Clock::duration seconds_to_duration(double s) {
-  return std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(s));
-}
-
-struct WorkerEndpoint {
-  Channel inbox;
-};
 
 // ------------------------------------------------------------ log commands
 //
@@ -131,47 +121,36 @@ std::vector<std::byte> encode_finish() {
 
 struct Replica;
 
-/// Everything the replica and worker threads share.  Mutable members are
-/// atomics or externally synchronized (channels, the eval mutex).
+/// Everything the replica threads share.  Mutable members are atomics or
+/// externally synchronized (channels, the eval and error mutexes).
 struct Shared {
   const ClusterOptions* options = nullptr;
-  std::size_t dim = 0;
   std::size_t num_workers = 0;
-  const std::vector<std::size_t>* local_samples = nullptr;
-  std::vector<std::unique_ptr<fl::FlClient>>* clients = nullptr;
-  core::UpdateFilter* filter = nullptr;
   const fl::GlobalEvaluator* evaluator = nullptr;
   std::mutex eval_mutex;  // the evaluator is shared by all replicas
 
   std::vector<std::unique_ptr<Replica>>* replicas = nullptr;
-  std::vector<WorkerEndpoint>* workers = nullptr;
+  // Uploads are decoded by each replica's own Replica::decoder, never by
+  // the workers' codecs.
+  WorkerGroup* workers = nullptr;
 
-  // Codec plane.  worker_codecs[k] is touched only by worker k's thread
-  // (encode); the per-replica *decoder* lives in Replica — replicated mode
-  // admits stateless-decode codecs only (ctor-enforced), so any replica
-  // can decode any payload without shared state.
-  bool use_codec = false;
-  std::uint8_t codec_id = 0;
-  std::uint8_t codec_version = 1;
-  std::vector<std::unique_ptr<codec::UpdateCodec>>* worker_codecs = nullptr;
-
-  ByteMeter* uplink_meter = nullptr;
   ByteMeter* downlink_meter = nullptr;
   ByteMeter* control_meter = nullptr;
   FaultStats* fault_stats = nullptr;
 
-  std::atomic<std::uint64_t> worker_corrupt{0};
-  std::atomic<std::uint64_t> worker_redundant{0};
-  std::atomic<std::uint64_t> worker_retransmits{0};
   std::atomic<std::uint64_t> master_corrupt{0};
   std::atomic<std::uint64_t> master_redundant{0};
   std::atomic<std::uint64_t> master_retransmits{0};
   std::atomic<std::uint64_t> timed_out_rounds{0};
   std::atomic<std::uint64_t> leader_redirects{0};
   std::atomic<std::uint64_t> leader_crashes{0};
-  std::atomic<std::uint64_t> leader_probes{0};
   std::atomic<std::uint64_t> replica_restarts{0};
   std::atomic<std::uint64_t> restart_load_errors{0};
+
+  // The first exception a replica thread raised; it ends the run and is
+  // rethrown once every thread has been joined.
+  std::mutex error_mutex;
+  std::exception_ptr error;
 
   // One flag per FaultPlan::leader_crash / replica_restart entry: each
   // entry fires once.
@@ -210,7 +189,7 @@ struct StateMachine {
 
   // Closed-round trainer state.
   fl::RoundCommitter committer;
-  std::vector<FootprintPoint> footprint;
+  std::vector<fl::FootprintPoint> footprint;
   double sim_transfer = 0.0;
 
   // Logical byte accounting (replicated; drives the footprint).
@@ -334,7 +313,7 @@ void StateMachine::apply_round_commit(std::uint64_t t, Shared& sh) {
   fl::RoundUploads received;
   for (const auto& [id, u] : uploads) {
     committer.record_upload(id, 0);
-    received.add(id, u, (*sh.local_samples)[id], reply_bytes[id]);
+    received.add(id, u, sh.workers->local_samples()[id], reply_bytes[id]);
   }
   committer.set_uploaded_bytes(up_bytes);
   const fl::RoundOutcome outcome =
@@ -344,8 +323,7 @@ void StateMachine::apply_round_commit(std::uint64_t t, Shared& sh) {
         return (*sh.evaluator)(params);
       });
   if (outcome.evaluated) {
-    footprint.push_back({static_cast<std::size_t>(t),
-                         committer.history().back().accuracy, up_bytes});
+    footprint.push_back({t, committer.history().back().accuracy, up_bytes});
   }
   if (outcome.stop) stop = true;
 
@@ -453,10 +431,7 @@ fl::TrainerCheckpoint StateMachine::build_checkpoint(
   m.upload_messages = upload_frames;
   m.elimination_messages = elimination_frames;
   m.simulated_transfer_seconds = sim_transfer;
-  m.footprint.reserve(footprint.size());
-  for (const auto& p : footprint) {
-    m.footprint.push_back({p.iteration, p.accuracy, p.uplink_bytes});
-  }
+  m.footprint = footprint;
   return ck;
 }
 
@@ -471,12 +446,7 @@ void StateMachine::restore_checkpoint(const fl::TrainerCheckpoint& ck) {
   upload_frames = m.upload_messages;
   elimination_frames = m.elimination_messages;
   sim_transfer = m.simulated_transfer_seconds;
-  footprint.clear();
-  footprint.reserve(m.footprint.size());
-  for (const auto& p : m.footprint) {
-    footprint.push_back(
-        {static_cast<std::size_t>(p.iteration), p.accuracy, p.uplink_bytes});
-  }
+  footprint = m.footprint;
   round = ck.iteration;
   round_open = false;
   states_round = round;
@@ -699,8 +669,8 @@ std::vector<std::byte> make_broadcast(const Replica& self, const Shared& sh,
   bc.seq = static_cast<std::uint32_t>(t);  // replicated mode: seq == round
   bc.iteration = t;
   bc.leader_id = self.id;
-  bc.codec_id = sh.codec_id;
-  bc.codec_version = sh.codec_version;
+  bc.codec_id = sh.workers->codecs().id();
+  bc.codec_version = sh.workers->codecs().version();
   bc.learning_rate =
       static_cast<float>(sh.options->fl.learning_rate.at(t));
   bc.global_params.assign(self.sm.committer.global().begin(),
@@ -859,19 +829,8 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
       // reply is *applied*, and application happens-after the worker's
       // uplink send (two channel hops), so the training writes are visible
       // here even if a different replica physically received the frame.
-      std::vector<std::vector<std::uint64_t>> states;
-      states.reserve(sh.num_workers);
-      for (std::size_t k = 0; k < sh.num_workers; ++k) {
-        states.push_back((*sh.clients)[k]->mutable_state());
-      }
-      std::vector<std::vector<std::uint64_t>> codec_states;
-      if (sh.use_codec) {
-        codec_states.reserve(sh.num_workers);
-        for (std::size_t k = 0; k < sh.num_workers; ++k) {
-          codec_states.push_back((*sh.worker_codecs)[k]->mutable_state());
-        }
-      }
-      self.node.propose(encode_client_states(t, states, codec_states));
+      self.node.propose(encode_client_states(t, sh.workers->client_states(),
+                                             sh.workers->codec_states()));
       drv.proposed_states = t;
     }
     return DriveResult::kOk;  // wait for the entry to commit and apply
@@ -916,96 +875,52 @@ DriveResult handle_frame(Replica& self, Shared& sh, Driver& drv,
     self.node.step(msg);
     return DriveResult::kOk;
   }
-  Message msg;
-  try {
-    msg = decode(*payload);
-  } catch (const std::exception&) {
+  const std::optional<Reply> reply = read_reply(*payload, *sh.workers);
+  if (!reply) {
     sh.master_corrupt.fetch_add(1, std::memory_order_relaxed);
     return DriveResult::kOk;
   }
-  std::uint64_t iteration = 0;
-  std::uint32_t client_id = 0;
-  double score = 0.0;
-  const UpdateUploadMsg* upload = nullptr;
-  const CodecUploadMsg* codec_upload = nullptr;
-  if (const auto* up = std::get_if<UpdateUploadMsg>(&msg)) {
-    iteration = up->iteration;
-    client_id = up->client_id;
-    score = up->score;
-    upload = up;
-  } else if (const auto* cu = std::get_if<CodecUploadMsg>(&msg)) {
-    iteration = cu->iteration;
-    client_id = cu->client_id;
-    score = cu->score;
-    codec_upload = cu;
-  } else if (const auto* el = std::get_if<EliminationMsg>(&msg)) {
-    iteration = el->iteration;
-    client_id = el->client_id;
-    score = el->score;
-  } else {
-    throw std::runtime_error("replicated master: unexpected frame");
-  }
-  if (client_id >= sh.num_workers) {
-    throw std::runtime_error("replicated master: malformed reply frame");
-  }
-  if (codec_upload &&
-      (!sh.use_codec || codec_upload->codec_id != sh.codec_id ||
-       codec_upload->codec_version != sh.codec_version)) {
-    throw std::runtime_error(
-        "replicated master: reply codec does not match the negotiated one");
-  }
-  if (upload && sh.use_codec) {
-    throw std::runtime_error(
-        "replicated master: dense upload on a codec-negotiated round");
-  }
+  const std::uint32_t client_id = reply->client_id;
   if (self.node.role() != RaftNode::Role::kLeader) {
     // A lagging follower may legitimately see replies for rounds it has not
     // applied yet (stale leader_hint chains), so no iteration check here.
     // Stale-leader data frame: tell the worker who leads now so it can
     // re-send its cached reply there.
     RedirectMsg rd;
-    rd.iteration = iteration;
+    rd.iteration = reply->iteration;
     rd.leader_id = self.node.leader_hint();
     auto out = encode(Message(rd));
     seal_frame(out);
     sh.control_meter->record(out.size());
     sh.leader_redirects.fetch_add(1, std::memory_order_relaxed);
-    (*sh.workers)[client_id].inbox.send(std::move(out));
+    sh.workers->inbox(client_id).send(std::move(out));
     return DriveResult::kOk;
   }
   StateMachine& sm = self.sm;
-  if (iteration > sm.round) {
+  if (reply->iteration > sm.round) {
     // Leader completeness: a committed RoundStart is always in the leader's
     // applied prefix before any worker could have seen its broadcast.
     throw std::runtime_error("replicated master: reply from the future");
   }
-  if (!sm.round_open || iteration < sm.round || sm.answered[client_id] ||
-      !sm.active[client_id] ||
+  if (!sm.round_open || reply->iteration < sm.round ||
+      sm.answered[client_id] || !sm.active[client_id] ||
       (client_id < drv.proposed_reply.size() &&
        drv.proposed_reply[client_id])) {
     sh.master_redundant.fetch_add(1, std::memory_order_relaxed);
     return DriveResult::kOk;
   }
-  if (upload && upload->update.size() != sh.dim) {
-    throw std::runtime_error("replicated master: bad update size");
-  }
   ReplyCmd cmd;
   cmd.round = sm.round;
   cmd.worker = client_id;
-  cmd.is_upload = (upload || codec_upload) ? 1 : 0;
-  cmd.score = score;
+  cmd.is_upload = reply->is_upload() ? 1 : 0;
+  cmd.score = reply->score;
   cmd.frame_bytes = frame.size();
-  if (upload) cmd.update = upload->update;
-  if (codec_upload) {
+  if (reply->is_upload()) {
     // The leader decodes *before* proposing: the replicated log carries the
     // dense reconstruction, so followers (and post-failover leaders) apply
-    // identical state without ever touching a codec.  CRC already vouched
-    // for transit integrity — a payload the codec rejects is a protocol
-    // bug, surfaced loudly.
-    cmd.update = self.decoder->decode(codec_upload->payload);
-    if (cmd.update.size() != sh.dim) {
-      throw std::runtime_error("replicated master: bad decoded update size");
-    }
+    // identical state without ever touching a codec.
+    cmd.update =
+        reply_update(*reply, self.decoder.get(), sm.committer.global().size());
   }
   self.node.propose(encode_reply_cmd(cmd));
   drv.proposed_reply[client_id] = 1;
@@ -1019,7 +934,7 @@ void replica_main(Replica& self, Shared& sh) {
   downlinks.reserve(sh.num_workers);
   for (std::size_t k = 0; k < sh.num_workers; ++k) {
     downlinks.emplace_back(
-        (*sh.workers)[k].inbox, sh.options->fault.downlink_for(k),
+        sh.workers->inbox(k), sh.options->fault.downlink_for(k),
         sh.options->fault.replica_link_rng(self.id, k, /*is_uplink=*/false),
         sh.fault_stats);
   }
@@ -1095,11 +1010,9 @@ bool rebuild_replica(Replica& self, Shared& sh, const CrashEvent& ev) {
   }
 }
 
-/// The per-replica thread body: runs incarnations of replica_main until the
-/// run finishes, the replica crash-stops, or a crash-restart's recovery
-/// refuses corrupt storage.
-void replica_thread(std::uint32_t rid, Shared& sh) {
-  Replica& self = *(*sh.replicas)[rid];
+/// Runs incarnations of replica_main until the run finishes, the replica
+/// crash-stops, or a crash-restart's recovery refuses corrupt storage.
+void run_incarnations(Replica& self, Shared& sh) {
   for (;;) {
     replica_main(self, sh);
     if (sh.done.load(std::memory_order_acquire)) return;
@@ -1111,175 +1024,26 @@ void replica_thread(std::uint32_t rid, Shared& sh) {
     if (!rebuild_replica(self, sh, ev)) return;  // loud failure: stay down
     sh.replica_restarts.fetch_add(1, std::memory_order_relaxed);
     // Only now may peers resume sending: the rebuilt node is ready.
-    sh.replica_crashed[rid].store(false, std::memory_order_release);
+    sh.replica_crashed[self.id].store(false, std::memory_order_release);
   }
 }
 
-// ------------------------------------------------------------- the workers
-
-void worker_main(std::size_t k, Shared& sh) {
-  fl::FlClient& client = *(*sh.clients)[k];
-  const ClusterOptions& opt = *sh.options;
-  const auto replicas = static_cast<std::uint32_t>(opt.replication.replicas);
-  std::vector<FaultyChannel> uplinks;
-  uplinks.reserve(replicas);
-  for (std::uint32_t r = 0; r < replicas; ++r) {
-    uplinks.emplace_back((*sh.replicas)[r]->inbox, opt.fault.uplink_for(k),
-                         opt.fault.replica_link_rng(r, k, /*is_uplink=*/true),
-                         sh.fault_stats);
-  }
-  const auto crash_at = opt.fault.crash_iteration_for(k);
-  const double straggle_s = opt.fault.straggler_delay_for(k);
-  const int local_epochs = opt.fl.local_epochs;
-  const std::size_t batch_size = opt.fl.batch_size;
-  std::vector<float> update(sh.dim);
-  std::uint32_t last_seq = 0;
-  std::vector<std::byte> cached_reply;
-  LeaderProbe probe(replicas);
-  Channel& inbox = (*sh.workers)[k].inbox;
-  for (;;) {
-    auto frame = inbox.recv();
-    if (!frame) return;
-    const auto payload = try_open_frame(*frame);
-    if (!payload) {
-      sh.worker_corrupt.fetch_add(1, std::memory_order_relaxed);
-      continue;
+/// The per-replica thread body.  An exception (a checkpoint that cannot be
+/// written, a protocol error) ends the whole run: it is kept for the
+/// caller, which rethrows it after joining every thread.
+void replica_thread(std::uint32_t rid, Shared& sh) {
+  try {
+    run_incarnations(*(*sh.replicas)[rid], sh);
+  } catch (...) {
+    {
+      const std::lock_guard<std::mutex> lock(sh.error_mutex);
+      if (!sh.error) sh.error = std::current_exception();
     }
-    Message msg;
-    try {
-      msg = decode(*payload);
-    } catch (const std::exception&) {
-      sh.worker_corrupt.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (std::holds_alternative<ShutdownMsg>(msg)) return;
-    if (const auto* rd = std::get_if<RedirectMsg>(&msg)) {
-      if (rd->iteration == last_seq && !cached_reply.empty()) {
-        // Follow the hint while the redirect budget lasts; past it (or on a
-        // bogus hint) probe the replicas round-robin with capped backoff —
-        // two stale replicas hinting at each other must not livelock us.
-        const LeaderProbe::Target target = probe.on_redirect(rd->leader_id);
-        if (target.probed) {
-          sh.leader_probes.fetch_add(1, std::memory_order_relaxed);
-          if (target.backoff_ms > 0.0) {
-            std::this_thread::sleep_for(
-                seconds_to_duration(target.backoff_ms / 1000.0));
-          }
-        }
-        sh.worker_retransmits.fetch_add(1, std::memory_order_relaxed);
-        sh.uplink_meter->record_retransmit(cached_reply.size());
-        uplinks[target.replica].send(cached_reply);
-      } else {
-        sh.worker_redundant.fetch_add(1, std::memory_order_relaxed);
-      }
-      continue;
-    }
-    const auto& bc = std::get<BroadcastMsg>(msg);
-    if (bc.global_params.size() != sh.dim || bc.leader_id >= replicas) {
-      throw std::runtime_error("worker: malformed broadcast");
-    }
-    if (bc.codec_id != sh.codec_id || bc.codec_version != sh.codec_version) {
-      throw std::runtime_error("worker: codec negotiation mismatch");
-    }
-    probe.on_broadcast(bc.leader_id);
-    if (bc.seq == last_seq && !cached_reply.empty()) {
-      // Same round seen again — either a failover re-broadcast from a new
-      // leader or a network duplicate.  Re-send the cached reply (identical
-      // bytes) to whichever replica asked; no retraining.
-      sh.worker_redundant.fetch_add(1, std::memory_order_relaxed);
-      sh.worker_retransmits.fetch_add(1, std::memory_order_relaxed);
-      sh.uplink_meter->record_retransmit(cached_reply.size());
-      uplinks[bc.leader_id].send(cached_reply);
-      continue;
-    }
-    if (bc.seq < last_seq) {  // stale duplicate of an older round
-      sh.worker_redundant.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (crash_at && bc.iteration >= *crash_at) return;  // crash-stop
-    if (straggle_s > 0.0) {
-      std::this_thread::sleep_for(seconds_to_duration(straggle_s));
-    }
-
-    client.set_params(bc.global_params);
-    client.train_local(local_epochs, batch_size, bc.learning_rate);
-    client.get_params(update);
-    for (std::size_t i = 0; i < sh.dim; ++i) {
-      update[i] -= bc.global_params[i];
-    }
-
-    core::FilterContext ctx;
-    ctx.global_model = bc.global_params;
-    ctx.estimated_global_update = bc.global_update;
-    ctx.iteration = bc.iteration;
-    const core::FilterDecision decision = sh.filter->decide(update, ctx);
-
-    Message reply;
-    if (decision.upload) {
-      if (sh.use_codec) {
-        // Encode exactly once per *trained* round: retransmits and
-        // failover re-sends reuse cached_reply, so the codec stream
-        // advances once however many replicas end up seeing the frame.
-        CodecUploadMsg up;
-        up.seq = bc.seq;
-        up.iteration = bc.iteration;
-        up.client_id = static_cast<std::uint32_t>(k);
-        up.score = decision.score;
-        up.codec_id = sh.codec_id;
-        up.codec_version = sh.codec_version;
-        up.payload = (*sh.worker_codecs)[k]->encode(update).payload;
-        reply = std::move(up);
-      } else {
-        UpdateUploadMsg up;
-        up.seq = bc.seq;
-        up.iteration = bc.iteration;
-        up.client_id = static_cast<std::uint32_t>(k);
-        up.update = update;
-        up.score = decision.score;
-        reply = std::move(up);
-      }
-    } else {
-      EliminationMsg el;
-      el.seq = bc.seq;
-      el.iteration = bc.iteration;
-      el.client_id = static_cast<std::uint32_t>(k);
-      el.score = decision.score;
-      reply = el;
-    }
-    auto bytes = encode(reply);
-    seal_frame(bytes);
-    sh.uplink_meter->record(bytes.size());
-    cached_reply = bytes;
-    last_seq = bc.seq;
-    uplinks[bc.leader_id].send(std::move(bytes));
+    sh.done.store(true, std::memory_order_release);
   }
 }
 
 }  // namespace
-
-// ------------------------------------------------------------ leader probe
-
-LeaderProbe::Target LeaderProbe::on_redirect(std::uint32_t hinted) {
-  if (hinted < replicas && redirects < 2 * replicas) {
-    ++redirects;
-    known_leader = hinted;
-    return Target{hinted, /*probed=*/false, 0.0};
-  }
-  Target target;
-  target.replica = (known_leader + 1 + probe_cursor) % replicas;
-  ++probe_cursor;
-  target.probed = true;
-  target.backoff_ms = backoff_ms;
-  backoff_ms = std::min(backoff_ms * 2.0, kBackoffCapMs);
-  return target;
-}
-
-void LeaderProbe::on_broadcast(std::uint32_t leader) {
-  known_leader = leader;
-  redirects = 0;
-  probe_cursor = 0;
-  backoff_ms = 1.0;
-}
 
 // ------------------------------------------------------------------- entry
 
@@ -1292,53 +1056,26 @@ ClusterResult run_replicated_cluster(
   const auto num_replicas =
       static_cast<std::uint32_t>(options.replication.replicas);
 
-  std::vector<std::size_t> local_samples(num_workers, 0);
-  for (std::size_t k = 0; k < num_workers; ++k) {
-    local_samples[k] = clients[k]->local_samples();
-  }
   std::vector<float> global(dim);
   clients.front()->get_params(global);
 
-  // Per-worker encoders (each touched only by its worker's thread).  The
-  // ctor already rejected stateful_decode codecs for replicated mode.
-  const bool use_codec = !codec::is_dense_spec(options.fl.codec.spec);
-  std::vector<std::unique_ptr<codec::UpdateCodec>> worker_codecs;
-  std::uint8_t codec_id = 0;
-  std::uint8_t codec_version = 1;
-  if (use_codec) {
-    worker_codecs.reserve(num_workers);
-    for (std::size_t k = 0; k < num_workers; ++k) {
-      worker_codecs.push_back(codec::make_update_codec(
-          options.fl.codec.spec, options.fl.codec.seed_salt + k));
-    }
-    codec_id = worker_codecs.front()->id();
-    codec_version = worker_codecs.front()->version();
-  }
-
+  std::vector<std::unique_ptr<Replica>> replicas;
+  ByteMeter downlink_meter;
+  ByteMeter control_meter;
+  FaultStats fault_stats;
+  // Declared after everything its threads use (the replicas' inboxes and
+  // the fault counters), so that on every exit path it shuts the workers
+  // down and joins them first.
+  WorkerGroup workers(clients, filter, options);
   if (resume_from != nullptr) {
     // The model, counters and history are restored (and validated) by
     // each replica's state machine below.
-    const fl::TrainerCheckpoint& ck = *resume_from;
-    if (ck.client_state.size() != num_workers) {
-      throw std::invalid_argument(
-          "FlCluster: checkpoint worker count mismatch");
-    }
-    for (std::size_t k = 0; k < num_workers; ++k) {
-      clients[k]->restore_mutable_state(ck.client_state[k]);
-    }
-    if (use_codec) {
-      if (ck.compressor_state.size() != num_workers) {
-        throw std::invalid_argument(
-            "FlCluster: checkpoint codec state count mismatch");
-      }
-      for (std::size_t k = 0; k < num_workers; ++k) {
-        worker_codecs[k]->restore_mutable_state(ck.compressor_state[k]);
-      }
-    }
+    workers.restore(*resume_from);
+    const fl::ClusterMeterState& m = resume_from->meters;
+    downlink_meter.restore(m.downlink_bytes, m.downlink_messages,
+                           m.downlink_retransmitted);
   }
 
-  std::vector<WorkerEndpoint> endpoints(num_workers);
-  std::vector<std::unique_ptr<Replica>> replicas;
   replicas.reserve(num_replicas);
   for (std::uint32_t r = 0; r < num_replicas; ++r) {
     StateMachine sm(options, num_workers, global);
@@ -1354,44 +1091,23 @@ ClusterResult run_replicated_cluster(
     }
     replicas.push_back(std::make_unique<Replica>(
         r, make_raft_config(options, r), std::move(sm), std::move(storage)));
-    if (use_codec) {
-      // Decode is stateless for every admitted codec, so the seed is inert;
+    if (workers.codecs().enabled()) {
+      // The ctor admits stateless-decode codecs only, so the seed is inert;
       // a private instance per replica keeps decoding thread-confined.
       replicas.back()->decoder = codec::make_update_codec(
           options.fl.codec.spec, options.fl.codec.seed_salt);
     }
   }
 
-  ByteMeter uplink_meter;
-  ByteMeter downlink_meter;
-  ByteMeter control_meter;
-  FaultStats fault_stats;
-  if (resume_from != nullptr) {
-    const fl::ClusterMeterState& m = resume_from->meters;
-    uplink_meter.restore(m.uplink_bytes, m.uplink_messages,
-                         m.uplink_retransmitted);
-    downlink_meter.restore(m.downlink_bytes, m.downlink_messages,
-                           m.downlink_retransmitted);
-  }
-
   Shared sh;
   sh.options = &options;
-  sh.dim = dim;
   sh.num_workers = num_workers;
-  sh.local_samples = &local_samples;
-  sh.clients = &clients;
-  sh.filter = &filter;
   sh.evaluator = &evaluator;
   sh.replicas = &replicas;
-  sh.workers = &endpoints;
-  sh.uplink_meter = &uplink_meter;
+  sh.workers = &workers;
   sh.downlink_meter = &downlink_meter;
   sh.control_meter = &control_meter;
   sh.fault_stats = &fault_stats;
-  sh.use_codec = use_codec;
-  sh.codec_id = codec_id;
-  sh.codec_version = codec_version;
-  sh.worker_codecs = &worker_codecs;
   const std::size_t crash_entries = options.fault.leader_crash.size();
   sh.crash_fired =
       std::make_unique<std::atomic<bool>[]>(std::max<std::size_t>(1,
@@ -1415,20 +1131,16 @@ ClusterResult run_replicated_cluster(
   for (std::uint32_t r = 0; r < num_replicas; ++r) {
     replica_threads.emplace_back([&, r] { replica_thread(r, sh); });
   }
-  std::vector<std::thread> worker_threads;
-  worker_threads.reserve(num_workers);
-  for (std::size_t k = 0; k < num_workers; ++k) {
-    worker_threads.emplace_back([&, k] { worker_main(k, sh); });
-  }
+  workers.start(num_replicas, [&](std::size_t k, std::uint32_t r) {
+    return FaultyChannel(
+        replicas[r]->inbox, options.fault.uplink_for(k),
+        options.fault.replica_link_rng(r, k, /*is_uplink=*/true),
+        &fault_stats);
+  });
 
   for (auto& t : replica_threads) t.join();
-
-  // Management-plane shutdown: bypasses fault injection so workers always
-  // terminate.
-  auto shutdown = encode(Message(ShutdownMsg{}));
-  seal_frame(shutdown);
-  for (auto& ep : endpoints) ep.inbox.send(shutdown);
-  for (auto& t : worker_threads) t.join();
+  workers.stop();
+  if (sh.error) std::rethrow_exception(sh.error);
 
   const int fid = sh.finished_replica.load(std::memory_order_acquire);
   if (fid < 0) {
@@ -1440,9 +1152,11 @@ ClusterResult run_replicated_cluster(
 
   ClusterResult result;
   result.sim = sm.committer.finish();
-  result.uplink_bytes = uplink_meter.total_bytes();
+  const WorkerStats& worker_stats = workers.stats();
+  result.uplink_bytes = worker_stats.uplink.total_bytes();
   result.downlink_bytes = downlink_meter.total_bytes();
-  result.uplink_retransmitted_bytes = uplink_meter.retransmitted_bytes();
+  result.uplink_retransmitted_bytes =
+      worker_stats.uplink.retransmitted_bytes();
   result.downlink_retransmitted_bytes = downlink_meter.retransmitted_bytes();
   result.upload_messages = sm.upload_frames;
   result.elimination_messages = sm.elimination_frames;
@@ -1454,16 +1168,17 @@ ClusterResult run_replicated_cluster(
   faults.frames_dropped = fault_stats.frames_dropped.load();
   faults.frames_corrupted = fault_stats.frames_corrupted.load();
   faults.frames_duplicated = fault_stats.frames_duplicated.load();
-  faults.corrupt_rejected = sh.master_corrupt.load() + sh.worker_corrupt.load();
+  faults.corrupt_rejected =
+      sh.master_corrupt.load() + worker_stats.corrupt_rejected.load();
   faults.redundant_frames =
-      sh.master_redundant.load() + sh.worker_redundant.load();
+      sh.master_redundant.load() + worker_stats.redundant_frames.load();
   faults.retransmits =
-      sh.master_retransmits.load() + sh.worker_retransmits.load();
+      sh.master_retransmits.load() + worker_stats.retransmits.load();
   faults.timed_out_rounds = sh.timed_out_rounds.load();
   faults.quorum_rounds = sm.quorum_rounds;
   faults.leader_redirects = sh.leader_redirects.load();
   faults.leader_crashes = sh.leader_crashes.load();
-  faults.leader_probes = sh.leader_probes.load();
+  faults.leader_probes = worker_stats.leader_probes.load();
   faults.replica_restarts = sh.replica_restarts.load();
   faults.restart_load_errors = sh.restart_load_errors.load();
   for (const auto& replica : replicas) {

@@ -48,39 +48,6 @@ struct TrainerCheckpoint;
 
 namespace cmfl::net {
 
-/// Worker-side leader discovery (pure bookkeeping, unit-testable).  Workers
-/// cache the last replica a broadcast arrived from and normally follow
-/// RedirectMsg hints; a chain of more than 2 * replicas redirects without an
-/// intervening broadcast is a redirect *loop* (two stale replicas hinting at
-/// each other during an election), at which point the worker stops trusting
-/// hints and probes the replicas round-robin with doubling, capped backoff
-/// until a broadcast proves a real leader again.
-struct LeaderProbe {
-  explicit LeaderProbe(std::uint32_t n) : replicas(n) {}
-
-  std::uint32_t replicas = 0;
-  std::uint32_t known_leader = 0;  // last replica a broadcast arrived from
-  std::uint32_t redirects = 0;     // hints followed since the last broadcast
-  std::uint32_t probe_cursor = 0;  // round-robin position while probing
-  double backoff_ms = 1.0;
-  static constexpr double kBackoffCapMs = 16.0;
-
-  /// Where a redirect resolves the worker's next send.
-  struct Target {
-    std::uint32_t replica = 0;
-    bool probed = false;     // true: round-robin probe, not a followed hint
-    double backoff_ms = 0.0; // sleep before the send (probes only)
-  };
-
-  /// Called with a RedirectMsg's hinted leader id.  Follows a valid hint
-  /// while the redirect budget lasts; past it (or on an out-of-range hint)
-  /// returns the next round-robin probe target.
-  Target on_redirect(std::uint32_t hinted);
-
-  /// A broadcast from `leader` proves the real leader; resets the budget.
-  void on_broadcast(std::uint32_t leader);
-};
-
 /// Runs one federated training job under the replicated control plane.
 /// Invoked by FlCluster::run()/resume() when replication.replicas > 0;
 /// callers go through FlCluster, which validates the option set (>= 3

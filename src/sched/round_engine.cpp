@@ -243,15 +243,12 @@ std::vector<RoundEngine::Trained> RoundEngine::train_cohort(
     r.latency = population_.draw_latency(r.device, seqs[i]);
     r.dropped = population_.drops_mid_round(r.device, round);
     fl::FlClient& c = population_.acquire(devices[i]);
-    c.set_params(global);
-    r.train_loss =
-        c.train_local(options_.local_epochs, options_.batch_size, lr);
     r.local_samples = c.local_samples();
-    r.update.resize(dim_);
-    c.get_params(r.update);
-    // u = trained local params − broadcast global params.
-    for (std::size_t j = 0; j < dim_; ++j) r.update[j] -= global[j];
-    r.decision = filter_->decide(r.update, fctx);
+    const fl::LocalStep step =
+        fl::local_update(c, *filter_, fctx, options_.local_epochs,
+                         options_.batch_size, lr, r.update);
+    r.train_loss = step.train_loss;
+    r.decision = step.decision;
     population_.release(devices[i], seqs[i]);
   };
   if (ctx.pool && devices.size() > 1) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "core/filter.h"
 #include "fl/adversary.h"
@@ -15,6 +19,7 @@
 #include "fl/simulation.h"
 #include "fl/workloads.h"
 #include "net/cluster.h"
+#include "net/worker.h"
 
 namespace cmfl::net {
 namespace {
@@ -869,6 +874,124 @@ TEST(FlCluster, LostOverSelectRacesAreNotCrashEvidence) {
     EXPECT_EQ(rec.participants, 3u);
   }
   EXPECT_GE(r.faults.max_staleness_per_client[3], 1u);
+}
+
+
+TEST(Worker, AnswersEachRoundOnceAndResendsItsCachedReply) {
+  // One worker driven through its inbox with hand-built frames, served on
+  // this thread: each call queues frames plus a Shutdown and returns once
+  // the worker has handled them all.  Three plain uplinks stand in for
+  // three master replicas.
+  std::vector<std::unique_ptr<fl::FlClient>> clients;
+  clients.push_back(std::make_unique<fl::ConvexClient>(
+      std::vector<float>(8, 1.0f), /*local_steps=*/3,
+      /*gradient_noise=*/0.01, util::Rng(3)));
+  const fl::FlClient& client = *clients.front();
+  const core::AcceptAllFilter filter;
+  ClusterOptions options;
+  options.fl.local_epochs = 1;
+  FaultStats fault_stats;
+  std::array<Channel, 3> replicas;
+  WorkerGroup group(clients, filter, options);  // never started
+  const WorkerStats& stats = group.stats();
+  std::vector<FaultyChannel> uplinks;
+  for (Channel& r : replicas) {
+    uplinks.emplace_back(r, LinkFaults{}, util::Rng(0), &fault_stats);
+  }
+  Worker worker(group, 0, std::move(uplinks));
+  Channel& inbox = group.inbox(0);
+
+  const auto sealed = [](const Message& m) {
+    auto frame = encode(m);
+    seal_frame(frame);
+    return frame;
+  };
+  const auto serve = [&](std::vector<std::vector<std::byte>> frames) {
+    for (auto& f : frames) inbox.send(std::move(f));
+    inbox.send(sealed(ShutdownMsg{}));
+    worker.serve();
+  };
+  const auto take = [](Channel& c) {
+    return c.recv_for(Clock::duration::zero());
+  };
+
+  BroadcastMsg bc;
+  bc.seq = 1;
+  bc.iteration = 1;
+  bc.global_params.assign(8, 0.0f);
+  bc.global_update.assign(8, 0.0f);
+  bc.learning_rate = 0.1f;
+
+  // 1. A new round: the client trains once and one reply goes to the
+  // replica that sent the broadcast.
+  serve({sealed(bc)});
+  const std::uint64_t steps = client.lifetime_steps();
+  EXPECT_GT(steps, 0u);
+  const auto reply = take(replicas[0]);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_FALSE(take(replicas[0]).has_value());
+  const Message answered = decode(open_frame(*reply));
+  ASSERT_TRUE(std::holds_alternative<UpdateUploadMsg>(answered));
+  EXPECT_EQ(std::get<UpdateUploadMsg>(answered).seq, 1u);
+  EXPECT_EQ(stats.upload_frames.load(), 1u);
+  EXPECT_EQ(stats.uplink.total_bytes(), reply->size());
+
+  // 2. The same broadcast again: the cached bytes, without training.
+  serve({sealed(bc)});
+  EXPECT_EQ(client.lifetime_steps(), steps);
+  const auto resent = take(replicas[0]);
+  ASSERT_TRUE(resent.has_value());
+  EXPECT_TRUE(*resent == *reply);
+  EXPECT_EQ(stats.redundant_frames.load(), 1u);
+  EXPECT_EQ(stats.retransmits.load(), 1u);
+  EXPECT_EQ(stats.uplink.retransmitted_bytes(), reply->size());
+
+  // 3. A broadcast with a lower seq is dropped.
+  BroadcastMsg stale = bc;
+  stale.seq = 0;
+  serve({sealed(stale)});
+  EXPECT_EQ(stats.redundant_frames.load(), 2u);
+
+  // 4. A frame with a flipped bit is counted as corrupt.
+  auto flipped = sealed(bc);
+  flipped[flipped.size() / 2] ^= std::byte{0x10};
+  serve({std::move(flipped)});
+  EXPECT_EQ(stats.corrupt_rejected.load(), 1u);
+  for (Channel& r : replicas) EXPECT_FALSE(take(r).has_value());
+
+  // 5. A redirect for the current round re-sends the cached reply on the
+  // hinted replica's uplink.
+  RedirectMsg rd;
+  rd.iteration = 1;
+  rd.leader_id = 2;
+  serve({sealed(rd)});
+  const auto redirected = take(replicas[2]);
+  ASSERT_TRUE(redirected.has_value());
+  EXPECT_TRUE(*redirected == *reply);
+  EXPECT_FALSE(take(replicas[0]).has_value());
+  EXPECT_FALSE(take(replicas[1]).has_value());
+  EXPECT_EQ(stats.retransmits.load(), 2u);
+  EXPECT_EQ(stats.uplink.retransmitted_bytes(), 2 * reply->size());
+
+  // 6. A broadcast of the wrong dimension or codec is a protocol error.
+  BroadcastMsg next = bc;
+  next.seq = 2;
+  next.iteration = 2;
+  BroadcastMsg wrong_dim = next;
+  wrong_dim.global_params.resize(7);
+  inbox.send(sealed(wrong_dim));
+  EXPECT_THROW(worker.serve(), std::runtime_error);
+  BroadcastMsg wrong_codec = next;
+  wrong_codec.codec_id = 1;
+  inbox.send(sealed(wrong_codec));
+  EXPECT_THROW(worker.serve(), std::runtime_error);
+  EXPECT_EQ(client.lifetime_steps(), steps);
+
+  // 7. Shutdown returns.
+  inbox.send(sealed(ShutdownMsg{}));
+  worker.serve();
+  EXPECT_FALSE(inbox.recv_for(Clock::duration::zero()).has_value());
+  EXPECT_EQ(stats.upload_frames.load(), 1u);
 }
 
 }  // namespace

@@ -28,7 +28,7 @@
 #include "fl/convex_testbed.h"
 #include "net/cluster.h"
 #include "net/raft.h"
-#include "net/replicated_master.h"
+#include "net/worker.h"
 
 namespace cmfl::net {
 namespace {

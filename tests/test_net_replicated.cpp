@@ -17,7 +17,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -259,6 +261,71 @@ TEST(ReplicatedCluster, CodecRunSurvivesLeaderFailoverBitIdentically) {
   expect_same_trajectory(baseline, crashed);
   EXPECT_EQ(crashed.faults.leader_crashes, 1u);
   EXPECT_GT(crashed.uplink_retransmitted_bytes, 0u);
+}
+
+TEST(ReplicatedCluster, LinkFaultsOnTheDataPlaneLeaveTheTrajectoryUnchanged) {
+  // Drops, bit flips and duplicates on every worker link in both
+  // directions: the leader retransmits, the workers re-send cached
+  // replies, both sides discard what they already saw, and every round
+  // still commits the fault-free reply set.
+  const ClusterResult clean = run_once(base_options());
+
+  auto opt = replicated(base_options());
+  for (LinkFaults* link : {&opt.fault.downlink, &opt.fault.uplink}) {
+    link->drop_prob = 0.15;
+    link->corrupt_prob = 0.05;
+    link->duplicate_prob = 0.05;
+  }
+  opt.fault.seed = 99;
+  opt.recovery.round_timeout_s = 0.15;
+  opt.recovery.backoff = 1.5;
+  opt.recovery.max_attempts = 10;
+  const ClusterResult faulty = run_once(opt);
+
+  expect_same_trajectory(clean, faulty);
+  EXPECT_TRUE(faulty.faults.crashed_workers.empty());
+  EXPECT_GT(faulty.faults.frames_dropped, 0u);
+  EXPECT_GT(faulty.faults.frames_corrupted, 0u);
+  EXPECT_GT(faulty.faults.frames_duplicated, 0u);
+  EXPECT_GT(faulty.faults.corrupt_rejected, 0u);
+  EXPECT_GT(faulty.faults.retransmits, 0u);
+}
+
+TEST(ReplicatedCluster, CrashStopWorkerIsDeclaredDeadAsOnTheSingleMaster) {
+  // Worker 2 dies before training round 4.  Once the retransmit budget is
+  // spent the leader proposes a WorkerCrash entry, and the round commits
+  // without it — exactly where the single master declares it crashed.
+  auto opt = base_options();
+  opt.fault.crash_at_iteration[2] = 4;
+  opt.recovery.round_timeout_s = 0.05;
+  opt.recovery.backoff = 1.0;
+  opt.recovery.max_attempts = 2;
+  const ClusterResult single = run_once(opt);
+  const ClusterResult triple = run_once(replicated(opt));
+
+  expect_same_trajectory(single, triple);
+  EXPECT_EQ(single.faults.crashed_workers, std::vector<std::uint32_t>{2});
+  EXPECT_EQ(triple.faults.crashed_workers, std::vector<std::uint32_t>{2});
+  EXPECT_EQ(triple.faults.quorum_rounds, single.faults.quorum_rounds);
+  EXPECT_EQ(triple.faults.max_staleness_per_client,
+            single.faults.max_staleness_per_client);
+}
+
+TEST(ReplicatedCluster, CheckpointWriteErrorsPropagateFromRun) {
+  // A checkpoint file that cannot be written fails the run with the
+  // writer's exception: thrown on the caller's thread while worker threads
+  // run (single master), or on a replica thread (replicated).
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "cmfl_missing_ck_dir";
+  std::filesystem::remove_all(dir);
+  for (const int replicas : {0, 3}) {
+    SCOPED_TRACE(replicas);
+    auto opt = base_options();
+    opt.replication.replicas = replicas;
+    opt.fl.checkpoint_every = 2;
+    opt.fl.checkpoint_path = (dir / "ck.bin").string();
+    EXPECT_THROW(run_once(opt), std::runtime_error);
+  }
 }
 
 TEST(ReplicatedCluster, StatefulDecodeCodecsAreRejectedUpFront) {

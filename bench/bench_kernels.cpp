@@ -12,16 +12,22 @@
 // kernels.  *_Fast rows pin Tier::kFast (AVX2/FMA; absent hosts silently
 // fall back to kExact — check the cmfl_simd context stamp).  *MT rows sweep
 // the worker count via ->Arg(threads) at a fixed 256³ GEMM so one JSON holds
-// the single- and multi-threaded roofline.
+// the single- and multi-threaded roofline; they divide by wall time
+// (UseRealTime), since the pool's workers burn CPU time the main thread's
+// clock never sees.  BM_Crc32_Ref/BM_Crc32 report the frame seal's GB/s:
+// the table loop against the dispatched path (the PCLMULQDQ fold, or the
+// same table loop on CPUs without it).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/kernels.h"
 #include "tensor/matrix.h"
 #include "tensor/vector_ops.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 using namespace cmfl;
@@ -118,7 +124,7 @@ void BM_GemmNN_MT(benchmark::State& state) {
   }
   set_gemm_counters(state, n, n, n);
 }
-BENCHMARK(BM_GemmNN_MT)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_GemmNN_MT)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_GemmNN_FastMT(benchmark::State& state) {
   KernelEnv env(kFast, static_cast<std::size_t>(state.range(0)));
@@ -132,7 +138,7 @@ void BM_GemmNN_FastMT(benchmark::State& state) {
   }
   set_gemm_counters(state, n, n, n);
 }
-BENCHMARK(BM_GemmNN_FastMT)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_GemmNN_FastMT)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_GemmNT_Ref(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -364,6 +370,32 @@ void BM_AggregateAxpyThenScale(benchmark::State& state) {
       static_cast<std::int64_t>(kClients * d * sizeof(float)));
 }
 BENCHMARK(BM_AggregateAxpyThenScale)->Arg(1 << 17);
+
+// --- CRC-32 over one sealed frame's bytes ---
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::byte> v(n);
+  for (auto& b : v) b = static_cast<std::byte>(rng.next_u64() & 0xFFu);
+  return v;
+}
+
+void crc32_rows(benchmark::State& state,
+                std::uint32_t (*crc)(std::span<const std::byte>) noexcept) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto bytes = random_bytes(n, 11);
+  for ([[maybe_unused]] auto _ : state) benchmark::DoNotOptimize(crc(bytes));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+void BM_Crc32_Ref(benchmark::State& state) {
+  crc32_rows(state, util::crc32_ref);
+}
+BENCHMARK(BM_Crc32_Ref)->Arg(64)->Arg(4096)->Arg(1 << 20);
+
+void BM_Crc32(benchmark::State& state) { crc32_rows(state, util::crc32); }
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 }  // namespace
 

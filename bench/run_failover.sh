@@ -18,8 +18,11 @@
 # (test_net_replicated, test_util_durable_file, test_net_durable) plus the
 # raft unit tests, i.e. the same binaries
 #   ctest -L 'failover|durability'
-# selects in a regular build.
+# selects in a regular build.  UBSAN_OPTIONS=halt_on_error=1 makes any UBSan
+# report fail the pass instead of printing and carrying on.
 set -eu
+
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 ASAN_DIR="${1:-$REPO_ROOT/build-asan}"

@@ -19,10 +19,17 @@
 # explained.
 #
 # Thread pinning: the MT roofline rows (BM_GemmNN_MT/N, BM_GemmNN_FastMT/N)
-# pin their own worker counts in-process.  Everything else honors the
+# pin their own worker counts in-process.  A row with more workers than the
+# host has CPUs (`nproc`) would time the scheduler, not the kernel, so the
+# script skips it and says so loudly.  Everything else honors the
 # CMFL_THREADS environment variable when the kernel thread setting is auto,
 # e.g. `CMFL_THREADS=1 bench/run_kernels.sh` for a fully serial record.
+#
+# The sanitizer gate at the end runs with UBSAN_OPTIONS=halt_on_error=1, so
+# any UBSan report fails the script instead of scrolling past.
 set -eu
+
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 BUILD_DIR="$REPO_ROOT/build-release"
@@ -34,6 +41,26 @@ esac
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j --target bench_kernels
+
+# --- Oversubscription guard: skip MT rows with more workers than CPUs ---
+MT_THREADS="1 2 4"  # the ->Arg(threads) list of the MT rows (bench_kernels.cpp)
+NPROC=$(nproc)
+OVER=""
+for t in $MT_THREADS; do
+  if [ "$t" -gt "$NPROC" ]; then OVER="${OVER:+$OVER|}$t"; fi
+done
+if [ -n "$OVER" ]; then
+  echo "##################################################################" >&2
+  echo "## SKIPPING MT rows with $(echo "$OVER" | tr '|' ',') threads: this host has" >&2
+  echo "## nproc=$NPROC CPUs, and an oversubscribed row is not a kernel rate." >&2
+  echo "##################################################################" >&2
+  # Prepend the exclusion to the caller's filter (the last flag wins).
+  USER_FILTER=".*"
+  for arg in "$@"; do
+    case "$arg" in --benchmark_filter=*) USER_FILTER=${arg#--benchmark_filter=} ;; esac
+  done
+  set -- "$@" "--benchmark_filter=^(?!BM_GemmNN_(Fast)?MT/($OVER)(/|$))(?=.*(?:$USER_FILTER))"
+fi
 
 OUT="$REPO_ROOT/BENCH_kernels.json"
 "$BUILD_DIR/bench/bench_kernels" --benchmark_out="$OUT" \
@@ -52,13 +79,15 @@ SIMD=$(grep -o '"cmfl_simd": "[^"]*"' "$OUT" | cut -d'"' -f4)
 echo "wrote $OUT (Release provenance verified, simd=$SIMD)"
 
 # --- ASan+UBSan gate over the SIMD equivalence tests ---
-# The fast-tier kernels read with vector loads near buffer tails; the
-# equivalence suites must stay clean under address+undefined before a
-# baseline recorded from them is accepted.
+# The fast-tier kernels and the folded CRC-32 read with 16- and 32-byte
+# vector loads near buffer tails; the equivalence suites must stay clean
+# under address+undefined before a baseline recorded from them is accepted.
 ASAN_DIR="${BUILD_DIR}-asan-ubsan"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMFL_SANITIZE=address,undefined
-cmake --build "$ASAN_DIR" -j --target test_tensor_simd test_tensor_kernels
+cmake --build "$ASAN_DIR" -j --target test_tensor_simd test_tensor_kernels \
+      test_util_crc32
 "$ASAN_DIR/tests/test_tensor_simd"
 "$ASAN_DIR/tests/test_tensor_kernels"
-echo "ASan+UBSan SIMD equivalence gates passed"
+"$ASAN_DIR/tests/test_util_crc32"
+echo "ASan+UBSan SIMD and CRC-32 equivalence gates passed"

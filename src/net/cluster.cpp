@@ -216,7 +216,6 @@ ClusterResult FlCluster::run_internal(
                            &fault_stats);
   }
   std::vector<char> alive(num_workers, 1);
-  std::vector<std::uint32_t> seq(num_workers, 0);
   std::size_t live_count = num_workers;
   std::uint64_t master_redundant = 0;
   std::uint64_t master_corrupt = 0;
@@ -265,16 +264,8 @@ ClusterResult FlCluster::run_internal(
     }
     if (active_count == 0) break;
 
-    const auto lr = static_cast<float>(options_.fl.learning_rate.at(t));
-    BroadcastMsg bc;
-    bc.iteration = t;
-    bc.learning_rate = lr;
-    bc.codec_id = codecs.id();
-    bc.codec_version = codecs.version();
-    bc.global_params.assign(committer.global().begin(),
-                            committer.global().end());
-    bc.global_update.assign(committer.estimate().begin(),
-                            committer.estimate().end());
+    const std::vector<std::byte> frame =
+        make_broadcast(t, /*leader_id=*/0, committer, options_.fl, codecs);
 
     std::vector<char> pending(num_workers, 0);
     std::size_t pending_count = 0;
@@ -282,7 +273,6 @@ ClusterResult FlCluster::run_internal(
       if (alive[k] && !committer.quarantined(k)) {
         pending[k] = 1;
         ++pending_count;
-        ++seq[k];  // fresh sequence number; retransmissions reuse it
       }
     }
     const std::vector<char> invited = pending;
@@ -306,9 +296,6 @@ ClusterResult FlCluster::run_internal(
       // (Re)transmit this round's broadcast to every unanswered worker.
       for (std::size_t k = 0; k < num_workers; ++k) {
         if (!pending[k]) continue;
-        bc.seq = seq[k];
-        auto frame = encode(Message(bc));
-        seal_frame(frame);
         if (attempt == 0) {
           downlink_meter.record(frame.size());
         } else {
@@ -317,7 +304,7 @@ ClusterResult FlCluster::run_internal(
         }
         round_transfer = std::max(
             round_transfer, options_.downlink.transfer_seconds(frame.size()));
-        downlinks[k].send(std::move(frame));
+        downlinks[k].send(frame);
       }
 
       // Gather replies until every pending worker answered or — in the

@@ -2,12 +2,13 @@
 // equivalent of the paper's 30-node EC2 deployment (§V-C), hardened for
 // the faulty edge networks CMFL actually targets.
 //
-// The master (the caller's thread) serializes a Broadcast frame per worker
-// per iteration; each worker thread (net/worker.h) deserializes it, trains
-// its FlClient, applies the upload filter, and answers with either a full
-// update frame or a tiny Elimination frame.  Every frame crosses a Channel
-// as real bytes and is counted by the direction's ByteMeter — giving
-// byte-exact network-footprint numbers for Fig. 7b.
+// The master (the caller's thread) seals one Broadcast frame per iteration
+// and sends it to every worker; each worker thread (net/worker.h)
+// deserializes it, trains its FlClient, applies the upload filter, and
+// answers with either a full update frame or a tiny Elimination frame.
+// Every frame crosses a Channel as real bytes and is counted by the
+// direction's ByteMeter — giving byte-exact network-footprint numbers for
+// Fig. 7b.
 //
 // With a FaultPlan configured, frames may be dropped, bit-flipped (caught
 // by the CRC), duplicated, delayed, or lost to crashed workers.  Recovery

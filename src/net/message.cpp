@@ -19,8 +19,11 @@ FrameType frame_type(const Message& msg) {
   return FrameType::kShutdown;
 }
 
-std::vector<std::byte> encode(const Message& msg) {
-  WireWriter w;
+namespace {
+
+/// Writes `msg`'s frame layout to a WireWriter, or counts it on a WireSizer.
+template <typename Writer>
+void write_message(Writer& w, const Message& msg) {
   if (const auto* b = std::get_if<BroadcastMsg>(&msg)) {
     w.u8(static_cast<std::uint8_t>(FrameType::kBroadcast));
     w.u32(b->seq);
@@ -60,6 +63,15 @@ std::vector<std::byte> encode(const Message& msg) {
   } else {
     w.u8(static_cast<std::uint8_t>(FrameType::kShutdown));
   }
+}
+
+}  // namespace
+
+std::vector<std::byte> encode(const Message& msg) {
+  WireSizer sizer;
+  write_message(sizer, msg);
+  WireWriter w(sizer.size() + kSealBytes);  // the frame and its seal
+  write_message(w, msg);
   return w.take();
 }
 

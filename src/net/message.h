@@ -9,12 +9,11 @@
 //                  its update" — a tiny fixed-size frame.
 //   * Shutdown     master → worker: terminate the worker loop.
 //
-// Broadcast and reply frames carry a per-link sequence number `seq`: the
-// master assigns a fresh seq to each new round's broadcast and *reuses* it
-// on retransmissions, and a worker's reply mirrors the broadcast seq it
-// answers.  Receivers discard frames whose seq they have already processed,
-// which makes retransmitted and network-duplicated frames idempotent (see
-// DESIGN.md §9).
+// Broadcast and reply frames carry a sequence number `seq`: a broadcast's
+// seq is its round, its retransmissions are the same sealed bytes, and a
+// worker's reply mirrors the broadcast seq it answers.  Receivers discard
+// frames whose seq they have already processed, which makes retransmitted
+// and network-duplicated frames idempotent (see DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -35,7 +34,7 @@ enum class FrameType : std::uint8_t {
 };
 
 struct BroadcastMsg {
-  std::uint32_t seq = 0;  // per-link transmission id (reused on retransmit)
+  std::uint32_t seq = 0;  // the round (reused on retransmit)
   std::uint64_t iteration = 0;
   /// Replicated control plane: the master replica that sent this broadcast
   /// and expects the reply.  Always 0 in single-master runs.
@@ -92,7 +91,8 @@ struct RedirectMsg {
 using Message = std::variant<BroadcastMsg, UpdateUploadMsg, EliminationMsg,
                              ShutdownMsg, RedirectMsg, CodecUploadMsg>;
 
-/// Serializes to a framed byte buffer: [u8 type][payload].
+/// Serializes to a framed byte buffer: [u8 type][payload], allocated at
+/// its exact size plus room for seal_frame's CRC.
 std::vector<std::byte> encode(const Message& msg);
 
 /// Parses a frame; throws std::runtime_error on unknown type or truncation.

@@ -584,6 +584,8 @@ struct Driver {
   std::vector<char> proposed_reply;  // per worker, current round
   std::vector<char> proposed_crash;
   std::uint64_t accepted = 0;  // replies accepted under this leadership
+  std::uint64_t frame_round = 0;  // the round `frame` broadcasts
+  std::vector<std::byte> frame;   // our sealed broadcast of frame_round
   util::Rng jitter{0};
   std::optional<Clock::time_point> finish_deadline;
 };
@@ -660,31 +662,26 @@ bool maybe_crash(Replica& self, Shared& sh, const Driver& drv) {
   return false;
 }
 
-/// Builds this round's broadcast frame from the replicated state.  Frame
-/// size is leader-independent (leader_id is fixed-width), which is what
-/// lets RoundStart carry the byte count all replicas account identically.
-std::vector<std::byte> make_broadcast(const Replica& self, const Shared& sh,
-                                      std::uint64_t t) {
-  BroadcastMsg bc;
-  bc.seq = static_cast<std::uint32_t>(t);  // replicated mode: seq == round
-  bc.iteration = t;
-  bc.leader_id = self.id;
-  bc.codec_id = sh.workers->codecs().id();
-  bc.codec_version = sh.workers->codecs().version();
-  bc.learning_rate =
-      static_cast<float>(sh.options->fl.learning_rate.at(t));
-  bc.global_params.assign(self.sm.committer.global().begin(),
-                          self.sm.committer.global().end());
-  bc.global_update.assign(self.sm.committer.estimate().begin(),
-                          self.sm.committer.estimate().end());
-  auto frame = encode(Message(bc));
-  seal_frame(frame);
-  return frame;
+/// This leadership's broadcast of round t, built once: the RoundStart
+/// proposal sizes it and every (re)transmission resends it.  Between the
+/// two the applied state holds still (x and ū move only at a RoundCommit),
+/// and a new leadership starts from a fresh Driver.  Frame size is
+/// leader-independent (leader_id is fixed-width), which is what lets
+/// RoundStart carry the byte count all replicas account identically.
+const std::vector<std::byte>& broadcast_frame(const Replica& self,
+                                              const Shared& sh, Driver& drv,
+                                              std::uint64_t t) {
+  if (drv.frame_round != t) {
+    drv.frame = make_broadcast(t, self.id, self.sm.committer, sh.options->fl,
+                               sh.workers->codecs());
+    drv.frame_round = t;
+  }
+  return drv.frame;
 }
 
-void send_broadcasts(Replica& self, Shared& sh,
+void send_broadcasts(Replica& self, Shared& sh, Driver& drv,
                      std::vector<FaultyChannel>& downlinks, bool original) {
-  const auto frame = make_broadcast(self, sh, self.sm.round);
+  const auto& frame = broadcast_frame(self, sh, drv, self.sm.round);
   for (std::size_t k = 0; k < sh.num_workers; ++k) {
     if (!self.sm.active[k] || self.sm.answered[k]) continue;
     if (original) {
@@ -772,7 +769,7 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
       drv.proposed_crash.assign(sh.num_workers, 0);
       // A leader that did not start this round is re-driving a predecessor's
       // round: its (re)broadcasts are recovery traffic, not originals.
-      send_broadcasts(self, sh, downlinks,
+      send_broadcasts(self, sh, drv, downlinks,
                       /*original=*/drv.started_round == t);
       if (bounded) drv.deadline = next_deadline(sh, drv);
       if (maybe_crash(self, sh, drv)) return DriveResult::kCrash;
@@ -799,7 +796,7 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
           }
           drv.deadline = Clock::now() + seconds_to_duration(3600.0);
         } else {
-          send_broadcasts(self, sh, downlinks, /*original=*/false);
+          send_broadcasts(self, sh, drv, downlinks, /*original=*/false);
           drv.deadline = next_deadline(sh, drv);
         }
       } else {
@@ -847,7 +844,7 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
     return DriveResult::kOk;
   }
   if (drv.started_round != t + 1) {
-    const auto frame = make_broadcast(self, sh, t + 1);
+    const auto& frame = broadcast_frame(self, sh, drv, t + 1);
     self.node.propose(encode_round_start(t + 1, frame.size()));
     drv.started_round = t + 1;
   }
@@ -875,7 +872,7 @@ DriveResult handle_frame(Replica& self, Shared& sh, Driver& drv,
     self.node.step(msg);
     return DriveResult::kOk;
   }
-  const std::optional<Reply> reply = read_reply(*payload, *sh.workers);
+  std::optional<Reply> reply = read_reply(*payload, *sh.workers);
   if (!reply) {
     sh.master_corrupt.fetch_add(1, std::memory_order_relaxed);
     return DriveResult::kOk;

@@ -17,8 +17,8 @@ void seal_frame(std::vector<std::byte>& frame) {
 
 std::optional<std::span<const std::byte>> try_open_frame(
     std::span<const std::byte> frame) noexcept {
-  if (frame.size() < 4) return std::nullopt;
-  const auto payload = frame.first(frame.size() - 4);
+  if (frame.size() < kSealBytes) return std::nullopt;
+  const auto payload = frame.first(frame.size() - kSealBytes);
   std::uint32_t stored = 0;
   for (int i = 3; i >= 0; --i) {
     stored = (stored << 8) |
@@ -30,7 +30,7 @@ std::optional<std::span<const std::byte>> try_open_frame(
 }
 
 std::span<const std::byte> open_frame(std::span<const std::byte> frame) {
-  if (frame.size() < 4) {
+  if (frame.size() < kSealBytes) {
     throw std::runtime_error("open_frame: frame shorter than its CRC");
   }
   if (const auto payload = try_open_frame(frame)) return *payload;

@@ -18,10 +18,15 @@
 namespace cmfl::net {
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte range — frame integrity for
-/// the cluster protocol.  Table-driven, computed lazily once per process.
+/// the cluster protocol.  util::crc32: a carry-less-multiply fold on CPUs
+/// with PCLMULQDQ, the table loop elsewhere, the same checksum either way.
 std::uint32_t crc32(std::span<const std::byte> data) noexcept;
 
-/// Appends a 4-byte CRC over `frame` (call after encode()).
+/// Bytes seal_frame appends.
+inline constexpr std::size_t kSealBytes = 4;
+
+/// Appends a 4-byte CRC over `frame` (call after encode(), which reserves
+/// room for it).
 void seal_frame(std::vector<std::byte>& frame);
 
 /// Verifies and strips the trailing CRC; throws std::runtime_error on
@@ -36,6 +41,11 @@ std::optional<std::span<const std::byte>> try_open_frame(
 
 class WireWriter {
  public:
+  WireWriter() = default;
+  /// Reserves `capacity` bytes up front: a frame written to a capacity
+  /// sized by WireSizer (plus its seal) never reallocates.
+  explicit WireWriter(std::size_t capacity) { buf_.reserve(capacity); }
+
   void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
   void u32(std::uint32_t v) { append(&v, sizeof(v)); }
   void u64(std::uint64_t v) { append(&v, sizeof(v)); }
@@ -64,6 +74,24 @@ class WireWriter {
   std::vector<std::byte> buf_;
 };
 
+/// Counts the bytes a WireWriter writes for the same calls, so a frame can
+/// be sized before it is written.
+class WireSizer {
+ public:
+  void u8(std::uint8_t) { n_ += 1; }
+  void u32(std::uint32_t) { n_ += 4; }
+  void u64(std::uint64_t) { n_ += 8; }
+  void f32(float) { n_ += 4; }
+  void f64(double) { n_ += 8; }
+  void floats(std::span<const float> v) { n_ += 8 + v.size() * sizeof(float); }
+  void bytes(std::span<const std::byte> v) { n_ += 8 + v.size(); }
+
+  std::size_t size() const noexcept { return n_; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
 /// Throws std::runtime_error on any attempt to read past the end — a
 /// truncated or corrupted frame must never be silently accepted.
 class WireReader {
@@ -84,7 +112,8 @@ class WireReader {
     }
     std::vector<float> out(n);
     auto bytes = take(n * sizeof(float));
-    std::memcpy(out.data(), bytes.data(), bytes.size());
+    // An empty vector's data() may be null, which memcpy must not receive.
+    if (n > 0) std::memcpy(out.data(), bytes.data(), bytes.size());
     return out;
   }
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "fl/checkpoint.h"
+#include "fl/round_commit.h"
 
 namespace cmfl::net {
 
@@ -79,6 +80,26 @@ CodecPlane::CodecPlane(const codec::CodecOptions& options,
   }
   id_ = codecs_.front()->id();
   version_ = codecs_.front()->version();
+}
+
+std::vector<std::byte> make_broadcast(std::uint64_t t, std::uint32_t leader_id,
+                                      const fl::RoundCommitter& committer,
+                                      const fl::SimulationOptions& options,
+                                      const CodecPlane& codecs) {
+  BroadcastMsg bc;
+  bc.seq = static_cast<std::uint32_t>(t);
+  bc.iteration = t;
+  bc.leader_id = leader_id;
+  bc.learning_rate = static_cast<float>(options.learning_rate.at(t));
+  bc.codec_id = codecs.id();
+  bc.codec_version = codecs.version();
+  bc.global_params.assign(committer.global().begin(),
+                          committer.global().end());
+  bc.global_update.assign(committer.estimate().begin(),
+                          committer.estimate().end());
+  auto frame = encode(Message(std::move(bc)));
+  seal_frame(frame);
+  return frame;
 }
 
 // ------------------------------------------------------------------ worker
@@ -294,11 +315,11 @@ std::optional<Reply> read_reply(std::span<const std::byte> payload,
   return reply;
 }
 
-std::vector<float> reply_update(const Reply& reply,
-                                codec::UpdateCodec* decoder, std::size_t dim) {
-  const auto* up = std::get_if<UpdateUploadMsg>(&reply.msg);
+std::vector<float> reply_update(Reply& reply, codec::UpdateCodec* decoder,
+                                std::size_t dim) {
+  auto* up = std::get_if<UpdateUploadMsg>(&reply.msg);
   std::vector<float> update =
-      up ? up->update
+      up ? std::move(up->update)
          : decoder->decode(std::get<CodecUploadMsg>(reply.msg).payload);
   if (update.size() != dim) {
     throw std::runtime_error("master: bad update size");

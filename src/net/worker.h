@@ -24,6 +24,10 @@
 #include "fl/client.h"
 #include "net/cluster.h"
 
+namespace cmfl::fl {
+class RoundCommitter;  // fl/round_commit.h
+}  // namespace cmfl::fl
+
 namespace cmfl::net {
 
 using Clock = std::chrono::steady_clock;
@@ -88,6 +92,17 @@ class CodecPlane {
   std::uint8_t id_ = 0;
   std::uint8_t version_ = 1;
 };
+
+/// Round t's broadcast, sealed, from master replica `leader_id` (0 on a
+/// single master): x_{t-1} and ū_{t-1} from `committer`, η_t from
+/// `options`, and the negotiated codec.  Its seq is t.  Both masters build
+/// every broadcast here, once per round, and resend the same bytes to every
+/// invited worker and on every retransmit: crash and quarantine exclusion
+/// are permanent, so all invited workers stand at the same round.
+std::vector<std::byte> make_broadcast(std::uint64_t t, std::uint32_t leader_id,
+                                      const fl::RoundCommitter& committer,
+                                      const fl::SimulationOptions& options,
+                                      const CodecPlane& codecs);
 
 /// Counters all workers of a run add to (relaxed atomics).
 struct WorkerStats {
@@ -199,11 +214,11 @@ struct Reply {
 std::optional<Reply> read_reply(std::span<const std::byte> payload,
                                 const WorkerGroup& workers);
 
-/// An upload reply's dense update: its own values, or its payload decoded
-/// by `decoder`.  The frame CRC vouched for transit, so a payload the codec
-/// rejects, or an update that does not hold `dim` floats, is a protocol
-/// error and propagates.
-std::vector<float> reply_update(const Reply& reply,
-                                codec::UpdateCodec* decoder, std::size_t dim);
+/// An upload reply's dense update: its own values, moved out of `reply`, or
+/// its payload decoded by `decoder`.  The frame CRC vouched for transit, so
+/// a payload the codec rejects, or an update that does not hold `dim`
+/// floats, is a protocol error and propagates.
+std::vector<float> reply_update(Reply& reply, codec::UpdateCodec* decoder,
+                                std::size_t dim);
 
 }  // namespace cmfl::net

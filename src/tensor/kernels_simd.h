@@ -34,12 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#if (defined(__x86_64__) || defined(__amd64__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define CMFL_SIMD_X86 1
-#else
-#define CMFL_SIMD_X86 0
-#endif
+#include "util/simd.h"
 
 namespace cmfl::tensor::simd {
 

@@ -16,6 +16,7 @@
 #include "fl/adversary.h"
 #include "fl/checkpoint.h"
 #include "fl/convex_testbed.h"
+#include "fl/round_commit.h"
 #include "fl/simulation.h"
 #include "fl/workloads.h"
 #include "net/cluster.h"
@@ -876,6 +877,47 @@ TEST(FlCluster, LostOverSelectRacesAreNotCrashEvidence) {
   EXPECT_GE(r.faults.max_staleness_per_client[3], 1u);
 }
 
+
+TEST(Broadcast, SealsTheCommittedRoundStateWithSeqEqualToRound) {
+  // Both masters build a round's broadcast through make_broadcast: the
+  // committer's x and ū, η_t, the negotiated codec, and seq == round.
+  fl::SimulationOptions fl_options;
+  fl_options.learning_rate = core::Schedule::inv_sqrt(0.2);
+  fl_options.max_iterations = 10;
+  fl_options.eval_every = 100;
+  fl::RoundCommitter committer(fl_options, 2, {1.0f, 2.0f, 3.0f, 4.0f});
+  const std::vector<float> update = {0.5f, -0.25f, 0.0f, 1.0f};
+  fl::RoundUploads uploads;
+  uploads.add(0, update, 10, 0);
+  committer.record_upload(0, 0);
+  fl::IterationRecord rec;
+  rec.iteration = 1;
+  rec.uploads = 1;
+  rec.participants = 1;
+  committer.commit(rec, uploads,
+                   [](std::span<const float>) { return nn::EvalResult{}; });
+  ASSERT_NE(committer.estimate()[0], 0.0f);
+  codec::CodecOptions sign;
+  sign.spec = "sign";
+  const CodecPlane codecs(sign, 2);
+
+  const std::vector<std::byte> frame =
+      make_broadcast(2, /*leader_id=*/1, committer, fl_options, codecs);
+  const auto bc = std::get<BroadcastMsg>(decode(open_frame(frame)));
+  EXPECT_EQ(bc.seq, 2u);
+  EXPECT_EQ(bc.iteration, 2u);
+  EXPECT_EQ(bc.leader_id, 1u);
+  EXPECT_EQ(bc.learning_rate,
+            static_cast<float>(fl_options.learning_rate.at(2)));
+  EXPECT_EQ(bc.codec_id, codecs.id());
+  EXPECT_EQ(bc.codec_version, codecs.version());
+  EXPECT_TRUE(std::ranges::equal(bc.global_params, committer.global()));
+  EXPECT_TRUE(std::ranges::equal(bc.global_update, committer.estimate()));
+  // The frame is the sealed encoding of that message, byte for byte.
+  auto expected = encode(Message(bc));
+  seal_frame(expected);
+  EXPECT_TRUE(frame == expected);
+}
 
 TEST(Worker, AnswersEachRoundOnceAndResendsItsCachedReply) {
   // One worker driven through its inbox with hand-built frames, served on

@@ -32,6 +32,18 @@ TEST(Wire, FloatArrayRoundTrip) {
   EXPECT_EQ(r.floats(), data);
 }
 
+TEST(Wire, EmptyFloatArrayRoundTrip) {
+  WireWriter w;
+  w.floats({});
+  w.u8(7);
+  const auto buf = w.take();
+  EXPECT_EQ(buf.size(), 9u);
+  WireReader r(buf);
+  EXPECT_TRUE(r.floats().empty());
+  EXPECT_EQ(r.u8(), 7);
+  EXPECT_TRUE(r.done());
+}
+
 TEST(Wire, TruncatedReadThrows) {
   WireWriter w;
   w.u32(42);
@@ -142,6 +154,19 @@ TEST(Crc32, EmptyIsZero) {
   EXPECT_EQ(crc32({}), 0u);
 }
 
+/// The sealed frames the integrity tests corrupt: a 29-byte elimination
+/// frame, below the 64 bytes the folded CRC path starts at, and a
+/// 4,133-byte upload frame of 1,024 floats, most of which the fold checks.
+std::vector<std::vector<std::byte>> sealed_frames() {
+  auto small = encode(Message(EliminationMsg{7, 11, 2, 0.9}));
+  seal_frame(small);
+  UpdateUploadMsg up{7, 11, 2, {}, 0.9};
+  for (int i = 0; i < 1024; ++i) up.update.push_back(0.01f * (i % 97) - 0.5f);
+  auto large = encode(Message(up));
+  seal_frame(large);
+  return {small, large};
+}
+
 TEST(FrameSeal, RoundTrip) {
   auto frame = encode(Message(EliminationMsg{1, 3, 5, 0.4}));
   const std::size_t unsealed = frame.size();
@@ -182,30 +207,45 @@ TEST(FrameSeal, EverySingleBitFlipRejected) {
   // CRC-32 detects all single-bit errors, so flipping any one bit anywhere
   // in a sealed frame — payload or CRC — must make try_open_frame fail.
   // This is exactly the fault FaultyChannel's corrupt_prob injects.
-  auto sealed = encode(Message(EliminationMsg{7, 11, 2, 0.9}));
-  seal_frame(sealed);
-  for (std::size_t pos = 0; pos < sealed.size(); ++pos) {
-    for (unsigned bit = 0; bit < 8; ++bit) {
-      auto flipped = sealed;
-      flipped[pos] ^= static_cast<std::byte>(1u << bit);
-      EXPECT_FALSE(try_open_frame(flipped).has_value())
-          << "single-bit flip at byte " << pos << " bit " << bit
-          << " was not detected";
+  for (const auto& sealed : sealed_frames()) {
+    auto flipped = sealed;
+    for (std::size_t pos = 0; pos < sealed.size(); ++pos) {
+      for (unsigned bit = 0; bit < 8; ++bit) {
+        const auto mask = static_cast<std::byte>(1u << bit);
+        flipped[pos] ^= mask;
+        EXPECT_FALSE(try_open_frame(flipped).has_value())
+            << "single-bit flip at byte " << pos << " bit " << bit << " of a "
+            << sealed.size() << "-byte frame was not detected";
+        flipped[pos] ^= mask;
+      }
     }
   }
 }
 
 TEST(FrameSeal, EveryTruncationIsRejected) {
-  auto sealed = encode(Message(EliminationMsg{7, 11, 2, 0.9}));
-  seal_frame(sealed);
   // Every strict prefix must be rejected: either too short to carry a CRC,
   // or carrying a CRC that no longer matches the shortened payload.
-  for (std::size_t len = 0; len < sealed.size(); ++len) {
-    const std::span<const std::byte> prefix(sealed.data(), len);
-    EXPECT_FALSE(try_open_frame(prefix).has_value())
-        << "truncation to " << len << " bytes was not detected";
+  for (const auto& sealed : sealed_frames()) {
+    for (std::size_t len = 0; len < sealed.size(); ++len) {
+      const std::span<const std::byte> prefix(sealed.data(), len);
+      EXPECT_FALSE(try_open_frame(prefix).has_value())
+          << "truncation of a " << sealed.size() << "-byte frame to " << len
+          << " bytes was not detected";
+    }
+    EXPECT_TRUE(try_open_frame(sealed).has_value());
   }
-  EXPECT_TRUE(try_open_frame(sealed).has_value());
+}
+
+TEST(FrameSeal, EncodeLeavesRoomForTheSeal) {
+  // encode() allocates the frame with room for its CRC, so sealing a
+  // megabyte frame neither reallocates nor copies it.
+  UpdateUploadMsg up;
+  up.update.assign(1 << 18, 0.25f);
+  auto frame = encode(Message(up));
+  const std::byte* before = frame.data();
+  seal_frame(frame);
+  EXPECT_EQ(frame.data(), before);
+  EXPECT_EQ(open_frame(frame).size() + kSealBytes, frame.size());
 }
 
 TEST(FrameSeal, DuplicatedTrailingCrcRejected) {

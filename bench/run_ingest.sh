@@ -3,7 +3,8 @@
 # repo root from a Release build, verifies the S=8 scaling acceptance gate,
 # then re-runs the `ingest`-labeled test suite (sharded aggregator
 # bit-identity, work-stealing pool, concurrent warm-pool LRU, engine and
-# cluster sharding) under ThreadSanitizer and under ASan+UBSan.
+# cluster sharding, the simulation's parallel training) under
+# ThreadSanitizer and under ASan+UBSan.
 #
 #   bench/run_ingest.sh [build_dir] [--benchmark_* flags...]
 #
@@ -94,7 +95,7 @@ cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMFL_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j --target \
       test_fl_shard test_sched_work_pool test_sched_population \
-      test_sched_round_engine
+      test_sched_round_engine test_fl_simulation
 (cd "$TSAN_DIR" && ctest -L ingest --output-on-failure)
 echo "TSan ingest gates passed"
 
@@ -104,6 +105,6 @@ cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMFL_SANITIZE=address,undefined
 cmake --build "$ASAN_DIR" -j --target \
       test_fl_shard test_sched_work_pool test_sched_population \
-      test_sched_round_engine
+      test_sched_round_engine test_fl_simulation
 (cd "$ASAN_DIR" && ctest -L ingest --output-on-failure)
 echo "ASan+UBSan ingest gates passed"

@@ -18,7 +18,9 @@ constexpr std::array<char, 4> kMagic = {'C', 'M', 'C', 'K'};
 // sparse per-device codec-state map.
 // v4: SchedulerCheckpoint gained the sharded-aggregator ingest counters
 // (shard_stats).
-constexpr std::uint32_t kVersion = 4;
+// v5: TrainerCheckpoint lost server_rng: FederatedSimulation runs on
+// sched::RoundEngine and writes the engine's scheduler block.
+constexpr std::uint32_t kVersion = 5;
 
 void put_u64_vec(net::WireWriter& w, std::span<const std::uint64_t> v) {
   w.u64(v.size());
@@ -89,7 +91,6 @@ std::vector<std::byte> encode_checkpoint(const TrainerCheckpoint& ck) {
   for (const auto& rec : ck.history) put_record(w, rec);
   put_u64_vec(w, ck.eliminations_per_client);
   put_u64_vec(w, ck.uploads_per_client);
-  put_u64_vec(w, ck.server_rng);
 
   w.u64(ck.validation.rejected_nonfinite);
   w.u64(ck.validation.rejected_norm);
@@ -174,7 +175,6 @@ TrainerCheckpoint decode_checkpoint(std::span<const std::byte> payload) {
   }
   ck.eliminations_per_client = get_u64_vec(r);
   ck.uploads_per_client = get_u64_vec(r);
-  ck.server_rng = get_u64_vec(r);
 
   ck.validation.rejected_nonfinite = r.u64();
   ck.validation.rejected_norm = r.u64();

@@ -4,13 +4,13 @@
 // continue as if it had never stopped: global model parameters, the
 // estimator feedback loop (ū and its observed flag), the previous global
 // update (ΔUpdate bookkeeping), progress counters, the full per-iteration
-// history recorded so far, the server RNG stream, validation/quarantine
-// state, every client's stochastic state (batch-shuffle / noise / attack
-// RNGs), per-client codec state (quantization RNG streams, error-feedback
-// residuals, codebook caches), and — for cluster runs —
-// the ByteMeter/message counters and footprint curve.  The threshold and
-// learning-rate schedules are pure functions of the iteration index, so
-// saving `iteration` captures their state exactly.
+// history recorded so far, validation/quarantine state, every client's
+// stochastic state (batch-shuffle / noise / attack RNGs), per-client codec
+// state (quantization RNG streams, error-feedback residuals, codebook
+// caches), and — for cluster runs — the ByteMeter/message counters and
+// footprint curve.  The threshold and learning-rate schedules are pure
+// functions of the iteration index, so saving `iteration` captures their
+// state exactly.
 //
 // The tested invariant (see tests/test_fl_checkpoint.cpp): checkpoint at
 // iteration k, destroy the trainer, rebuild the workload from its spec,
@@ -87,8 +87,9 @@ struct SchedInFlightReport {
 /// the engine RNG and virtual clock, the sparse population device-state
 /// map (sched::Population::state_words), the in-flight report queue of a
 /// buffered-async run, and the schedule counters the final report
-/// accumulates.  `engaged == 0` for plain simulation / cluster checkpoints
-/// (all fields then empty).
+/// accumulates.  `engaged == 1` for every in-process checkpoint — the
+/// engine's and FederatedSimulation's, which runs on the engine — and 0 for
+/// cluster checkpoints (all fields then empty).
 struct SchedulerCheckpoint {
   std::uint8_t engaged = 0;
   std::uint64_t version = 0;        // async: aggregations applied so far
@@ -136,17 +137,12 @@ struct TrainerCheckpoint {
   std::vector<std::uint64_t> eliminations_per_client;
   std::vector<std::uint64_t> uploads_per_client;
 
-  // Server-side randomness (client sampling).
-  std::vector<std::uint64_t> server_rng;
-
   // Validation counters and quarantine state.
   ValidationReport validation;
 
-  // Opaque per-client stochastic state (FlClient::mutable_state) and
-  // per-client codec state (codec::UpdateCodec::mutable_state — RNG
-  // streams, error-feedback residuals, codebook caches).  Cluster runs
-  // fill compressor_state from their per-worker codecs at quiesced
-  // checkpoint points.
+  // Cluster runs: per-worker FlClient::mutable_state and codec state
+  // (codec::UpdateCodec::mutable_state), filled at quiesced checkpoint
+  // points.  In-process runs keep both in `sched` instead.
   std::vector<std::vector<std::uint64_t>> client_state;
   std::vector<std::vector<std::uint64_t>> compressor_state;
 

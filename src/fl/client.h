@@ -4,8 +4,9 @@
 // local epochs, read back the trained parameters.  fl::local_update (below)
 // is the one client step of Algorithm 1 built on it: it forms the update
 // (trained − global) and asks the upload filter about it, mirroring the
-// algorithm's split between LocalUpdate and CheckRelevance.  The
-// simulation, sched::RoundEngine and the cluster workers all call it.
+// algorithm's split between LocalUpdate and CheckRelevance.
+// sched::RoundEngine (and through it FederatedSimulation) and the cluster
+// workers call it.
 #pragma once
 
 #include <cstddef>
@@ -46,8 +47,8 @@ class FlClient {
   /// batches for the learning clients, gradient steps for the convex one).
   /// A process-lifetime observation, deliberately excluded from
   /// mutable_state(): it exists so tests can assert that unsampled clients
-  /// did no local work (the lazy-participation contract of the simulation
-  /// and the scheduler), not to survive checkpoints.
+  /// did no local work (the lazy-participation contract of the round
+  /// engine, which the simulation runs on), not to survive checkpoints.
   virtual std::uint64_t lifetime_steps() const { return 0; }
 
   /// Mutable stochastic state (batch-shuffle / noise RNG streams) as opaque

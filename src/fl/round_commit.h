@@ -1,21 +1,22 @@
 // The server's commit step (paper Algorithm 1, lines 7–9), written once for
 // every round runtime.
 //
-// FederatedSimulation, sched::RoundEngine, net::FlCluster and the
-// replicated master's state machine all close a round the same way: screen
-// the received updates (fl::UpdateValidator), aggregate the accepted ones
-// into ū_t, apply x_t = x_{t-1} + ū_t, record ΔUpdate (Eq. 8) and feed ū_t
-// to the estimator that the next round's relevance check (Eq. 9) compares
-// against; then evaluate, apply the finite-loss target-stop rule and
-// append the round to the history.  RoundCommitter owns that committed
-// server state and performs the step.  Screening scalars and aggregation
-// always run through fl::ShardedAggregator — the only aggregation path —
-// on max(1, sharding.shards) shards, bit-identical at any shard count.
+// The three round loops — sched::RoundEngine (which FederatedSimulation
+// runs on), net::FlCluster and the replicated master's state machine — all
+// close a round the same way: screen the received updates
+// (fl::UpdateValidator), aggregate the accepted ones into ū_t, apply
+// x_t = x_{t-1} + ū_t, record ΔUpdate (Eq. 8) and feed ū_t to the estimator
+// that the next round's relevance check (Eq. 9) compares against; then
+// evaluate, apply the finite-loss target-stop rule and append the round to
+// the history.  RoundCommitter owns that committed server state and
+// performs the step.  Screening scalars and aggregation always run through
+// fl::ShardedAggregator — the only aggregation path — on
+// max(1, sharding.shards) shards, bit-identical at any shard count.
 //
-// Each runtime keeps what is its own: cohort choice, min_uploads forcing,
-// codecs and byte accounting, its wire protocol, and its own checkpoint
-// blocks.  Training and the filter call are the shared client step,
-// fl::local_update (fl/client.h).  See DESIGN.md §18 and §19.
+// Each round loop keeps what is its own: cohort choice, min_uploads
+// forcing, codecs and byte accounting, its wire protocol, and its own
+// checkpoint blocks.  Training and the filter call are the shared client
+// step, fl::local_update (fl/client.h).  See DESIGN.md §18 and §19.
 #pragma once
 
 #include <cstddef>
@@ -79,6 +80,11 @@ class RoundCommitter {
   }
   bool quarantined(std::size_t client) const {
     return validator_.quarantined(client);
+  }
+  /// True once the validator has quarantined every client.
+  bool all_quarantined() const {
+    return validator_.report().quarantined_count() ==
+           result_.uploads_per_client.size();
   }
   const std::vector<IterationRecord>& history() const noexcept {
     return result_.history;

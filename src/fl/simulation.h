@@ -8,6 +8,10 @@
 // Eq. 4), filter scores (Fig. 2), ΔUpdate (Fig. 3), per-client elimination
 // counts (Fig. 6), and periodic test accuracy (Figs. 4, 5, 7).
 //
+// FederatedSimulation is a front end over sched::RoundEngine's kSync path,
+// run on an always-available sched::Population of the clients it owns
+// (DESIGN.md §11).
+//
 // Runs can checkpoint their full state every `checkpoint_every` iterations
 // (fl/checkpoint.h) and later resume() bit-identically — the resumed
 // trajectory matches the uninterrupted one exactly.
@@ -21,7 +25,6 @@
 #include <vector>
 
 #include "codec/codec.h"
-#include "core/estimator.h"
 #include "core/filter.h"
 #include "core/threshold.h"
 #include "fl/client.h"
@@ -29,7 +32,11 @@
 #include "fl/shard.h"
 #include "nn/model.h"
 #include "sched/schedule.h"
-#include "util/thread_pool.h"
+
+namespace cmfl::sched {
+class Population;   // sched/population.h
+class RoundEngine;  // sched/round_engine.h
+}  // namespace cmfl::sched
 
 namespace cmfl::fl {
 
@@ -58,8 +65,9 @@ struct SimulationOptions {
   double estimator_ema = 0.0;
   /// Train clients in parallel (deterministic either way).
   bool parallel = true;
-  /// Capture every client's post-training local parameters at the end of
-  /// the run (needed for the normalized-model-divergence analysis, Fig. 1).
+  /// Capture every client's local parameters (get_params) at the end of the
+  /// run, for the normalized-model-divergence analysis (Fig. 1).
+  /// FederatedSimulation only; sched::RoundEngine rejects it.
   bool capture_client_params = false;
   /// Update codec applied to *uploaded* updates (see codec/codec.h for the
   /// spec grammar: "dense", "sign[:<chunk>]", "quant:<bits>",
@@ -75,16 +83,16 @@ struct SimulationOptions {
   /// non-finite updates and quarantine repeat offenders — non-finite values
   /// must never reach the model.
   ValidationPolicy validation;
-  /// FedAvg's C: the fraction of clients sampled to participate each round
-  /// (1.0 = full participation, the paper's synchronous scheme).
-  /// Non-participants neither train nor count as communication.
+  /// FedAvg's C: the fraction of clients sampled to participate each round,
+  /// in (0, 1] (1.0 = full participation, the paper's synchronous scheme).
+  /// FederatedSimulation draws a cohort of max(1, ⌊C·n⌋) through the
+  /// engine's schedule.sample_size; non-participants neither train nor count
+  /// as communication.  sched::RoundEngine itself ignores it.
   double participation = 1.0;
-  /// Scheduling policy (src/sched).  FederatedSimulation itself honours
-  /// only schedule.sample_size (an absolute per-round cohort size that
-  /// overrides the fractional `participation` when positive) and requires
-  /// schedule.mode == kSync; over-selection deadlines, availability churn
-  /// and buffered-async rounds run through sched::RoundEngine, which takes
-  /// the full SimulationOptions including this field.
+  /// Scheduling policy (src/sched), read by sched::RoundEngine.
+  /// FederatedSimulation requires mode == kSync and honours sample_size, an
+  /// absolute cohort size that overrides `participation` when positive
+  /// (≥ the client count is full participation).
   sched::ScheduleOptions schedule;
   /// Sharded parameter-server aggregation (fl/shard.h).  Every runtime
   /// screens and aggregates uploads through fl::RoundCommitter on
@@ -93,7 +101,7 @@ struct SimulationOptions {
   /// bit-identical at any shard count.  The replicated cluster accepts only
   /// shards <= 1 (DESIGN.md §17).
   ShardOptions sharding;
-  /// Seed for server-side randomness (client sampling).
+  /// Seed for server-side randomness (the engine's cohort sampler).
   std::uint64_t seed = 1234;
   /// Write a crash-consistent checkpoint to `checkpoint_path` every
   /// `checkpoint_every` completed iterations (0 disables).  Each write
@@ -163,9 +171,6 @@ struct SimulationResult {
   /// std::nullopt if never reached.
   std::optional<std::size_t> rounds_to_accuracy(double a) const;
 
-  /// Iteration index when accuracy first reached `a`.
-  std::optional<std::size_t> iterations_to_accuracy(double a) const;
-
   /// Cumulative uplink bytes when test accuracy first reached `a` (the
   /// byte-valued analogue of rounds_to_accuracy); std::nullopt if never
   /// reached.
@@ -183,6 +188,7 @@ class FederatedSimulation {
                       std::unique_ptr<core::UpdateFilter> filter,
                       GlobalEvaluator evaluator,
                       const SimulationOptions& options);
+  ~FederatedSimulation();
 
   /// Initializes the global model from client 0's current parameters (all
   /// clients are then synchronized on the first broadcast).
@@ -194,20 +200,22 @@ class FederatedSimulation {
   /// state (model, estimator, RNG streams, counters, history), so the
   /// resumed trajectory is bit-identical to the uninterrupted one.  Throws
   /// std::invalid_argument when the checkpoint does not fit this simulation
-  /// (dimension or client-count mismatch).
+  /// (dimension or client-count mismatch, or not an engine checkpoint).
   SimulationResult resume(const TrainerCheckpoint& checkpoint);
 
   std::size_t client_count() const noexcept { return clients_.size(); }
   std::size_t param_count() const noexcept { return dim_; }
 
  private:
-  SimulationResult run_internal(const TrainerCheckpoint* resume_from);
+  /// Adds the clients' local models when capture_client_params is set.
+  SimulationResult finish(SimulationResult result);
 
   std::vector<std::unique_ptr<FlClient>> clients_;
-  std::unique_ptr<core::UpdateFilter> filter_;
-  GlobalEvaluator evaluator_;
-  SimulationOptions options_;
-  std::size_t dim_;
+  bool capture_client_params_ = false;
+  std::size_t dim_ = 0;
+  // The population hands the engine non-owning handles to clients_.
+  std::unique_ptr<sched::Population> population_;
+  std::unique_ptr<sched::RoundEngine> engine_;
 };
 
 }  // namespace cmfl::fl

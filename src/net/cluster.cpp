@@ -200,7 +200,7 @@ ClusterResult FlCluster::run_internal(
     return FaultyChannel(master_inbox, options_.fault.uplink_for(k),
                          options_.fault.link_rng(k, /*is_uplink=*/true),
                          &fault_stats);
-  });
+  }, [&] { master_inbox.close(); });
 
   // --- Master loop (Algorithm 1 GlobalOptimization over the wire) ---
   const RecoveryOptions& rec_opt = options_.recovery;
@@ -322,10 +322,14 @@ ClusterResult FlCluster::run_internal(
           const auto now = Clock::now();
           if (now >= deadline) break;
           reply_frame = master_inbox.recv_for(deadline - now);
-          if (!reply_frame) break;  // deadline expired
+          if (!reply_frame) {
+            workers.rethrow_error();  // closed by a failed worker
+            break;                    // deadline expired
+          }
         } else {
           reply_frame = master_inbox.recv();
           if (!reply_frame) {
+            workers.rethrow_error();
             throw std::runtime_error("FlCluster: master inbox closed early");
           }
         }
@@ -492,6 +496,7 @@ ClusterResult FlCluster::run_internal(
   }
 
   workers.stop();
+  workers.rethrow_error();
 
   for (const fl::ShardStats& shard : committer.aggregator().stats()) {
     result.shard_uplink_bytes.push_back(shard.bytes);

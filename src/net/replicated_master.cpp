@@ -1133,11 +1133,12 @@ ClusterResult run_replicated_cluster(
         replicas[r]->inbox, options.fault.uplink_for(k),
         options.fault.replica_link_rng(r, k, /*is_uplink=*/true),
         &fault_stats);
-  });
+  }, [&] { sh.done.store(true, std::memory_order_release); });
 
   for (auto& t : replica_threads) t.join();
   workers.stop();
   if (sh.error) std::rethrow_exception(sh.error);
+  workers.rethrow_error();
 
   const int fid = sh.finished_replica.load(std::memory_order_acquire);
   if (fid < 0) {

@@ -253,22 +253,36 @@ std::vector<std::vector<std::uint64_t>> WorkerGroup::codec_states() const {
 
 void WorkerGroup::start(
     std::uint32_t replicas,
-    const std::function<FaultyChannel(std::size_t, std::uint32_t)>& uplink) {
+    const std::function<FaultyChannel(std::size_t, std::uint32_t)>& uplink,
+    std::function<void()> wake) {
   uplink_ = uplink;
   replicas_ = replicas;
   threads_.reserve(size());
   for (std::size_t k = 0; k < size(); ++k) {
-    threads_.emplace_back([this, k] {
+    threads_.emplace_back([this, k, wake] {
       // A worker allocates its uplinks and buffers on its own thread: which
       // thread allocates what moves glibc's arena layout, and with it the
       // round time of MB-sized frames (DESIGN.md §19).
-      std::vector<FaultyChannel> links;
-      for (std::uint32_t r = 0; r < replicas_; ++r) {
-        links.push_back(uplink_(k, r));
+      try {
+        std::vector<FaultyChannel> links;
+        for (std::uint32_t r = 0; r < replicas_; ++r) {
+          links.push_back(uplink_(k, r));
+        }
+        Worker(*this, k, std::move(links)).serve();
+      } catch (...) {  // a protocol error ends the run, not the process
+        {
+          const std::lock_guard<std::mutex> lock(error_mutex_);
+          if (!error_) error_ = std::current_exception();
+        }
+        wake();
       }
-      Worker(*this, k, std::move(links)).serve();
     });
   }
+}
+
+void WorkerGroup::rethrow_error() const {
+  const std::lock_guard<std::mutex> lock(error_mutex_);
+  if (error_) std::rethrow_exception(error_);
 }
 
 void WorkerGroup::stop() {

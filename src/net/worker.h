@@ -12,8 +12,10 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <thread>
@@ -147,14 +149,21 @@ class WorkerGroup {
   std::vector<std::vector<std::uint64_t>> codec_states() const;
 
   /// Starts one thread per worker k, whose uplink to master replica
-  /// r < `replicas` is `uplink(k, r)`.
+  /// r < `replicas` is `uplink(k, r)`.  A worker thread that throws keeps
+  /// the first error for rethrow_error() and calls `wake`, which must wake
+  /// whichever master is waiting for replies.
   void start(std::uint32_t replicas,
              const std::function<FaultyChannel(std::size_t, std::uint32_t)>&
-                 uplink);
+                 uplink,
+             std::function<void()> wake);
 
   /// Sends each worker a Shutdown frame outside fault injection (so it
-  /// always arrives) and joins the threads.  Idempotent.
+  /// always arrives) and joins the threads.  Idempotent; never throws a
+  /// worker's error.
   void stop();
+
+  /// Rethrows the first error a worker thread raised, if any.
+  void rethrow_error() const;
 
  private:
   friend class Worker;
@@ -168,6 +177,8 @@ class WorkerGroup {
   WorkerStats stats_;
   std::function<FaultyChannel(std::size_t, std::uint32_t)> uplink_;
   std::uint32_t replicas_ = 0;
+  mutable std::mutex error_mutex_;
+  std::exception_ptr error_;
   std::vector<std::thread> threads_;
 };
 

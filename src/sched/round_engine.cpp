@@ -191,12 +191,9 @@ EngineResult RoundEngine::run_internal(
       codec_for(ctx, ck.sched.codec_devices[i])
           .restore_mutable_state(ck.sched.codec_state[i]);
     }
-    // Checkpoints from runs without an aggregator carry no shard stats; a
-    // present word count must match this run's shard count, so a resume
-    // under a different one fails loudly instead of mis-merging.
-    if (!ck.sched.shard_stats.empty()) {
-      ctx.committer.aggregator().restore_stats_words(ck.sched.shard_stats);
-    }
+    // The word count must match this run's shard count, so a resume under
+    // a different one fails loudly instead of mis-merging.
+    ctx.committer.aggregator().restore_stats_words(ck.sched.shard_stats);
     ctx.start_round = ck.iteration + 1;
   }
 
@@ -309,6 +306,8 @@ void RoundEngine::run_sync_rounds(Ctx& ctx) {
       invited = population_.sample(t, sch.sample_size, sch.selection,
                                    ctx.engine_rng, quarantined);
     }
+    // Every device quarantined: there is nobody left to train.
+    if (invited.empty() && ctx.committer.all_quarantined()) break;
 
     // kUniform selection may waste invitations on offline devices; the
     // availability-aware policy never does (nor does it waste the seq —

@@ -1,12 +1,14 @@
 // The device-population round runtime: Algorithm 1 re-hosted on a
 // sched::Population, with production-scale round semantics.
 //
-// RoundEngine sits between the workloads and the trainer layer: where
-// fl::FederatedSimulation drives a fixed vector of always-on clients, the
-// engine drives a (possibly 100k+) population of churning virtual devices
-// through one of three round modes (sched::RoundMode):
+// RoundEngine is the one in-process round loop.  It drives a (possibly
+// 100k+) population of churning virtual devices through one of three round
+// modes (sched::RoundMode); fl::FederatedSimulation is a front end that
+// runs its fixed vector of always-on clients through the kSync path:
 //
-//   * kSync        — classic synchronous rounds over a sampled cohort.
+//   * kSync        — classic synchronous rounds over a sampled cohort (all
+//                    unquarantined devices when sample_size is 0); the run
+//                    ends early once every device is quarantined.
 //   * kOverSelect  — invite more than needed, commit on the first K
 //                    reporters (virtual-latency order, optional deadline),
 //                    discard stragglers — the round shape production FL
@@ -74,23 +76,23 @@ struct EngineResult {
 class RoundEngine {
  public:
   /// `population` must outlive the engine and have no acquired clients.
-  /// The filter decides uploads exactly as in FederatedSimulation; the
-  /// evaluator runs the server-side test pass.  Updates cross the virtual
-  /// wire through the configured codec (options.codec): per-device codec
-  /// objects are materialized lazily on a device's first upload, every
-  /// encode/decode runs on the engine thread (bytes and codec streams are
-  /// therefore independent of the thread count), and the sparse per-device
-  /// codec state is checkpointed so resume stays bit-identical in all
-  /// three round modes.
+  /// The filter decides uploads; the evaluator runs the server-side test
+  /// pass.  Updates cross the virtual wire through the configured codec
+  /// (options.codec): per-device codec objects are materialized lazily on
+  /// a device's first upload, every encode/decode runs on the engine
+  /// thread (bytes and codec streams are therefore independent of the
+  /// thread count), and the sparse per-device codec state is checkpointed
+  /// so resume stays bit-identical in all three round modes.
   ///
   /// Honoured SimulationOptions fields: local_epochs, batch_size,
   /// learning_rate, max_iterations (rounds in sync/over-select mode,
   /// aggregations in async mode), target_accuracy, eval_every, min_uploads
   /// (sync/over-select), estimator_ema, parallel, codec, aggregation /
   /// robust_aggregation / validation, seed, checkpoint_every /
-  /// checkpoint_path, and `schedule` — everything else is either
-  /// per-client (participation: superseded by schedule.sample_size) or
-  /// unsupported here (capture_client_params).
+  /// checkpoint_path, and `schedule`.  `participation` is ignored (the
+  /// cohort size is schedule.sample_size; FederatedSimulation converts C
+  /// into it), and capture_client_params is rejected (FederatedSimulation
+  /// reads its own clients after the run).
   RoundEngine(Population& population,
               std::unique_ptr<core::UpdateFilter> filter,
               fl::GlobalEvaluator evaluator,

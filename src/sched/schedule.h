@@ -2,10 +2,10 @@
 //
 // This header is pure data — enums and an options struct with no
 // dependencies beyond the standard library — so fl/simulation.h can embed a
-// ScheduleOptions in SimulationOptions without linking the sched library.
-// The machinery that interprets these options (sched::Population,
-// sched::RoundEngine) lives in the cmfl_sched library, which links cmfl_fl,
-// not the other way around.  See DESIGN.md §11.
+// ScheduleOptions in SimulationOptions without including the engine.  The
+// machinery that interprets these options (sched::Population,
+// sched::RoundEngine) builds into the cmfl_fl library, since
+// fl::FederatedSimulation runs on the engine.  See DESIGN.md §11.
 #pragma once
 
 #include <cstddef>
@@ -48,8 +48,9 @@ struct ScheduleOptions {
   /// concurrently (kBufferedAsync).  0 = every device (kSync only; the
   /// other modes need an explicit cohort size).
   ///
-  /// Also honoured by fl::FederatedSimulation as an absolute-count
-  /// alternative to the fractional SimulationOptions::participation.
+  /// fl::FederatedSimulation fills it from SimulationOptions::participation
+  /// when it is 0, and runs a value ≥ its client count at full
+  /// participation.
   std::size_t sample_size = 0;
 
   /// kOverSelect: commit the round once this many reports arrived; the
@@ -132,10 +133,6 @@ inline RoundMode parse_round_mode(const std::string& name) {
   if (name == "async") return RoundMode::kBufferedAsync;
   throw std::invalid_argument("parse_round_mode: unknown mode '" + name +
                               "' (sync | overselect | async)");
-}
-
-inline std::string selection_name(Selection s) {
-  return s == Selection::kUniform ? "uniform" : "available";
 }
 
 inline Selection parse_selection(const std::string& name) {

@@ -49,7 +49,6 @@ TrainerCheckpoint sample_checkpoint() {
   ck.history = {evaluated, unevaluated};
   ck.eliminations_per_client = {3, 0, 12};
   ck.uploads_per_client = {39, 42, 30};
-  ck.server_rng = {1, 2, 3, 4};
   ck.validation.rejected_nonfinite = 5;
   ck.validation.rejected_norm = 2;
   ck.validation.discarded_quarantined = 1;
@@ -116,7 +115,6 @@ void expect_checkpoints_equal(const TrainerCheckpoint& a,
   }
   EXPECT_EQ(a.eliminations_per_client, b.eliminations_per_client);
   EXPECT_EQ(a.uploads_per_client, b.uploads_per_client);
-  EXPECT_EQ(a.server_rng, b.server_rng);
   EXPECT_EQ(a.validation, b.validation);
   EXPECT_EQ(a.client_state, b.client_state);
   EXPECT_EQ(a.compressor_state, b.compressor_state);
@@ -328,7 +326,6 @@ TEST(CheckpointResume, MismatchedCheckpointIsRejected) {
   wrong_clients.iteration = 1;
   wrong_clients.global_params.assign(8, 0.0f);
   wrong_clients.estimator_estimate.assign(8, 0.0f);
-  wrong_clients.server_rng = {1, 2, 3, 4};
   wrong_clients.client_state.resize(3);      // 3 states for 4 clients
   wrong_clients.compressor_state.resize(3);
   wrong_clients.eliminations_per_client.resize(3);

@@ -5,7 +5,9 @@
 // aggregation rule.  One garbage-sending Byzantine client and a relative
 // norm bound make screening reject updates and quarantine the sender, so
 // the validator's verdicts, strikes and quarantine are part of what must
-// agree.
+// agree.  All four also agree on each round's participant count and the
+// bits of its mean score; the two in-process runtimes agree on the whole
+// record, training loss included (a cluster reply carries no loss).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,6 +18,7 @@
 
 #include "core/filter.h"
 #include "fl/adversary.h"
+#include "fl/checkpoint.h"
 #include "fl/convex_testbed.h"
 #include "fl/robust_agg.h"
 #include "fl/simulation.h"
@@ -126,6 +129,9 @@ void expect_same_commits(const SimulationResult& got,
     EXPECT_EQ(got.history[i].rejected, want.history[i].rejected);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got.history[i].delta_update),
               std::bit_cast<std::uint64_t>(want.history[i].delta_update));
+    EXPECT_EQ(got.history[i].participants, want.history[i].participants);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.history[i].mean_score),
+              std::bit_cast<std::uint64_t>(want.history[i].mean_score));
   }
   EXPECT_EQ(got.validation, want.validation);
   EXPECT_EQ(got.uploads_per_client, want.uploads_per_client);
@@ -148,7 +154,13 @@ TEST_P(RuntimeParity, AllFourRuntimesCommitIdentically) {
 
   {
     SCOPED_TRACE("RoundEngine");
-    expect_same_commits(run_engine(rule), reference);
+    const SimulationResult engine = run_engine(rule);
+    expect_same_commits(engine, reference);
+    ASSERT_EQ(engine.history.size(), reference.history.size());
+    for (std::size_t i = 0; i < reference.history.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(engine.history[i], reference.history[i]))
+          << "round " << i + 1;
+    }
   }
   {
     SCOPED_TRACE("FlCluster");

@@ -327,5 +327,43 @@ TEST(FederatedSimulation, NonSampledClientsDoNoLocalWork) {
   EXPECT_EQ(participant_total, 3u * opt.max_iterations);
 }
 
+TEST(FederatedSimulation, ScheduleOptionsKeepTheirMeaning) {
+  // A cohort of at least every client is full participation, bit for bit;
+  // over-selection and buffered-async rounds need a sched::RoundEngine.
+  ConvexTestbedSpec spec;
+  spec.clients = 5;
+  spec.dim = 6;
+  spec.seed = 9;
+  SimulationOptions opt;
+  opt.local_epochs = 1;
+  opt.batch_size = 1;
+  opt.learning_rate = core::Schedule::constant(0.05);
+  opt.max_iterations = 4;
+  opt.eval_every = 2;
+  const auto make = [&](const SimulationOptions& o) {
+    ConvexWorkload w = make_convex_workload(spec);
+    return FederatedSimulation(std::move(w.clients),
+                               std::make_unique<core::AcceptAllFilter>(),
+                               w.evaluator, o);
+  };
+  const SimulationResult full = make(opt).run();
+  for (const std::size_t cohort : {5u, 9u}) {
+    SCOPED_TRACE("sample_size " + std::to_string(cohort));
+    SimulationOptions o = opt;
+    o.schedule.sample_size = cohort;
+    const SimulationResult r = make(o).run();
+    EXPECT_EQ(r.final_params, full.final_params);
+    EXPECT_EQ(r.total_rounds, full.total_rounds);
+  }
+  for (const sched::RoundMode mode :
+       {sched::RoundMode::kOverSelect, sched::RoundMode::kBufferedAsync}) {
+    SimulationOptions o = opt;
+    o.schedule.mode = mode;
+    o.schedule.sample_size = 3;
+    o.schedule.async_buffer = 2;
+    EXPECT_THROW(make(o), std::invalid_argument);
+  }
+}
+
 }  // namespace
 }  // namespace cmfl::fl

@@ -1036,5 +1036,45 @@ TEST(Worker, AnswersEachRoundOnceAndResendsItsCachedReply) {
   EXPECT_EQ(stats.upload_frames.load(), 1u);
 }
 
+TEST(WorkerGroup, MalformedBroadcastErrorReachesTheWaitingMaster) {
+  // A CRC-valid broadcast of the wrong dimension is a protocol error.  It
+  // ends the worker's thread, not the process: the group keeps the error
+  // and wakes the master, here this thread blocked on its inbox the way
+  // the single master waits for replies.
+  std::vector<std::unique_ptr<fl::FlClient>> clients;
+  for (std::uint64_t k = 0; k < 2; ++k) {
+    clients.push_back(std::make_unique<fl::ConvexClient>(
+        std::vector<float>(8, 1.0f), /*local_steps=*/3,
+        /*gradient_noise=*/0.01, util::Rng(k)));
+  }
+  const core::AcceptAllFilter filter;
+  const ClusterOptions options;
+  FaultStats fault_stats;
+  Channel master_inbox;
+  WorkerGroup group(clients, filter, options);
+  group.start(
+      1,
+      [&](std::size_t k, std::uint32_t) {
+        return FaultyChannel(master_inbox, LinkFaults{}, util::Rng(k),
+                             &fault_stats);
+      },
+      [&] { master_inbox.close(); });
+
+  BroadcastMsg bc;
+  bc.seq = 1;
+  bc.iteration = 1;
+  bc.global_params.assign(9, 0.0f);  // the clients hold 8 parameters
+  bc.global_update.assign(9, 0.0f);
+  bc.learning_rate = 0.1f;
+  auto frame = encode(Message(bc));
+  seal_frame(frame);
+  group.inbox(0).send(std::move(frame));
+
+  EXPECT_FALSE(master_inbox.recv().has_value());  // woken without a reply
+  EXPECT_THROW(group.rethrow_error(), std::runtime_error);
+  group.stop();  // the healthy worker still shuts down; stop() never throws
+  EXPECT_THROW(group.rethrow_error(), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace cmfl::net

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/filter.h"
+#include "fl/adversary.h"
 #include "fl/checkpoint.h"
 #include "fl/convex_testbed.h"
 #include "fl/simulation.h"
@@ -586,6 +587,77 @@ TEST(RoundEngineResume, ShardConfigMismatchIsRejected) {
                        evaluator_for(run.testbed), more_shards);
     EXPECT_THROW(engine.resume(ck), std::invalid_argument);
   }
+  std::remove(path.c_str());
+}
+
+TEST(RoundEngine, SyncRunEndsOnceEveryDeviceIsQuarantined) {
+  // Every device fabricates garbage that the norm cap rejects, and one
+  // strike quarantines it.  Once nobody is left the run ends instead of
+  // committing empty rounds, with or without a sampled cohort.
+  const auto spec = testbed_spec(4);
+  auto testbed = std::make_shared<fl::ConvexTestbed>(spec);
+  const ClientFactory honest = factory_for(spec, testbed);
+  fl::AdversarySpec garbage;
+  garbage.attack = fl::Attack::kGarbage;
+  for (const std::size_t cohort : {0u, 2u}) {
+    SCOPED_TRACE("sample_size " + std::to_string(cohort));
+    PopulationSpec pop_spec;
+    pop_spec.devices = spec.clients;
+    Population population(pop_spec, [&](std::uint64_t k) {
+      return std::make_unique<fl::ByzantineClient>(honest(k), garbage, k);
+    });
+    auto opt = base_options();
+    opt.validation.max_norm = 1.0;
+    opt.validation.quarantine_after = 1;
+    opt.schedule.sample_size = cohort;
+    RoundEngine engine(population, std::make_unique<core::AcceptAllFilter>(),
+                       evaluator_for(testbed), opt);
+    const EngineResult r = engine.run();
+    EXPECT_EQ(r.sim.validation.quarantined_count(), spec.clients);
+    // Full participation quarantines all four in round 1; cohorts of two
+    // take rounds 1 and 2.
+    EXPECT_EQ(r.sim.history.size(), cohort == 0 ? 1u : 2u);
+  }
+}
+
+TEST(RoundEngineResume, SimulationCheckpointResumesUnderTheEngine) {
+  // FederatedSimulation runs on the engine, so its checkpoints are engine
+  // checkpoints: a RoundEngine over the same clients (kSync, full
+  // participation) resumes one bit-identically.  A stateful codec makes
+  // the per-device codec state cross over too.
+  const auto spec = testbed_spec(6);
+  auto testbed = std::make_shared<fl::ConvexTestbed>(spec);
+  const std::string path = ::testing::TempDir() + "sim_to_engine.ck";
+  std::remove(path.c_str());
+  auto opt = base_options();
+  opt.codec.spec = "quant:4";
+  const auto filter = [] {
+    return std::make_unique<core::CmflFilter>(core::Schedule::constant(0.45));
+  };
+
+  fl::ConvexWorkload w_ref = fl::make_convex_workload(spec);
+  fl::FederatedSimulation ref(std::move(w_ref.clients), filter(),
+                              w_ref.evaluator, opt);
+  const fl::SimulationResult uninterrupted = ref.run();
+  {
+    auto first_half = opt;
+    first_half.max_iterations = 4;
+    first_half.checkpoint_every = 4;
+    first_half.checkpoint_path = path;
+    fl::ConvexWorkload w = fl::make_convex_workload(spec);
+    fl::FederatedSimulation sim(std::move(w.clients), filter(), w.evaluator,
+                                first_half);
+    sim.run();
+  }
+
+  const fl::TrainerCheckpoint ck = fl::load_checkpoint_file(path);
+  EXPECT_EQ(ck.iteration, 4u);
+  EXPECT_EQ(ck.sched.engaged, 1u);
+  PopulationSpec pop_spec;
+  pop_spec.devices = spec.clients;
+  Population population(pop_spec, factory_for(spec, testbed));
+  RoundEngine engine(population, filter(), evaluator_for(testbed), opt);
+  expect_sim_bit_identical(engine.resume(ck).sim, uninterrupted);
   std::remove(path.c_str());
 }
 

@@ -43,14 +43,14 @@ echo "=== pass 1: AddressSanitizer + UndefinedBehaviorSanitizer ==="
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMFL_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
-cmake --build "$ASAN_DIR" -j --target $TARGETS
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target $TARGETS
 run_suite "$ASAN_DIR" "ASan+UBSan"
 
 echo "=== pass 2: ThreadSanitizer ==="
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMFL_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086
-cmake --build "$TSAN_DIR" -j --target $TARGETS
+cmake --build "$TSAN_DIR" -j "$(nproc)" --target $TARGETS
 run_suite "$TSAN_DIR" "TSan"
 
 echo "failover + durability suites clean under ASan+UBSan and TSan"

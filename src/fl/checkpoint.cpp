@@ -20,7 +20,9 @@ constexpr std::array<char, 4> kMagic = {'C', 'M', 'C', 'K'};
 // (shard_stats).
 // v5: TrainerCheckpoint lost server_rng: FederatedSimulation runs on
 // sched::RoundEngine and writes the engine's scheduler block.
-constexpr std::uint32_t kVersion = 5;
+// v6: ClusterMeterState lost the footprint curve, which a cluster run
+// derives from the history.
+constexpr std::uint32_t kVersion = 6;
 
 void put_u64_vec(net::WireWriter& w, std::span<const std::uint64_t> v) {
   w.u64(v.size());
@@ -115,12 +117,6 @@ std::vector<std::byte> encode_checkpoint(const TrainerCheckpoint& ck) {
   w.u64(m.upload_messages);
   w.u64(m.elimination_messages);
   w.f64(m.simulated_transfer_seconds);
-  w.u64(m.footprint.size());
-  for (const auto& p : m.footprint) {
-    w.u64(p.iteration);
-    w.f64(p.accuracy);
-    w.u64(p.uplink_bytes);
-  }
 
   const SchedulerCheckpoint& s = ck.sched;
   w.u8(s.engaged);
@@ -220,18 +216,6 @@ TrainerCheckpoint decode_checkpoint(std::span<const std::byte> payload) {
   m.upload_messages = r.u64();
   m.elimination_messages = r.u64();
   m.simulated_transfer_seconds = r.f64();
-  const std::uint64_t points = r.u64();
-  if (points > r.remaining() / (2 * sizeof(std::uint64_t) + sizeof(double))) {
-    throw std::runtime_error("decode_checkpoint: footprint exceeds payload");
-  }
-  m.footprint.reserve(static_cast<std::size_t>(points));
-  for (std::uint64_t i = 0; i < points; ++i) {
-    FootprintPoint p;
-    p.iteration = r.u64();
-    p.accuracy = r.f64();
-    p.uplink_bytes = r.u64();
-    m.footprint.push_back(p);
-  }
 
   SchedulerCheckpoint& s = ck.sched;
   s.engaged = r.u8();

@@ -8,7 +8,8 @@
 // stochastic state (batch-shuffle / noise / attack RNGs), per-client codec
 // state (quantization RNG streams, error-feedback residuals, codebook
 // caches), and — for cluster runs — the ByteMeter/message counters and
-// footprint curve.  The threshold and learning-rate schedules are pure
+// simulated transfer time (the footprint derives from the history).  The
+// threshold and learning-rate schedules are pure
 // functions of the iteration index, so saving `iteration` captures their
 // state exactly.
 //
@@ -32,16 +33,7 @@
 
 namespace cmfl::fl {
 
-/// One accuracy-vs-bytes sample of a cluster run's footprint curve.
-struct FootprintPoint {
-  std::uint64_t iteration = 0;
-  double accuracy = 0.0;
-  std::uint64_t uplink_bytes = 0;  // cumulative at this evaluation
-
-  bool operator==(const FootprintPoint&) const = default;
-};
-
-/// Cluster-side accounting state (all zero/empty for in-process runs).
+/// Cluster-side accounting state (all zero for in-process runs).
 /// Fault-injection counters are deliberately excluded: the injected fault
 /// streams restart on resume, so those counters describe a process
 /// lifetime, not the logical run.
@@ -55,7 +47,6 @@ struct ClusterMeterState {
   std::uint64_t upload_messages = 0;
   std::uint64_t elimination_messages = 0;
   double simulated_transfer_seconds = 0.0;
-  std::vector<FootprintPoint> footprint;
 
   bool operator==(const ClusterMeterState&) const = default;
 };

@@ -35,8 +35,32 @@ void RoundCommitter::record_upload(std::size_t client,
   result_.uploaded_bytes += wire_bytes;
 }
 
-void RoundCommitter::set_uploaded_bytes(std::uint64_t total) {
-  result_.uploaded_bytes = total;
+RoundOutcome RoundCommitter::close_round(std::size_t t,
+                                         std::span<const RoundReport> reports,
+                                         const GlobalEvaluator& evaluate) {
+  IterationRecord rec;
+  rec.iteration = t;
+  rec.participants = reports.size();
+  RoundUploads uploads;
+  double score_sum = 0.0;
+  double loss_sum = 0.0;
+  for (const RoundReport& r : reports) {
+    score_sum += r.score;
+    loss_sum += r.train_loss;
+    if (r.upload) {
+      record_upload(r.client, r.wire_bytes);
+      uploads.add(r.client, r.update, r.samples, r.wire_bytes);
+    } else {
+      record_elimination(r.client);
+      result_.uploaded_bytes += r.wire_bytes;  // a cluster's status frame
+    }
+  }
+  rec.uploads = uploads.clients.size();
+  if (!reports.empty()) {
+    rec.mean_score = score_sum / static_cast<double>(reports.size());
+    rec.mean_train_loss = loss_sum / static_cast<double>(reports.size());
+  }
+  return commit(std::move(rec), uploads, evaluate);
 }
 
 RoundOutcome RoundCommitter::commit(IterationRecord rec,

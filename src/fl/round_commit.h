@@ -1,22 +1,27 @@
-// The server's commit step (paper Algorithm 1, lines 7–9), written once for
+// The server's round close (paper Algorithm 1, lines 7–9), written once for
 // every round runtime.
 //
 // The three round loops — sched::RoundEngine (which FederatedSimulation
 // runs on), net::FlCluster and the replicated master's state machine — all
-// close a round the same way: screen the received updates
+// close a synchronous round through RoundCommitter::close_round: tally the
+// uploads S_t and the eliminated clients' answers in client-id order, add
+// them to Φ (Eq. 4) in rounds and bytes, then screen the received updates
 // (fl::UpdateValidator), aggregate the accepted ones into ū_t, apply
 // x_t = x_{t-1} + ū_t, record ΔUpdate (Eq. 8) and feed ū_t to the estimator
 // that the next round's relevance check (Eq. 9) compares against; then
 // evaluate, apply the finite-loss target-stop rule and append the round to
-// the history.  RoundCommitter owns that committed server state and
-// performs the step.  Screening scalars and aggregation always run through
-// fl::ShardedAggregator — the only aggregation path — on
-// max(1, sharding.shards) shards, bit-identical at any shard count.
+// the history.  RoundCommitter owns that committed server state.  Screening
+// scalars and aggregation always run through fl::ShardedAggregator — the
+// only aggregation path — on max(1, sharding.shards) shards, bit-identical
+// at any shard count.  The engine's buffered-async mode counts its answers
+// as they arrive and calls commit directly.
 //
 // Each round loop keeps what is its own: cohort choice, min_uploads
-// forcing, codecs and byte accounting, its wire protocol, and its own
-// checkpoint blocks.  Training and the filter call are the shared client
-// step, fl::local_update (fl/client.h).  See DESIGN.md §18 and §19.
+// forcing (only the engine holds an eliminated update), codecs, its wire
+// protocol and open-round bookkeeping (net::RoundLedger on both cluster
+// masters), and its own checkpoint blocks.  Training and the filter call
+// are the shared client step, fl::local_update (fl/client.h).  See
+// DESIGN.md §18 and §19.
 #pragma once
 
 #include <cstddef>
@@ -60,6 +65,18 @@ struct RoundUploads {
   }
 };
 
+/// One client's answer to a synchronous round, as the server tallies it.
+struct RoundReport {
+  std::size_t client = 0;
+  bool upload = false;  ///< in S_t; false: eliminated by the filter
+  double score = 0.0;
+  double train_loss = 0.0;
+  std::uint64_t samples = 0;  ///< |P_k|
+  std::span<const float> update{};  ///< uploads: alive until close_round
+  /// Bytes it adds to Φ: the encoded upload, or a sealed reply frame.
+  std::uint64_t wire_bytes = 0;
+};
+
 /// What closing a round decided.
 struct RoundOutcome {
   bool evaluated = false;  ///< the round ran a test pass
@@ -86,23 +103,24 @@ class RoundCommitter {
     return validator_.report().quarantined_count() ==
            result_.uploads_per_client.size();
   }
-  const std::vector<IterationRecord>& history() const noexcept {
-    return result_.history;
-  }
   ShardedAggregator& aggregator() noexcept { return *aggregator_; }
 
-  /// Counts one participant whose update the filter eliminated.
-  void record_elimination(std::size_t client);
-  /// Counts one update that crossed the uplink, and its wire bytes.
-  void record_upload(std::size_t client, std::uint64_t wire_bytes);
-  /// Replaces the uplink byte total, for runtimes that meter every frame
-  /// themselves (the clusters count eliminations and retransmits too).
-  void set_uploaded_bytes(std::uint64_t total);
+  /// Closes synchronous round `t` over `reports`, in the order the server
+  /// screens them (client-id order): counts each upload or elimination and
+  /// its wire bytes, fills the record's participants, uploads and means, and
+  /// commits the uploads.
+  RoundOutcome close_round(std::size_t t, std::span<const RoundReport> reports,
+                           const GlobalEvaluator& evaluate);
 
-  /// Closes round `rec.iteration`.  The caller fills iteration, uploads,
-  /// participants and the mean score and loss; this adds Φ, screens and
-  /// aggregates `uploads`, applies ū, evaluates every eval_every rounds and
-  /// on the last one, and appends `rec` to the history.
+  /// Counting at arrival, for buffered-async answers and an over-selected
+  /// round's straggler uploads.
+  void record_elimination(std::size_t client);
+  void record_upload(std::size_t client, std::uint64_t wire_bytes);
+
+  /// Commits round `rec.iteration`, whose counts and means the caller
+  /// filled: adds Φ, screens and aggregates `uploads`, applies ū, evaluates
+  /// every eval_every rounds and on the last one, and appends `rec` to the
+  /// history.
   RoundOutcome commit(IterationRecord rec, const RoundUploads& uploads,
                       const GlobalEvaluator& evaluate);
 

@@ -56,7 +56,8 @@ struct SimulationOptions {
   /// final iteration).
   std::size_t eval_every = 5;
   /// If every client filters itself out, force the `min_uploads` clients
-  /// with the highest scores to upload anyway.  The default 0 is the
+  /// with the highest scores to upload anyway (tallied in client-id order;
+  /// in-process runs only, the clusters ignore it).  The default 0 is the
   /// paper's semantics: an empty S_t leaves the model unchanged that round
   /// (this is exactly the Gaia stagnation failure mode §III-B describes).
   std::size_t min_uploads = 0;
@@ -125,6 +126,7 @@ struct IterationRecord {
   /// Cumulative uplink bytes of all uploaded (possibly compressed) updates
   /// up to and including t — the byte-valued Φ that makes compression ×
   /// CMFL × scheduling comparisons apples-to-apples (fl::saving_bytes).
+  /// On a cluster: the tallied reply frames, eliminations included.
   std::uint64_t cumulative_upload_bytes = 0;
   double mean_score = 0.0;         // mean filter score across clients
   double mean_train_loss = 0.0;

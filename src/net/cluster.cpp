@@ -14,18 +14,6 @@
 
 namespace cmfl::net {
 
-namespace {
-
-/// One accepted upload: decoded update plus the wire size of the frame that
-/// carried it (feeds the per-shard byte counters).
-struct ReceivedUpload {
-  std::uint32_t id = 0;
-  std::vector<float> update;
-  std::uint64_t frame_bytes = 0;
-};
-
-}  // namespace
-
 FlCluster::FlCluster(std::vector<std::unique_ptr<fl::FlClient>> clients,
                      std::unique_ptr<core::UpdateFilter> filter,
                      fl::GlobalEvaluator evaluator,
@@ -146,10 +134,24 @@ ClusterResult FlCluster::resume(const fl::TrainerCheckpoint& checkpoint) {
 
 ClusterResult FlCluster::run_internal(
     const fl::TrainerCheckpoint* resume_from) {
-  if (options_.replication.replicas > 0) {
-    return run_replicated_cluster(clients_, *filter_, evaluator_, options_,
-                                  dim_, resume_from);
+  ClusterResult result =
+      options_.replication.replicas > 0
+          ? run_replicated_cluster(clients_, *filter_, evaluator_, options_,
+                                   dim_, resume_from)
+          : run_single_master(resume_from);
+  // One point per evaluated round, read off the history (which a resumed
+  // run restores with the rest of the committed state).
+  for (const fl::IterationRecord& rec : result.sim.history) {
+    if (rec.evaluated()) {
+      result.footprint.push_back(
+          {rec.iteration, rec.accuracy, rec.cumulative_upload_bytes});
+    }
   }
+  return result;
+}
+
+ClusterResult FlCluster::run_single_master(
+    const fl::TrainerCheckpoint* resume_from) {
   const std::size_t num_workers = clients_.size();
   Channel master_inbox;
   FaultStats fault_stats;
@@ -161,14 +163,13 @@ ClusterResult FlCluster::run_internal(
   ByteMeter downlink_meter;
 
   ClusterResult result;
-  result.faults.max_staleness_per_client.assign(num_workers, 0);
   std::vector<float> initial(dim_);
   // clients_.front() is also owned by worker thread k=0, but workers only
   // touch clients after receiving a frame; reading initial params here
   // happens-before the first send.
   clients_.front()->get_params(initial);
   fl::RoundCommitter committer(options_.fl, num_workers, std::move(initial));
-  std::vector<std::uint64_t> last_acked(num_workers, 0);
+  RoundLedger ledger(num_workers);
   // Consecutive *deadline-expired* rounds a worker was invited to but did
   // not answer.  Deliberately not `t - last_acked`: a worker that answers
   // slowly and keeps losing first_k_reports races is late, not crashed, so
@@ -182,15 +183,13 @@ ClusterResult FlCluster::run_internal(
     const fl::TrainerCheckpoint& ck = *resume_from;
     committer.restore(ck);
     workers.restore(ck);
+    const fl::ClusterMeterState& m = ck.meters;
     // A resumed worker has trivially "answered" every round up to the
     // checkpoint — without this, staleness suspicion would fire on the
     // first resumed rounds.
-    last_acked.assign(num_workers, ck.iteration);
-    const fl::ClusterMeterState& m = ck.meters;
+    ledger.resume(ck.iteration, m.simulated_transfer_seconds);
     downlink_meter.restore(m.downlink_bytes, m.downlink_messages,
                            m.downlink_retransmitted);
-    result.simulated_transfer_seconds = m.simulated_transfer_seconds;
-    result.footprint = m.footprint;
     start_t = static_cast<std::size_t>(ck.iteration) + 1;
   }
 
@@ -215,17 +214,9 @@ ClusterResult FlCluster::run_internal(
                            options_.fault.link_rng(k, /*is_uplink=*/false),
                            &fault_stats);
   }
-  std::vector<char> alive(num_workers, 1);
-  std::size_t live_count = num_workers;
   std::uint64_t master_redundant = 0;
   std::uint64_t master_corrupt = 0;
   std::uint64_t master_retransmits = 0;
-
-  const auto declare_dead = [&](std::size_t k) {
-    alive[k] = 0;
-    --live_count;
-    result.faults.crashed_workers.push_back(static_cast<std::uint32_t>(k));
-  };
 
   // Serializes every piece of trainer state the master owns or — because
   // the round is quiesced — may safely read from the workers.
@@ -249,61 +240,36 @@ ClusterResult FlCluster::run_internal(
         worker_stats.upload_frames.load(std::memory_order_relaxed);
     m.elimination_messages =
         worker_stats.elimination_frames.load(std::memory_order_relaxed);
-    m.simulated_transfer_seconds = result.simulated_transfer_seconds;
-    m.footprint = result.footprint;
+    m.simulated_transfer_seconds = ledger.transfer_seconds();
     return ck;
   };
 
   for (std::size_t t = start_t; t <= options_.fl.max_iterations; ++t) {
-    // Active = alive and not quarantined: the master no longer broadcasts
-    // to quarantined workers, so they stop training (and stop costing
-    // downlink bytes) the moment they are tripped.
-    std::size_t active_count = 0;
-    for (std::size_t k = 0; k < num_workers; ++k) {
-      if (alive[k] && !committer.quarantined(k)) ++active_count;
-    }
-    if (active_count == 0) break;
-
     const std::vector<std::byte> frame =
         make_broadcast(t, /*leader_id=*/0, committer, options_.fl, codecs);
-
-    std::vector<char> pending(num_workers, 0);
-    std::size_t pending_count = 0;
-    for (std::size_t k = 0; k < num_workers; ++k) {
-      if (alive[k] && !committer.quarantined(k)) {
-        pending[k] = 1;
-        ++pending_count;
-      }
-    }
-    const std::vector<char> invited = pending;
+    // Invited = alive and not quarantined: the master no longer broadcasts
+    // to quarantined workers, so they stop training (and stop costing
+    // downlink bytes) the moment they are tripped.
+    const std::size_t active_count = ledger.open(t, committer, frame.size());
+    if (active_count == 0) break;
     const auto quorum_needed = std::max<std::size_t>(
         1,
         static_cast<std::size_t>(
             std::ceil(rec_opt.quorum * static_cast<double>(active_count))));
-
-    std::vector<char> answered(num_workers, 0);
-    std::vector<double> scores(num_workers, 0.0);
-    std::vector<ReceivedUpload> uploads;
-    std::size_t accepted = 0;
-    double round_transfer = 0.0;
-    double max_upload_transfer = 0.0;
     bool round_timed_out = false;
     bool k_committed = false;
-    std::size_t round_missing = 0;
 
     int attempt = 0;
     for (;;) {
       // (Re)transmit this round's broadcast to every unanswered worker.
       for (std::size_t k = 0; k < num_workers; ++k) {
-        if (!pending[k]) continue;
+        if (!ledger.awaits(k)) continue;
         if (attempt == 0) {
           downlink_meter.record(frame.size());
         } else {
           downlink_meter.record_retransmit(frame.size());
           ++master_retransmits;
         }
-        round_transfer = std::max(
-            round_transfer, options_.downlink.transfer_seconds(frame.size()));
         downlinks[k].send(frame);
       }
 
@@ -316,7 +282,7 @@ ClusterResult FlCluster::run_internal(
       const auto deadline =
           Clock::now() +
           seconds_to_duration(rec_opt.round_timeout_s * deadline_scale);
-      while (pending_count > 0) {
+      while (ledger.pending() > 0) {
         std::optional<std::vector<std::byte>> reply_frame;
         if (bounded) {
           const auto now = Clock::now();
@@ -333,9 +299,6 @@ ClusterResult FlCluster::run_internal(
             throw std::runtime_error("FlCluster: master inbox closed early");
           }
         }
-        max_upload_transfer =
-            std::max(max_upload_transfer,
-                     options_.uplink.transfer_seconds(reply_frame->size()));
         const auto payload = try_open_frame(*reply_frame);
         std::optional<Reply> reply;
         if (payload) reply = read_reply(*payload, workers);
@@ -347,137 +310,87 @@ ClusterResult FlCluster::run_internal(
           throw std::runtime_error("FlCluster: reply from a future round");
         }
         const std::size_t k = reply->client_id;
-        if (reply->iteration < t || !pending[k]) {
+        if (!ledger.expects(reply->iteration, k)) {
           // A late reply to an already-committed round, or a duplicate of
           // one accepted this round — idempotently discarded (and, for
           // codec frames, discarded *before* any decode touches state).
           ++master_redundant;
           continue;
         }
-        if (reply->is_upload()) {
+        RoundLedger::Answer answer{.upload = reply->is_upload(),
+                                   .score = reply->score,
+                                   .wire_bytes = reply_frame->size()};
+        if (answer.upload) {
           // Decoded through worker k's own codec (stateful decoders, such
           // as the codebook cache, are allowed on a single master).
-          uploads.push_back({reply->client_id,
-                             reply_update(*reply, codecs.at(k), dim_),
-                             static_cast<std::uint64_t>(reply_frame->size())});
-        } else {
-          committer.record_elimination(k);
+          answer.update = reply_update(*reply, codecs.at(k), dim_);
         }
-        pending[k] = 0;
-        --pending_count;
-        answered[k] = 1;
-        last_acked[k] = t;
-        ++accepted;
-        scores[k] = reply->score;
+        ledger.accept(t, k, std::move(answer));
         if (rec_opt.first_k_reports > 0 &&
-            accepted >= rec_opt.first_k_reports && pending_count > 0) {
+            ledger.accepted() >= rec_opt.first_k_reports &&
+            ledger.pending() > 0) {
           // Over-selection: the Kth reply commits the round right now.
           // The stragglers' late replies carry this round's iteration and
-          // are discarded idempotently by the `view.iteration < t` check
-          // once the next round is underway.
+          // are discarded idempotently once the round has closed.
           k_committed = true;
           break;
         }
       }
       if (k_committed) {
-        round_missing = pending_count;
         ++result.faults.over_select_commits;
         break;
       }
-      if (pending_count == 0) break;  // every live worker answered
+      if (ledger.pending() == 0) break;  // every live worker answered
 
       round_timed_out = true;
-      if (accepted >= quorum_needed) {
+      if (ledger.accepted() >= quorum_needed) {
         // Quorum reached: commit now; the unanswered workers are late for
         // this round and will re-sync on the next broadcast.
-        round_missing = pending_count;
         break;
       }
       if (attempt + 1 >= rec_opt.max_attempts) {
         // Retransmit budget exhausted below quorum: the silent workers are
         // declared crashed (crash-stop suspicion) and the round commits
         // with whatever answered.
-        round_missing = pending_count;
         for (std::size_t k = 0; k < num_workers; ++k) {
-          if (pending[k]) {
-            pending[k] = 0;
-            declare_dead(k);
-          }
+          if (ledger.awaits(k)) ledger.crash(k);
         }
-        pending_count = 0;
         break;
       }
       ++attempt;
     }
 
     if (round_timed_out) ++result.faults.timed_out_rounds;
-    if (round_missing > 0 && !k_committed) ++result.faults.quorum_rounds;
+    const bool missing = ledger.missed();
+    if (missing && !k_committed) ++result.faults.quorum_rounds;
     for (std::size_t k = 0; k < num_workers; ++k) {
-      if (committer.quarantined(k)) continue;  // legitimately excluded
-      const std::uint64_t staleness = t - last_acked[k];
-      result.faults.max_staleness_per_client[k] =
-          std::max(result.faults.max_staleness_per_client[k], staleness);
-    }
-    for (std::size_t k = 0; k < num_workers; ++k) {
-      if (!invited[k]) continue;
-      if (answered[k]) {
+      if (ledger.answered(k)) {
         stale_misses[k] = 0;
-      } else if (!k_committed) {
+      } else if (ledger.awaits(k) && !k_committed) {
         ++stale_misses[k];
       }
       // Losing an over-selected race leaves the counter untouched: only a
       // deadline the worker actually blew is evidence towards a crash.
     }
+
+    const fl::RoundOutcome outcome = ledger.close(
+        committer, evaluator_, workers.local_samples(), options_);
+
     if (rec_opt.suspect_after_stale_rounds > 0) {
       for (std::size_t k = 0; k < num_workers; ++k) {
-        if (alive[k] && !committer.quarantined(k) &&
+        if (ledger.alive(k) && !committer.quarantined(k) &&
             stale_misses[k] >= static_cast<std::uint64_t>(
                                    rec_opt.suspect_after_stale_rounds)) {
-          declare_dead(k);
+          ledger.crash(k);
         }
       }
-    }
-    result.simulated_transfer_seconds += round_transfer + max_upload_transfer;
-
-    fl::IterationRecord rec;
-    rec.iteration = t;
-    rec.uploads = uploads.size();
-    rec.participants = accepted;
-    double score_sum = 0.0;
-    for (std::size_t k = 0; k < num_workers; ++k) {
-      if (answered[k]) score_sum += scores[k];  // fixed id order: see note
-    }
-    // Scores are summed in client-id order (not arrival order) so the mean
-    // is bit-reproducible across runs regardless of reply interleaving.
-    rec.mean_score =
-        accepted > 0 ? score_sum / static_cast<double>(accepted) : 0.0;
-
-    // The server screens and aggregates in client-id order, whatever order
-    // the replies arrived in.
-    std::sort(uploads.begin(), uploads.end(),
-              [](const auto& a, const auto& b) { return a.id < b.id; });
-    fl::RoundUploads received;
-    for (const auto& up : uploads) {
-      committer.record_upload(up.id, 0);
-      received.add(up.id, up.update, workers.local_samples()[up.id],
-                   up.frame_bytes);
-    }
-    // Byte-valued Φ: in cluster runs "uploaded bytes" is what actually
-    // crossed the uplink — update frames, elimination frames, retransmits.
-    committer.set_uploaded_bytes(worker_stats.uplink.total_bytes());
-    const fl::RoundOutcome outcome =
-        committer.commit(rec, received, evaluator_);
-    if (outcome.evaluated) {
-      const fl::IterationRecord& r = committer.history().back();
-      result.footprint.push_back({t, r.accuracy, r.cumulative_upload_bytes});
     }
 
     // Checkpoint only when the round is quiesced: every worker this round
     // answered (each reply happens-before this point via the channel), and
     // no worker was ever declared crashed (a suspected worker's thread may
     // still be running, so its client state cannot be read safely).
-    const bool quiesced =
-        round_missing == 0 && result.faults.crashed_workers.empty();
+    const bool quiesced = !missing && ledger.crashed().empty();
     if (quiesced && committer.checkpoint_due(t, outcome.stop)) {
       fl::save_checkpoint_file(options_.fl.checkpoint_path, snapshot(t));
     }
@@ -503,6 +416,9 @@ ClusterResult FlCluster::run_internal(
     result.shard_uploads.push_back(shard.uploads);
   }
   result.sim = committer.finish();
+  result.simulated_transfer_seconds = ledger.transfer_seconds();
+  result.faults.crashed_workers = ledger.crashed();
+  result.faults.max_staleness_per_client = ledger.max_staleness();
   result.uplink_bytes = worker_stats.uplink.total_bytes();
   result.downlink_bytes = downlink_meter.total_bytes();
   result.uplink_retransmitted_bytes =

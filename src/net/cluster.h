@@ -17,8 +17,8 @@
 // backoff, and the round commits once a quorum of live workers has
 // answered.  Workers that exhaust the retransmit budget (or miss too many
 // consecutive rounds) are declared crashed; late and duplicate frames are
-// discarded idempotently.  See DESIGN.md §9 for the protocol and its
-// determinism argument.
+// discarded idempotently into the net::RoundLedger both masters share.  See
+// DESIGN.md §9 for the protocol and its determinism argument.
 #pragma once
 
 #include <memory>
@@ -112,8 +112,9 @@ struct ReplicationOptions {
 
 struct ClusterOptions {
   /// E, B, η_t schedule, eval cadence, etc.  `fl.min_uploads` is accepted
-  /// but not honoured: a worker whose filter eliminated its update sent
-  /// only a status frame, so the master has no update to force upload.
+  /// (perfbench's cluster_dense sets it) but not honoured: a worker whose
+  /// filter eliminated its update sent only a status frame, so the master
+  /// has no update to force upload.
   fl::SimulationOptions fl;
   LinkModel uplink;           // per-worker upload link model
   LinkModel downlink;         // broadcast link model
@@ -158,6 +159,18 @@ struct FaultReport {
   bool operator==(const FaultReport&) const = default;
 };
 
+/// One accuracy-vs-bytes sample of a cluster run's footprint curve.
+struct FootprintPoint {
+  std::uint64_t iteration = 0;
+  double accuracy = 0.0;
+  std::uint64_t uplink_bytes = 0;  // cumulative Φ bytes at this evaluation
+
+  bool operator==(const FootprintPoint&) const = default;
+};
+
+/// `sim` and the footprint count the replies the rounds tallied, once each,
+/// so at quorum 1.0 a faulty run's history equals the fault-free run's; the
+/// meters below count physical frames, retransmissions included.
 struct ClusterResult {
   fl::SimulationResult sim;
   std::uint64_t uplink_bytes = 0;
@@ -180,9 +193,9 @@ struct ClusterResult {
   std::vector<std::uint64_t> shard_uplink_bytes;
   std::vector<std::uint64_t> shard_uploads;
   /// Simulated transfer time had the links been real edge connections
-  /// (per-iteration max across workers, summed).
+  /// (per round, the broadcast plus the slowest tallied reply, summed).
   double simulated_transfer_seconds = 0.0;
-  std::vector<fl::FootprintPoint> footprint;  // one point per evaluation
+  std::vector<FootprintPoint> footprint;  // one point per evaluated round
   FaultReport faults;
 };
 
@@ -213,6 +226,7 @@ class FlCluster {
 
  private:
   ClusterResult run_internal(const fl::TrainerCheckpoint* resume_from);
+  ClusterResult run_single_master(const fl::TrainerCheckpoint* resume_from);
 
   std::vector<std::unique_ptr<fl::FlClient>> clients_;
   std::unique_ptr<core::UpdateFilter> filter_;

@@ -52,24 +52,18 @@ std::vector<std::byte> encode_round_start(std::uint64_t t,
   return w.take();
 }
 
-struct ReplyCmd {
-  std::uint64_t round = 0;
-  std::uint32_t worker = 0;
-  std::uint8_t is_upload = 0;
-  double score = 0.0;
-  std::uint64_t frame_bytes = 0;  // physical size of the reply frame
-  std::vector<float> update;      // empty for eliminations
-};
-
-std::vector<std::byte> encode_reply_cmd(const ReplyCmd& c) {
+/// Worker `worker`'s reply to round `round`; its wire_bytes is the physical
+/// size of the reply frame.
+std::vector<std::byte> encode_reply(std::uint64_t round, std::uint32_t worker,
+                                    const RoundLedger::Answer& a) {
   WireWriter w;
   w.u8(static_cast<std::uint8_t>(Cmd::kReply));
-  w.u64(c.round);
-  w.u32(c.worker);
-  w.u8(c.is_upload);
-  w.f64(c.score);
-  w.u64(c.frame_bytes);
-  w.floats(c.update);
+  w.u64(round);
+  w.u32(worker);
+  w.u8(a.upload ? 1 : 0);
+  w.f64(a.score);
+  w.u64(a.wire_bytes);
+  w.floats(a.update);
   return w.take();
 }
 
@@ -170,55 +164,26 @@ struct Shared {
 // ------------------------------------------------------ the state machine
 //
 // One copy per replica, advanced ONLY by applying committed log entries, so
-// every replica's copy walks through the identical sequence of states.  All
-// byte accounting in here is *logical* (exactly once per accepted frame) —
-// this is what makes the footprint curve bit-identical under failover.
+// every replica's copy walks through the identical sequence of states.  The
+// open round lives in a net::RoundLedger, as on the single master; the
+// frame counters here are *logical* (exactly once per accepted frame).
 
 struct StateMachine {
   StateMachine(const ClusterOptions& opt, std::size_t n,
                std::vector<float> initial_global)
-      : committer(opt.fl, n, std::move(initial_global)) {
-    alive.assign(n, 1);
-    last_acked.assign(n, 0);
-    max_staleness.assign(n, 0);
-    active.assign(n, 0);
-    answered.assign(n, 0);
-    scores.assign(n, 0.0);
-    reply_bytes.assign(n, 0);
-  }
+      : committer(opt.fl, n, std::move(initial_global)), ledger(n) {}
 
-  // Closed-round trainer state.
+  // Closed-round trainer state and the open round.
   fl::RoundCommitter committer;
-  std::vector<fl::FootprintPoint> footprint;
-  double sim_transfer = 0.0;
+  RoundLedger ledger;
 
-  // Logical byte accounting (replicated; drives the footprint).
-  std::uint64_t up_bytes = 0;
-  std::uint64_t up_msgs = 0;
+  // Logical frame counters (replicated); the uplink's bytes are Φ's.
   std::uint64_t down_bytes = 0;
   std::uint64_t down_msgs = 0;
   std::uint64_t upload_frames = 0;
   std::uint64_t elimination_frames = 0;
 
-  // Worker liveness.
-  std::vector<char> alive;
-  std::vector<std::uint64_t> last_acked;
-  std::vector<std::uint64_t> max_staleness;
-  std::vector<std::uint32_t> crashed_workers;
-  std::uint64_t quorum_rounds = 0;
-
-  // Round in flight (valid while round_open).
-  std::uint64_t round = 0;  // last started round
-  bool round_open = false;
-  std::uint64_t broadcast_bytes = 0;
-  std::vector<char> active;
-  std::vector<char> answered;
-  std::vector<double> scores;
-  std::vector<std::uint64_t> reply_bytes;
-  std::vector<std::pair<std::uint32_t, std::vector<float>>> uploads;
-  std::size_t accepted = 0;
-  bool crashed_this_round = false;
-
+  std::uint64_t quorum_rounds = 0;  // rounds a worker crashed out of
   std::uint64_t states_round = 0;  // last round whose ClientStates applied
   bool stop = false;               // target accuracy reached
   bool finished = false;
@@ -233,124 +198,32 @@ struct StateMachine {
       std::vector<std::vector<std::uint64_t>> codec_states) const;
 
  private:
-  void apply_round_start(std::uint64_t t, std::uint64_t bytes);
-  void apply_reply(const ReplyCmd& c);
   void apply_round_commit(std::uint64_t t, Shared& sh);
   void apply_client_states(std::uint64_t t,
                            std::vector<std::vector<std::uint64_t>> states,
                            std::vector<std::vector<std::uint64_t>> codec_states,
                            Shared& sh, std::uint32_t replica_id);
-  void apply_worker_crash(std::uint64_t t, std::uint32_t worker);
 };
 
-void StateMachine::apply_round_start(std::uint64_t t, std::uint64_t bytes) {
-  if (round_open || t != round + 1) return;  // duplicate or stale
-  round = t;
-  round_open = true;
-  broadcast_bytes = bytes;
-  accepted = 0;
-  crashed_this_round = false;
-  uploads.clear();
-  for (std::size_t k = 0; k < alive.size(); ++k) {
-    active[k] = alive[k] && !committer.quarantined(k) ? 1 : 0;
-    answered[k] = 0;
-    scores[k] = 0.0;
-    reply_bytes[k] = 0;
-    if (active[k]) {
-      down_bytes += bytes;
-      ++down_msgs;
-    }
-  }
-}
-
-void StateMachine::apply_reply(const ReplyCmd& c) {
-  if (!round_open || c.round != round) return;  // stale re-proposal
-  const std::size_t k = c.worker;
-  if (k >= alive.size() || !active[k] || answered[k]) return;  // duplicate
-  answered[k] = 1;
-  scores[k] = c.score;
-  reply_bytes[k] = c.frame_bytes;
-  last_acked[k] = round;
-  ++accepted;
-  up_bytes += c.frame_bytes;
-  ++up_msgs;
-  if (c.is_upload) {
-    uploads.emplace_back(c.worker, c.update);
-    ++upload_frames;
-  } else {
-    committer.record_elimination(k);
-    ++elimination_frames;
-  }
-}
-
-void StateMachine::apply_worker_crash(std::uint64_t t, std::uint32_t worker) {
-  if (worker >= alive.size() || !alive[worker]) return;
-  alive[worker] = 0;
-  crashed_workers.push_back(worker);
-  if (round_open && t == round && active[worker] && !answered[worker]) {
-    active[worker] = 0;  // the round completes without it
-    crashed_this_round = true;
-  }
-}
-
 void StateMachine::apply_round_commit(std::uint64_t t, Shared& sh) {
-  if (!round_open || t != round) return;
-  const std::size_t n = alive.size();
-
-  fl::IterationRecord rec;
-  rec.iteration = static_cast<std::size_t>(t);
-  rec.uploads = uploads.size();
-  rec.participants = accepted;
-  double score_sum = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (answered[k]) score_sum += scores[k];  // fixed id order
-  }
-  rec.mean_score =
-      accepted > 0 ? score_sum / static_cast<double>(accepted) : 0.0;
-
-  std::sort(uploads.begin(), uploads.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  fl::RoundUploads received;
-  for (const auto& [id, u] : uploads) {
-    committer.record_upload(id, 0);
-    received.add(id, u, sh.workers->local_samples()[id], reply_bytes[id]);
-  }
-  committer.set_uploaded_bytes(up_bytes);
-  const fl::RoundOutcome outcome =
-      committer.commit(rec, received, [&sh](std::span<const float> params) {
+  if (!ledger.is_open() || t != ledger.round()) return;
+  if (ledger.missed()) ++quorum_rounds;  // a worker crashed out of it
+  const fl::RoundOutcome outcome = ledger.close(
+      committer,
+      [&sh](std::span<const float> params) {
         // The evaluator is shared by all replicas.
         std::lock_guard<std::mutex> lock(sh.eval_mutex);
         return (*sh.evaluator)(params);
-      });
-  if (outcome.evaluated) {
-    footprint.push_back({t, committer.history().back().accuracy, up_bytes});
-  }
+      },
+      sh.workers->local_samples(), *sh.options);
   if (outcome.stop) stop = true;
-
-  double max_upload_transfer = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (answered[k]) {
-      max_upload_transfer =
-          std::max(max_upload_transfer,
-                   sh.options->uplink.transfer_seconds(reply_bytes[k]));
-    }
-  }
-  sim_transfer += sh.options->downlink.transfer_seconds(broadcast_bytes) +
-                  max_upload_transfer;
-
-  for (std::size_t k = 0; k < n; ++k) {
-    if (committer.quarantined(k)) continue;
-    max_staleness[k] = std::max(max_staleness[k], t - last_acked[k]);
-  }
-  if (crashed_this_round) ++quorum_rounds;
-  round_open = false;
 }
 
 void StateMachine::apply_client_states(
     std::uint64_t t, std::vector<std::vector<std::uint64_t>> states,
     std::vector<std::vector<std::uint64_t>> codec_states, Shared& sh,
     std::uint32_t replica_id) {
-  if (round_open || t != round || states_round >= t) return;
+  if (ledger.is_open() || t != ledger.round() || states_round >= t) return;
   states_round = t;
   const std::string& path = sh.options->fl.checkpoint_path;
   if (path.empty()) return;
@@ -366,18 +239,26 @@ void StateMachine::apply(std::span<const std::byte> command, Shared& sh,
   switch (cmd) {
     case Cmd::kRoundStart: {
       const std::uint64_t t = r.u64();
-      apply_round_start(t, r.u64());
+      const std::uint64_t bytes = r.u64();
+      if (ledger.is_open() || t != ledger.round() + 1) return;  // duplicate
+      const std::size_t invited = ledger.open(t, committer, bytes);
+      down_bytes += invited * bytes;
+      down_msgs += invited;
       return;
     }
     case Cmd::kReply: {
-      ReplyCmd c;
-      c.round = r.u64();
-      c.worker = r.u32();
-      c.is_upload = r.u8();
-      c.score = r.f64();
-      c.frame_bytes = r.u64();
-      c.update = r.floats();
-      apply_reply(c);
+      const std::uint64_t round = r.u64();
+      const std::uint32_t worker = r.u32();
+      // Braced initializers run in order: the fields as encode_reply wrote.
+      RoundLedger::Answer a{.upload = r.u8() != 0,
+                            .score = r.f64(),
+                            .wire_bytes = r.u64(),
+                            .update = r.floats()};
+      const bool upload = a.upload;
+      // A stale re-proposal or a duplicate changes nothing.
+      if (ledger.accept(round, worker, std::move(a))) {
+        ++(upload ? upload_frames : elimination_frames);
+      }
       return;
     }
     case Cmd::kRoundCommit:
@@ -386,6 +267,11 @@ void StateMachine::apply(std::span<const std::byte> command, Shared& sh,
     case Cmd::kClientStates: {
       const std::uint64_t t = r.u64();
       const auto read_blobs = [&r](std::uint32_t n) {
+        // Each blob needs at least its 8-byte length: bound n before
+        // allocating.
+        if (n > r.remaining() / sizeof(std::uint64_t)) {
+          throw std::runtime_error("ClientStates: blob count exceeds command");
+        }
         std::vector<std::vector<std::uint64_t>> blobs(n);
         for (auto& s : blobs) {
           const std::uint64_t words = r.u64();
@@ -404,8 +290,10 @@ void StateMachine::apply(std::span<const std::byte> command, Shared& sh,
       return;
     }
     case Cmd::kWorkerCrash: {
-      const std::uint64_t t = r.u64();
-      apply_worker_crash(t, r.u32());
+      r.u64();  // the round the leader saw the worker miss
+      // A worker that awaited the open round leaves it: the round completes
+      // without it.
+      ledger.crash(r.u32());
       return;
     }
     case Cmd::kFinish:
@@ -418,82 +306,60 @@ void StateMachine::apply(std::span<const std::byte> command, Shared& sh,
 fl::TrainerCheckpoint StateMachine::build_checkpoint(
     std::vector<std::vector<std::uint64_t>> client_states,
     std::vector<std::vector<std::uint64_t>> codec_states) const {
-  fl::TrainerCheckpoint ck = committer.checkpoint(round);
+  fl::TrainerCheckpoint ck = committer.checkpoint(ledger.round());
   ck.client_state = std::move(client_states);
   ck.compressor_state = std::move(codec_states);
   fl::ClusterMeterState& m = ck.meters;
   // Logical counters, zero retransmissions: a replicated checkpoint records
   // the reproducible footprint, not one process's physical recovery traffic.
-  m.uplink_bytes = up_bytes;
-  m.uplink_messages = up_msgs;
+  m.uplink_bytes = ck.uploaded_bytes;
+  m.uplink_messages = upload_frames + elimination_frames;
   m.downlink_bytes = down_bytes;
   m.downlink_messages = down_msgs;
   m.upload_messages = upload_frames;
   m.elimination_messages = elimination_frames;
-  m.simulated_transfer_seconds = sim_transfer;
-  m.footprint = footprint;
+  m.simulated_transfer_seconds = ledger.transfer_seconds();
   return ck;
 }
 
 void StateMachine::restore_checkpoint(const fl::TrainerCheckpoint& ck) {
   committer.restore(ck);
-  for (std::size_t k = 0; k < alive.size(); ++k) last_acked[k] = ck.iteration;
   const fl::ClusterMeterState& m = ck.meters;
-  up_bytes = m.uplink_bytes;
-  up_msgs = m.uplink_messages;
+  ledger.resume(ck.iteration, m.simulated_transfer_seconds);
   down_bytes = m.downlink_bytes;
   down_msgs = m.downlink_messages;
   upload_frames = m.upload_messages;
   elimination_frames = m.elimination_messages;
-  sim_transfer = m.simulated_transfer_seconds;
-  footprint = m.footprint;
-  round = ck.iteration;
-  round_open = false;
-  states_round = round;
+  states_round = ck.iteration;
 }
 
 std::vector<std::byte> StateMachine::snapshot_blob() const {
   // Snapshots are cut only at RoundCommit boundaries, so there is never an
   // open round to serialize.
   WireWriter w;
-  w.u64(round);
   w.u8(stop ? 1 : 0);
   w.u8(finished ? 1 : 0);
   w.u64(states_round);
   w.u64(quorum_rounds);
-  w.u32(static_cast<std::uint32_t>(alive.size()));
-  for (std::size_t k = 0; k < alive.size(); ++k) {
-    w.u8(alive[k] ? 1 : 0);
-    w.u64(last_acked[k]);
-    w.u64(max_staleness[k]);
-  }
-  w.u32(static_cast<std::uint32_t>(crashed_workers.size()));
-  for (const std::uint32_t c : crashed_workers) w.u32(c);
+  const std::vector<std::uint64_t> words = ledger.state_words();
+  w.u64(words.size());
+  for (const std::uint64_t word : words) w.u64(word);
   write_bytes(w, fl::encode_checkpoint(build_checkpoint({}, {})));
   return w.take();
 }
 
 void StateMachine::restore_snapshot(std::span<const std::byte> blob) {
   WireReader r(blob);
-  const std::uint64_t snap_round = r.u64();
   const bool snap_stop = r.u8() != 0;
   const bool snap_finished = r.u8() != 0;
   const std::uint64_t snap_states_round = r.u64();
   const std::uint64_t snap_quorum = r.u64();
-  const std::uint32_t n = r.u32();
-  if (n != alive.size()) {
-    throw std::runtime_error("snapshot: worker count mismatch");
+  const std::uint64_t word_count = r.u64();
+  if (word_count > r.remaining() / sizeof(std::uint64_t)) {
+    throw std::runtime_error("snapshot: ledger words exceed the snapshot");
   }
-  std::vector<char> snap_alive(n);
-  std::vector<std::uint64_t> snap_acked(n), snap_stale(n);
-  for (std::uint32_t k = 0; k < n; ++k) {
-    snap_alive[k] = static_cast<char>(r.u8());
-    snap_acked[k] = r.u64();
-    snap_stale[k] = r.u64();
-  }
-  const std::uint32_t crashed = r.u32();
-  std::vector<std::uint32_t> snap_crashed(crashed);
-  for (auto& c : snap_crashed) c = r.u32();
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(word_count));
+  for (auto& word : words) word = r.u64();
   const std::uint64_t ck_size = r.u64();
   if (ck_size > r.remaining()) {
     throw std::runtime_error("snapshot: truncated checkpoint payload");
@@ -502,15 +368,11 @@ void StateMachine::restore_snapshot(std::span<const std::byte> blob) {
   for (auto& b : payload) b = static_cast<std::byte>(r.u8());
 
   restore_checkpoint(fl::decode_checkpoint(payload));
-  round = snap_round;
+  ledger.restore_state_words(words);
   states_round = snap_states_round;
   stop = snap_stop;
   finished = snap_finished;
   quorum_rounds = snap_quorum;
-  alive = std::move(snap_alive);
-  last_acked = std::move(snap_acked);
-  max_staleness = std::move(snap_stale);
-  crashed_workers = std::move(snap_crashed);
 }
 
 // ------------------------------------------------------------ the replicas
@@ -599,8 +461,8 @@ bool partition_blocks(const Shared& sh, const Replica& self,
   if (map.count(self.id) != 0) return false;  // partitioned: cannot enforce
   const auto it = map.find(other);
   if (it == map.end()) return false;
-  return self.sm.round >= it->second.from_round &&
-         self.sm.round <= it->second.to_round;
+  return self.sm.ledger.round() >= it->second.from_round &&
+         self.sm.ledger.round() <= it->second.to_round;
 }
 
 /// Drains the node's outputs: outbox frames to peers, committed entries into
@@ -637,10 +499,10 @@ void pump(Replica& self, Shared& sh) {
 /// leader has accepted enough replies.  Returns true when this replica must
 /// die (silently, mid-flight: queued proposals in the outbox die with it).
 bool maybe_crash(Replica& self, Shared& sh, const Driver& drv) {
-  if (!self.sm.round_open) return false;
+  if (!self.sm.ledger.is_open()) return false;
   const auto& schedule = sh.options->fault.leader_crash;
   for (std::size_t i = 0; i < schedule.size(); ++i) {
-    if (schedule[i].round != self.sm.round) continue;
+    if (schedule[i].round != self.sm.ledger.round()) continue;
     if (drv.accepted < schedule[i].after_replies) continue;
     if (sh.crash_fired[i].exchange(true)) continue;  // already fired
     sh.leader_crashes.fetch_add(1, std::memory_order_relaxed);
@@ -650,7 +512,7 @@ bool maybe_crash(Replica& self, Shared& sh, const Driver& drv) {
   }
   const auto& restarts = sh.options->fault.replica_restart;
   for (std::size_t i = 0; i < restarts.size(); ++i) {
-    if (restarts[i].round != self.sm.round) continue;
+    if (restarts[i].round != self.sm.ledger.round()) continue;
     if (drv.accepted < restarts[i].after_replies) continue;
     if (sh.restart_fired[i].exchange(true)) continue;  // already fired
     sh.replica_crashed[self.id].store(true, std::memory_order_release);
@@ -681,9 +543,9 @@ const std::vector<std::byte>& broadcast_frame(const Replica& self,
 
 void send_broadcasts(Replica& self, Shared& sh, Driver& drv,
                      std::vector<FaultyChannel>& downlinks, bool original) {
-  const auto& frame = broadcast_frame(self, sh, drv, self.sm.round);
+  const auto& frame = broadcast_frame(self, sh, drv, self.sm.ledger.round());
   for (std::size_t k = 0; k < sh.num_workers; ++k) {
-    if (!self.sm.active[k] || self.sm.answered[k]) continue;
+    if (!self.sm.ledger.awaits(k)) continue;
     if (original) {
       sh.downlink_meter->record(frame.size());
     } else {
@@ -758,8 +620,8 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
     return DriveResult::kOk;
   }
 
-  if (sm.round_open) {
-    const std::uint64_t t = sm.round;
+  if (sm.ledger.is_open()) {
+    const std::uint64_t t = sm.ledger.round();
     const bool bounded = rec.round_timeout_s > 0.0;
     if (drv.bcast_round != t) {
       drv.bcast_round = t;
@@ -776,7 +638,7 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
     } else if (bounded && Clock::now() >= drv.deadline) {
       bool unanswered = false;
       for (std::size_t k = 0; k < sh.num_workers; ++k) {
-        if (sm.active[k] && !sm.answered[k] && !drv.proposed_reply[k]) {
+        if (sm.ledger.awaits(k) && !drv.proposed_reply[k]) {
           unanswered = true;
         }
       }
@@ -787,7 +649,7 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
         ++drv.attempt;
         if (drv.attempt >= rec.max_attempts) {
           for (std::size_t k = 0; k < sh.num_workers; ++k) {
-            if (sm.active[k] && !sm.answered[k] && !drv.proposed_reply[k] &&
+            if (sm.ledger.awaits(k) && !drv.proposed_reply[k] &&
                 !drv.proposed_crash[k]) {
               self.node.propose(
                   encode_worker_crash(t, static_cast<std::uint32_t>(k)));
@@ -803,11 +665,7 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
         drv.deadline = next_deadline(sh, drv);  // replies in flight to commit
       }
     }
-    bool all_answered = true;
-    for (std::size_t k = 0; k < sh.num_workers; ++k) {
-      if (sm.active[k] && !sm.answered[k]) all_answered = false;
-    }
-    if (all_answered && drv.proposed_commit != t) {
+    if (sm.ledger.pending() == 0 && drv.proposed_commit != t) {
       self.node.propose(encode_round_commit(t));
       drv.proposed_commit = t;
     }
@@ -815,10 +673,10 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
   }
 
   // Between rounds: checkpoint if due, then advance or finish.
-  const std::uint64_t t = sm.round;
+  const std::uint64_t t = sm.ledger.round();
   const bool last = t >= flopt.max_iterations;
   const bool checkpoint_due = t >= 1 && sm.states_round < t &&
-                              sm.crashed_workers.empty() &&
+                              sm.ledger.crashed().empty() &&
                               sm.committer.checkpoint_due(t, sm.stop);
   if (checkpoint_due) {
     if (drv.proposed_states != t) {
@@ -832,11 +690,7 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
     }
     return DriveResult::kOk;  // wait for the entry to commit and apply
   }
-  std::size_t active_count = 0;
-  for (std::size_t k = 0; k < sh.num_workers; ++k) {
-    if (sm.alive[k] && !sm.committer.quarantined(k)) ++active_count;
-  }
-  if (sm.stop || last || active_count == 0) {
+  if (sm.stop || last || sm.ledger.invitable(sm.committer) == 0) {
     if (!drv.proposed_finish) {
       self.node.propose(encode_finish());
       drv.proposed_finish = true;
@@ -894,32 +748,27 @@ DriveResult handle_frame(Replica& self, Shared& sh, Driver& drv,
     return DriveResult::kOk;
   }
   StateMachine& sm = self.sm;
-  if (reply->iteration > sm.round) {
+  if (reply->iteration > sm.ledger.round()) {
     // Leader completeness: a committed RoundStart is always in the leader's
     // applied prefix before any worker could have seen its broadcast.
     throw std::runtime_error("replicated master: reply from the future");
   }
-  if (!sm.round_open || reply->iteration < sm.round ||
-      sm.answered[client_id] || !sm.active[client_id] ||
-      (client_id < drv.proposed_reply.size() &&
-       drv.proposed_reply[client_id])) {
+  if (!sm.ledger.expects(reply->iteration, client_id) ||
+      drv.proposed_reply[client_id]) {
     sh.master_redundant.fetch_add(1, std::memory_order_relaxed);
     return DriveResult::kOk;
   }
-  ReplyCmd cmd;
-  cmd.round = sm.round;
-  cmd.worker = client_id;
-  cmd.is_upload = reply->is_upload() ? 1 : 0;
-  cmd.score = reply->score;
-  cmd.frame_bytes = frame.size();
-  if (reply->is_upload()) {
+  RoundLedger::Answer answer{.upload = reply->is_upload(),
+                             .score = reply->score,
+                             .wire_bytes = frame.size()};
+  if (answer.upload) {
     // The leader decodes *before* proposing: the replicated log carries the
     // dense reconstruction, so followers (and post-failover leaders) apply
     // identical state without ever touching a codec.
-    cmd.update =
+    answer.update =
         reply_update(*reply, self.decoder.get(), sm.committer.global().size());
   }
-  self.node.propose(encode_reply_cmd(cmd));
+  self.node.propose(encode_reply(sm.ledger.round(), client_id, answer));
   drv.proposed_reply[client_id] = 1;
   ++drv.accepted;
   if (maybe_crash(self, sh, drv)) return DriveResult::kCrash;
@@ -1159,8 +1008,7 @@ ClusterResult run_replicated_cluster(
   result.upload_messages = sm.upload_frames;
   result.elimination_messages = sm.elimination_frames;
   result.control_plane_bytes = control_meter.total_bytes();
-  result.simulated_transfer_seconds = sm.sim_transfer;
-  result.footprint = sm.footprint;
+  result.simulated_transfer_seconds = sm.ledger.transfer_seconds();
 
   FaultReport& faults = result.faults;
   faults.frames_dropped = fault_stats.frames_dropped.load();
@@ -1194,8 +1042,8 @@ ClusterResult run_replicated_cluster(
       faults.wal_replay_entries += sc.replay_entries;
     }
   }
-  faults.crashed_workers = sm.crashed_workers;
-  faults.max_staleness_per_client = sm.max_staleness;
+  faults.crashed_workers = sm.ledger.crashed();
+  faults.max_staleness_per_client = sm.ledger.max_staleness();
   return result;
 }
 

@@ -15,9 +15,11 @@
 // accuracy-vs-bytes footprint all match exactly.  DESIGN.md §14 gives the
 // protocol and the determinism argument.
 //
-// Byte accounting is split in two:
-//   * Logical (replicated, exactly-once per accepted frame): drives
-//     sim.uploaded_bytes and the footprint curve, hence bit-reproducible.
+// The open round lives in the single master's net::RoundLedger, driven by
+// committed entries.  Byte accounting is split in two:
+//   * Logical (the ledger's tally, exactly once per accepted reply — the
+//     rule of both masters): drives sim.uploaded_bytes and the footprint
+//     curve, hence bit-reproducible.
 //   * Physical (ByteMeters): what actually crossed each link, including
 //     failover re-broadcasts (metered as retransmissions) — honest overhead
 //     numbers that are *not* reproducible under real elections.

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "fl/checkpoint.h"
-#include "fl/round_commit.h"
 
 namespace cmfl::net {
 
@@ -339,6 +338,132 @@ std::vector<float> reply_update(Reply& reply, codec::UpdateCodec* decoder,
     throw std::runtime_error("master: bad update size");
   }
   return update;
+}
+
+// ------------------------------------------------------------ round ledger
+
+RoundLedger::RoundLedger(std::size_t workers)
+    : alive_(workers, 1),
+      invited_(workers, 0),
+      answers_(workers),
+      last_acked_(workers, 0),
+      max_staleness_(workers, 0) {}
+
+void RoundLedger::resume(std::uint64_t t, double transfer_seconds) {
+  round_ = t;
+  open_ = false;
+  last_acked_.assign(last_acked_.size(), t);
+  transfer_seconds_ = transfer_seconds;
+}
+
+std::size_t RoundLedger::invitable(const fl::RoundCommitter& committer) const {
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < alive_.size(); ++k) {
+    if (alive_[k] && !committer.quarantined(k)) ++n;
+  }
+  return n;
+}
+
+std::size_t RoundLedger::open(std::uint64_t t,
+                              const fl::RoundCommitter& committer,
+                              std::uint64_t broadcast_bytes) {
+  round_ = t;
+  open_ = true;
+  broadcast_bytes_ = broadcast_bytes;
+  accepted_ = 0;
+  pending_ = 0;
+  for (std::size_t k = 0; k < alive_.size(); ++k) {
+    invited_[k] = alive_[k] && !committer.quarantined(k) ? 1 : 0;
+    pending_ += invited_[k];
+    answers_[k].reset();  // a restored snapshot may abandon an open round
+  }
+  invited_count_ = pending_;
+  return pending_;
+}
+
+bool RoundLedger::accept(std::uint64_t round, std::size_t k, Answer answer) {
+  if (!expects(round, k)) return false;
+  answers_[k] = std::move(answer);
+  last_acked_[k] = round;
+  ++accepted_;
+  --pending_;
+  return true;
+}
+
+void RoundLedger::crash(std::size_t k) {
+  if (k >= alive_.size() || !alive_[k]) return;
+  alive_[k] = 0;
+  crashed_.push_back(static_cast<std::uint32_t>(k));
+  if (!awaits(k)) return;
+  invited_[k] = 0;
+  --pending_;
+}
+
+fl::RoundOutcome RoundLedger::close(fl::RoundCommitter& committer,
+                                    const fl::GlobalEvaluator& evaluate,
+                                    std::span<const std::size_t> samples,
+                                    const ClusterOptions& options) {
+  if (!open_) throw std::logic_error("RoundLedger: no open round to close");
+  std::vector<fl::RoundReport> reports;
+  reports.reserve(accepted_);
+  double max_upload_transfer = 0.0;
+  for (std::size_t k = 0; k < answers_.size(); ++k) {
+    if (!answers_[k]) continue;
+    const Answer& a = *answers_[k];
+    reports.push_back({.client = k,
+                       .upload = a.upload,
+                       .score = a.score,
+                       .samples = samples[k],
+                       .update = a.update,
+                       .wire_bytes = a.wire_bytes});
+    max_upload_transfer = std::max(
+        max_upload_transfer, options.uplink.transfer_seconds(a.wire_bytes));
+  }
+  const fl::RoundOutcome outcome = committer.close_round(
+      static_cast<std::size_t>(round_), reports, evaluate);
+  transfer_seconds_ += options.downlink.transfer_seconds(broadcast_bytes_) +
+                       max_upload_transfer;
+  for (std::size_t k = 0; k < answers_.size(); ++k) {
+    if (!committer.quarantined(k)) {
+      max_staleness_[k] = std::max(max_staleness_[k], round_ - last_acked_[k]);
+    }
+    answers_[k].reset();
+  }
+  open_ = false;
+  return outcome;
+}
+
+std::vector<std::uint64_t> RoundLedger::state_words() const {
+  std::vector<std::uint64_t> words;
+  words.push_back(alive_.size());
+  words.insert(words.end(), alive_.begin(), alive_.end());
+  words.insert(words.end(), last_acked_.begin(), last_acked_.end());
+  words.insert(words.end(), max_staleness_.begin(), max_staleness_.end());
+  words.push_back(crashed_.size());
+  words.insert(words.end(), crashed_.begin(), crashed_.end());
+  return words;
+}
+
+void RoundLedger::restore_state_words(std::span<const std::uint64_t> words) {
+  const std::size_t n = alive_.size();
+  if (words.size() < 3 * n + 2 || words[0] != n) {
+    throw std::runtime_error("RoundLedger: words for another worker count");
+  }
+  // The crash count must fit the workers and the words that follow it.
+  const std::uint64_t count = words[3 * n + 1];
+  const std::span<const std::uint64_t> crashed = words.subspan(3 * n + 2);
+  if (count > n || count != crashed.size() ||
+      std::any_of(crashed.begin(), crashed.end(),
+                  [n](std::uint64_t k) { return k >= n; })) {
+    throw std::runtime_error("RoundLedger: crash list does not fit");
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    alive_[k] = words[1 + k] != 0 ? 1 : 0;
+    last_acked_[k] = words[1 + n + k];
+    max_staleness_[k] = words[1 + 2 * n + k];
+  }
+  crashed_.assign(crashed.begin(), crashed.end());
+  open_ = false;
 }
 
 }  // namespace cmfl::net

@@ -1,11 +1,12 @@
-// The cluster worker — the paper's slave (§V-C) — written once for the
-// single master (net::FlCluster) and the replicated one
-// (net/replicated_master.h).  On a new round's broadcast a worker runs the
-// client step (fl::local_update), encodes an upload through its codec and
-// answers with one sealed reply frame, which it re-sends byte for byte when
-// the same broadcast arrives again or a replica redirects it: it trains at
-// most once per round.  A single master is the case of one uplink: its
-// broadcasts carry leader_id 0 and it never redirects.  DESIGN.md §19.
+// The cluster worker — the paper's slave (§V-C) — and the master side
+// around it, written once for the single master (net::FlCluster) and the
+// replicated one (net/replicated_master.h).  On a new round's broadcast a
+// worker runs the client step (fl::local_update), encodes an upload through
+// its codec and answers with one sealed reply frame, which it re-sends byte
+// for byte when the same broadcast arrives again or a replica redirects it:
+// it trains at most once per round.  A single master is the case of one
+// uplink: its broadcasts carry leader_id 0 and it never redirects.  Both
+// masters keep the open round in a RoundLedger.  DESIGN.md §19.
 #pragma once
 
 #include <atomic>
@@ -24,11 +25,8 @@
 #include "codec/codec.h"
 #include "core/filter.h"
 #include "fl/client.h"
+#include "fl/round_commit.h"
 #include "net/cluster.h"
-
-namespace cmfl::fl {
-class RoundCommitter;  // fl/round_commit.h
-}  // namespace cmfl::fl
 
 namespace cmfl::net {
 
@@ -231,5 +229,92 @@ std::optional<Reply> read_reply(std::span<const std::byte> payload,
 /// floats, is a protocol error and propagates.
 std::vector<float> reply_update(Reply& reply, codec::UpdateCodec* decoder,
                                 std::size_t dim);
+
+/// The open-round bookkeeping both masters keep: worker liveness and crash
+/// order, each worker's last answered round and max staleness, and the open
+/// round's invited set and accepted replies.  The single master drives it
+/// from its receive loop, the replicated state machine from committed log
+/// entries; either way a round closes over its replies in client-id order.
+class RoundLedger {
+ public:
+  /// One accepted reply, held until its round closes.
+  struct Answer {
+    bool upload = false;
+    double score = 0.0;
+    std::uint64_t wire_bytes = 0;  ///< the sealed reply frame
+    std::vector<float> update{};   ///< uploads: the decoded update
+  };
+
+  explicit RoundLedger(std::size_t workers);
+
+  /// The last round opened; it takes replies while is_open().
+  std::uint64_t round() const { return round_; }
+  bool is_open() const { return open_; }
+  bool alive(std::size_t k) const { return alive_[k] != 0; }
+  /// Worker k is invited to the open round and has not answered it.
+  bool awaits(std::size_t k) const {
+    return open_ && invited_[k] && !answers_[k];
+  }
+  bool answered(std::size_t k) const { return open_ && answers_[k]; }
+  /// accept() would take worker k's reply to `round`.
+  bool expects(std::uint64_t round, std::size_t k) const {
+    return round == round_ && k < alive_.size() && awaits(k);
+  }
+  std::size_t accepted() const { return accepted_; }
+  std::size_t pending() const { return pending_; }
+  /// An invited worker has not answered the open round, or crashed out.
+  bool missed() const { return accepted_ < invited_count_; }
+  const std::vector<std::uint32_t>& crashed() const { return crashed_; }
+  /// Per worker: max over closed rounds t of t − its last answered round,
+  /// taken while it is not quarantined.
+  const std::vector<std::uint64_t>& max_staleness() const {
+    return max_staleness_;
+  }
+  /// Σ over closed rounds: broadcast downlink time + slowest tallied reply.
+  double transfer_seconds() const { return transfer_seconds_; }
+
+  /// Continues after checkpointed round t, which every worker answered.
+  void resume(std::uint64_t t, double transfer_seconds);
+  /// Live workers the committer has not quarantined.
+  std::size_t invitable(const fl::RoundCommitter& committer) const;
+  /// Opens round t to every invitable worker; returns how many.
+  std::size_t open(std::uint64_t t, const fl::RoundCommitter& committer,
+                   std::uint64_t broadcast_bytes);
+  /// Takes worker k's reply, its update by move.  Unless expects(round, k)
+  /// — a duplicate, another round, a dead or quarantined worker — it
+  /// refuses and changes nothing.
+  bool accept(std::uint64_t round, std::size_t k, Answer answer);
+  /// Declares worker k dead, once (crash order is kept).  If k awaited the
+  /// open round, the round closes without it.
+  void crash(std::size_t k);
+  /// Hands the open round's replies to committer.close_round in client-id
+  /// order, updates staleness, adds the round's transfer time, and frees
+  /// the updates on the calling thread.
+  fl::RoundOutcome close(fl::RoundCommitter& committer,
+                         const fl::GlobalEvaluator& evaluate,
+                         std::span<const std::size_t> samples,
+                         const ClusterOptions& options);
+
+  /// Liveness, staleness and crash order: the replicated snapshot's part.
+  /// The reader throws std::runtime_error, changing nothing, on words for
+  /// another worker count or words that do not hold what they claim.
+  std::vector<std::uint64_t> state_words() const;
+  void restore_state_words(std::span<const std::uint64_t> words);
+
+ private:
+  std::vector<char> alive_;
+  std::vector<char> invited_;  // to the open round
+  std::vector<std::optional<Answer>> answers_;
+  std::vector<std::uint64_t> last_acked_;
+  std::vector<std::uint64_t> max_staleness_;
+  std::vector<std::uint32_t> crashed_;
+  std::uint64_t round_ = 0;
+  bool open_ = false;
+  std::uint64_t broadcast_bytes_ = 0;
+  std::size_t invited_count_ = 0;
+  std::size_t accepted_ = 0;
+  std::size_t pending_ = 0;
+  double transfer_seconds_ = 0.0;
+};
 
 }  // namespace cmfl::net

@@ -382,54 +382,39 @@ void RoundEngine::run_sync_rounds(Ctx& ctx) {
     }
 
     // --- Collect relevant updates S_t over the committed reports ---
-    std::vector<Trained*> uploads;
-    std::vector<Trained*> eliminated;
-    for (Trained* r : reports) {
-      (r->decision.upload ? uploads : eliminated).push_back(r);
-    }
-    if (uploads.empty() && options_.min_uploads > 0) {
+    if (options_.min_uploads > 0 &&
+        std::none_of(reports.begin(), reports.end(),
+                     [](const Trained* r) { return r->decision.upload; })) {
+      // Nobody passed the filter: the top-scored reports upload anyway.
       std::vector<Trained*> order = reports;
       std::sort(order.begin(), order.end(),
                 [](const Trained* a, const Trained* b) {
                   return a->decision.score > b->decision.score;
                 });
-      const auto forced = static_cast<std::ptrdiff_t>(
-          std::min(options_.min_uploads, order.size()));
-      uploads.assign(order.begin(), order.begin() + forced);
-      eliminated.assign(order.begin() + forced, order.end());
+      const std::size_t forced = std::min(options_.min_uploads, order.size());
+      for (std::size_t i = 0; i < forced; ++i) order[i]->decision.upload = true;
     }
-    for (const Trained* r : eliminated) {
-      ctx.committer.record_elimination(static_cast<std::size_t>(r->device));
-    }
-
-    fl::IterationRecord rec;
-    rec.iteration = static_cast<std::size_t>(t);
-    rec.participants = reports.size();
-    rec.uploads = uploads.size();
     ctx.sched.reported += reports.size();
-    if (!reports.empty()) {
-      double score_sum = 0.0;
-      double loss_sum = 0.0;
-      for (const Trained* r : reports) {
-        score_sum += r->decision.score;
-        loss_sum += r->train_loss;
-      }
-      rec.mean_score = score_sum / static_cast<double>(reports.size());
-      rec.mean_train_loss = loss_sum / static_cast<double>(reports.size());
-    }
 
     // --- GlobalOptimization over the committed uploads ---
     // Encodes run here on the engine thread, in committed order; the
     // server screens and aggregates the decoded reconstructions.
-    fl::RoundUploads received;
-    for (Trained* r : uploads) {
-      const auto device = static_cast<std::size_t>(r->device);
-      const std::uint64_t bytes = encode_upload(ctx, r->device, r->update);
-      ctx.committer.record_upload(device, bytes);
-      received.add(device, r->update, r->local_samples, bytes);
+    std::vector<fl::RoundReport> tally;
+    tally.reserve(reports.size());
+    for (Trained* r : reports) {
+      fl::RoundReport& rep =
+          tally.emplace_back(fl::RoundReport{
+              .client = static_cast<std::size_t>(r->device),
+              .upload = r->decision.upload,
+              .score = r->decision.score,
+              .train_loss = r->train_loss,
+              .samples = r->local_samples});
+      if (!rep.upload) continue;
+      rep.wire_bytes = encode_upload(ctx, r->device, r->update);
+      rep.update = r->update;
     }
-    const fl::RoundOutcome outcome =
-        ctx.committer.commit(rec, received, evaluator_);
+    const fl::RoundOutcome outcome = ctx.committer.close_round(
+        static_cast<std::size_t>(t), tally, evaluator_);
 
     if (ctx.committer.checkpoint_due(t, outcome.stop)) {
       fl::save_checkpoint_file(options_.checkpoint_path, snapshot(ctx, t));

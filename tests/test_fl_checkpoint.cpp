@@ -65,7 +65,6 @@ TrainerCheckpoint sample_checkpoint() {
   ck.meters.upload_messages = 8;
   ck.meters.elimination_messages = 2;
   ck.meters.simulated_transfer_seconds = 12.5;
-  ck.meters.footprint = {{5, 0.5, 500}, {10, 0.75, 900}};
   ck.sched.engaged = 1;
   ck.sched.version = 17;
   ck.sched.virtual_now = 123.0625;

@@ -5,9 +5,10 @@
 // aggregation rule.  One garbage-sending Byzantine client and a relative
 // norm bound make screening reject updates and quarantine the sender, so
 // the validator's verdicts, strikes and quarantine are part of what must
-// agree.  All four also agree on each round's participant count and the
-// bits of its mean score; the two in-process runtimes agree on the whole
-// record, training loss included (a cluster reply carries no loss).
+// agree.  All four agree on every field of every round's record but two:
+// cumulative_upload_bytes (the clusters count reply frames, eliminations
+// included) and mean_train_loss (a cluster reply carries no loss).  The two
+// in-process runtimes agree on the whole record.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -132,6 +133,16 @@ void expect_same_commits(const SimulationResult& got,
     EXPECT_EQ(got.history[i].participants, want.history[i].participants);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(got.history[i].mean_score),
               std::bit_cast<std::uint64_t>(want.history[i].mean_score));
+    EXPECT_EQ(got.history[i].iteration, want.history[i].iteration);
+    EXPECT_EQ(got.history[i].cumulative_rounds,
+              want.history[i].cumulative_rounds);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.history[i].staleness_mean),
+              std::bit_cast<std::uint64_t>(want.history[i].staleness_mean));
+    EXPECT_EQ(got.history[i].staleness_max, want.history[i].staleness_max);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.history[i].accuracy),
+              std::bit_cast<std::uint64_t>(want.history[i].accuracy));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.history[i].loss),
+              std::bit_cast<std::uint64_t>(want.history[i].loss));
   }
   EXPECT_EQ(got.validation, want.validation);
   EXPECT_EQ(got.uploads_per_client, want.uploads_per_client);

@@ -299,6 +299,16 @@ TEST(FlCluster, FaultyRunMatchesFaultFreeAtFullQuorum) {
   EXPECT_EQ(faulty.sim.final_params, clean.sim.final_params);
   EXPECT_EQ(faulty.sim.eliminations_per_client,
             clean.sim.eliminations_per_client);
+  // ...down to every record's bits, Φ in bytes and the transfer time: both
+  // count the tallied replies, not the retransmitted copies.
+  for (std::size_t i = 0; i < clean.sim.history.size(); ++i) {
+    EXPECT_TRUE(
+        fl::bitwise_equal(faulty.sim.history[i], clean.sim.history[i]))
+        << "round " << i + 1;
+  }
+  EXPECT_EQ(faulty.sim.uploaded_bytes, clean.sim.uploaded_bytes);
+  EXPECT_EQ(faulty.simulated_transfer_seconds,
+            clean.simulated_transfer_seconds);
   EXPECT_EQ(faulty.upload_messages, clean.upload_messages);
   EXPECT_EQ(faulty.elimination_messages, clean.elimination_messages);
   EXPECT_TRUE(faulty.faults.crashed_workers.empty());
@@ -1074,6 +1084,208 @@ TEST(WorkerGroup, MalformedBroadcastErrorReachesTheWaitingMaster) {
   EXPECT_THROW(group.rethrow_error(), std::runtime_error);
   group.stop();  // the healthy worker still shuts down; stop() never throws
   EXPECT_THROW(group.rethrow_error(), std::runtime_error);
+}
+
+// ------------------------------------------------------------ RoundLedger
+
+/// Four workers, 2 aggregator shards (upload i lands on shard i mod 2, so
+/// the per-shard counters show the upload order), a test pass every round.
+fl::SimulationOptions ledger_fl_options() {
+  fl::SimulationOptions opt;
+  opt.max_iterations = 10;
+  opt.eval_every = 1;
+  opt.sharding.shards = 2;
+  return opt;
+}
+
+nn::EvalResult fake_eval(std::span<const float> params) {
+  nn::EvalResult r;
+  r.accuracy = static_cast<double>(params[0]);
+  r.loss = static_cast<double>(params[1]);
+  return r;
+}
+
+/// Worker k's reply: an upload (update k + i/8, frame 100 + k bytes) or an
+/// elimination frame of 29 bytes.
+RoundLedger::Answer answer_of(std::size_t k, bool upload) {
+  RoundLedger::Answer a;
+  a.upload = upload;
+  a.score = 0.125 * static_cast<double>(k + 1) + 0.1;
+  a.wire_bytes = upload ? 100 + k : 29;
+  if (upload) {
+    for (int i = 0; i < 4; ++i) {
+      a.update.push_back(static_cast<float>(k) + 0.125f * i + 0.1f);
+    }
+  }
+  return a;
+}
+
+constexpr std::array<std::size_t, 4> kLedgerSamples = {5, 6, 7, 8};
+
+TEST(RoundLedger, AcceptOrderDoesNotChangeTheClosedRound) {
+  // Both masters accept replies in arrival order; the round must close in
+  // client-id order all the same.  Workers 0, 2 and 3 upload, 1 eliminates.
+  const auto run = [](const std::vector<std::size_t>& order) {
+    fl::RoundCommitter committer(ledger_fl_options(), 4,
+                                 {0.5f, 1.0f, -1.0f, 2.0f});
+    RoundLedger ledger(4);
+    EXPECT_EQ(ledger.open(1, committer, 500), 4u);
+    for (const std::size_t k : order) {
+      EXPECT_TRUE(ledger.accept(1, k, answer_of(k, k != 1)));
+    }
+    EXPECT_EQ(ledger.pending(), 0u);
+    EXPECT_FALSE(ledger.missed());
+    ClusterOptions links;
+    const fl::RoundOutcome out =
+        ledger.close(committer, fake_eval, kLedgerSamples, links);
+    EXPECT_TRUE(out.evaluated);
+    EXPECT_FALSE(ledger.is_open());
+    EXPECT_EQ(ledger.transfer_seconds(),
+              links.downlink.transfer_seconds(500) +
+                  links.uplink.transfer_seconds(103));
+    std::vector<std::uint64_t> shard_bytes;
+    for (const fl::ShardStats& s : committer.aggregator().stats()) {
+      shard_bytes.push_back(s.bytes);
+    }
+    return std::make_pair(committer.finish(), shard_bytes);
+  };
+  const auto [in_order, in_order_shards] = run({0, 1, 2, 3});
+  const auto [shuffled, shuffled_shards] = run({3, 1, 0, 2});
+
+  ASSERT_EQ(in_order.history.size(), 1u);
+  ASSERT_EQ(shuffled.history.size(), 1u);
+  EXPECT_TRUE(fl::bitwise_equal(in_order.history[0], shuffled.history[0]));
+  EXPECT_EQ(in_order.final_params, shuffled.final_params);
+  // Uploads 0, 1, 2 of the round are workers 0, 2, 3: shard 0 screens
+  // workers 0 and 3, shard 1 worker 2.
+  EXPECT_EQ(in_order_shards, (std::vector<std::uint64_t>{100 + 103, 102}));
+  EXPECT_EQ(shuffled_shards, in_order_shards);
+
+  const fl::IterationRecord& rec = in_order.history[0];
+  EXPECT_EQ(rec.participants, 4u);
+  EXPECT_EQ(rec.uploads, 3u);
+  EXPECT_EQ(rec.cumulative_rounds, 3u);
+  // Φ in bytes counts every tallied reply frame, the elimination's too.
+  EXPECT_EQ(rec.cumulative_upload_bytes, 100u + 29u + 102u + 103u);
+  EXPECT_EQ(in_order.uploaded_bytes, rec.cumulative_upload_bytes);
+  EXPECT_EQ(rec.mean_train_loss, 0.0);
+  EXPECT_EQ(in_order.uploads_per_client,
+            (std::vector<std::size_t>{1, 0, 1, 1}));
+  EXPECT_EQ(in_order.eliminations_per_client,
+            (std::vector<std::size_t>{0, 1, 0, 0}));
+}
+
+TEST(RoundLedger, AcceptRefusesWithoutChangingState) {
+  fl::RoundCommitter committer(ledger_fl_options(), 4, std::vector<float>(4));
+  fl::TrainerCheckpoint ck = committer.checkpoint(0);
+  ck.validation.quarantined[3] = 1;
+  committer.restore(ck);  // worker 3 is quarantined
+  RoundLedger ledger(4);
+  ledger.crash(2);        // worker 2 is dead
+  EXPECT_EQ(ledger.invitable(committer), 2u);
+  ASSERT_EQ(ledger.open(7, committer, 500), 2u);
+  ASSERT_TRUE(ledger.accept(7, 0, answer_of(0, true)));
+
+  const auto state = [&] {
+    std::vector<std::uint64_t> s = ledger.state_words();
+    s.insert(s.end(), {ledger.accepted(), ledger.pending(), ledger.round()});
+    for (std::size_t k = 0; k < 4; ++k) {
+      s.push_back(ledger.awaits(k));
+      s.push_back(ledger.answered(k));
+    }
+    return s;
+  };
+  const std::vector<std::uint64_t> before = state();
+  EXPECT_FALSE(ledger.accept(7, 0, answer_of(0, false)));  // duplicate
+  EXPECT_FALSE(ledger.accept(6, 1, answer_of(1, true)));   // stale round
+  EXPECT_FALSE(ledger.accept(8, 1, answer_of(1, true)));   // another round
+  EXPECT_FALSE(ledger.accept(7, 2, answer_of(2, true)));   // dead
+  EXPECT_FALSE(ledger.accept(7, 3, answer_of(3, true)));   // quarantined
+  EXPECT_FALSE(ledger.accept(7, 4, answer_of(4, true)));   // no such worker
+  EXPECT_EQ(state(), before);
+
+  ASSERT_TRUE(ledger.accept(7, 1, answer_of(1, false)));
+  ledger.close(committer, fake_eval, kLedgerSamples, ClusterOptions{});
+  EXPECT_FALSE(ledger.accept(7, 1, answer_of(1, false)));  // closed round
+  // The duplicate did not replace worker 0's upload.
+  const fl::IterationRecord rec = committer.checkpoint(7).history.back();
+  EXPECT_EQ(rec.participants, 2u);
+  EXPECT_EQ(rec.uploads, 1u);
+  EXPECT_EQ(rec.mean_score,
+            (answer_of(0, true).score + answer_of(1, false).score) / 2.0);
+}
+
+TEST(RoundLedger, CrashMidRoundLetsTheRoundCloseAndRecordsTheWorkerOnce) {
+  fl::RoundCommitter committer(ledger_fl_options(), 4, std::vector<float>(4));
+  RoundLedger ledger(4);
+  ASSERT_EQ(ledger.open(1, committer, 500), 4u);
+  ASSERT_TRUE(ledger.accept(1, 0, answer_of(0, true)));
+  ASSERT_TRUE(ledger.accept(1, 1, answer_of(1, false)));
+  ASSERT_TRUE(ledger.accept(1, 3, answer_of(3, true)));
+  ledger.crash(3);  // answered: dead, but its reply counts
+  EXPECT_EQ(ledger.pending(), 1u);
+  ledger.crash(2);  // awaited: leaves the round
+  ledger.crash(2);
+  EXPECT_EQ(ledger.pending(), 0u);
+  EXPECT_TRUE(ledger.missed());
+  EXPECT_FALSE(ledger.accept(1, 2, answer_of(2, true)));
+  EXPECT_EQ(ledger.crashed(), (std::vector<std::uint32_t>{3, 2}));
+
+  ledger.close(committer, fake_eval, kLedgerSamples, ClusterOptions{});
+  const fl::IterationRecord rec = committer.checkpoint(1).history.back();
+  EXPECT_EQ(rec.participants, 3u);
+  EXPECT_EQ(rec.uploads, 2u);
+  EXPECT_FALSE(ledger.alive(2));
+  EXPECT_FALSE(ledger.alive(3));
+  EXPECT_EQ(ledger.open(2, committer, 500), 2u);  // workers 0 and 1 only
+  EXPECT_TRUE(ledger.awaits(0));
+  EXPECT_FALSE(ledger.awaits(2));
+}
+
+TEST(RoundLedger, StateWordsRoundTripAndRejectLyingCounts) {
+  fl::RoundCommitter committer(ledger_fl_options(), 4, std::vector<float>(4));
+  RoundLedger ledger(4);
+  ledger.resume(2, 1.5);
+  ledger.open(3, committer, 500);
+  ledger.accept(3, 0, answer_of(0, true));
+  ledger.accept(3, 1, answer_of(1, false));
+  ledger.crash(3);
+  ledger.close(committer, fake_eval, kLedgerSamples, ClusterOptions{});
+  ledger.open(4, committer, 500);
+  ledger.accept(4, 1, answer_of(1, true));
+  ledger.close(committer, fake_eval, kLedgerSamples, ClusterOptions{});
+  ledger.crash(0);
+  // Dead workers keep ageing, as on both masters.
+  ASSERT_EQ(ledger.max_staleness(),
+            (std::vector<std::uint64_t>{1, 0, 2, 2}));
+
+  const std::vector<std::uint64_t> words = ledger.state_words();
+  RoundLedger restored(4);
+  // A replica restoring a snapshot may hold an open round it abandons.
+  restored.open(4, committer, 500);
+  restored.accept(4, 2, answer_of(2, true));
+  restored.restore_state_words(words);
+  EXPECT_EQ(restored.state_words(), words);
+  EXPECT_EQ(restored.crashed(), (std::vector<std::uint32_t>{3, 0}));
+  EXPECT_EQ(restored.max_staleness(), ledger.max_staleness());
+  EXPECT_FALSE(restored.is_open());
+  EXPECT_EQ(restored.open(5, committer, 500), 2u);  // workers 1 and 2
+  EXPECT_TRUE(restored.awaits(1));
+  EXPECT_TRUE(restored.awaits(2));
+
+  // Words claiming 2^32 - 1 crashed workers, and holding none.
+  std::vector<std::uint64_t> lying(words.begin(), words.begin() + 1 + 3 * 4);
+  lying.push_back(0xFFFFFFFFULL);
+  RoundLedger target(4);
+  const std::vector<std::uint64_t> fresh = target.state_words();
+  EXPECT_THROW(target.restore_state_words(lying), std::runtime_error);
+  lying.back() = 1;  // one crash claimed, none held
+  EXPECT_THROW(target.restore_state_words(lying), std::runtime_error);
+  lying.push_back(4);  // one held, but no such worker
+  EXPECT_THROW(target.restore_state_words(lying), std::runtime_error);
+  EXPECT_THROW(RoundLedger(3).restore_state_words(words), std::runtime_error);
+  EXPECT_THROW(target.restore_state_words({}), std::runtime_error);
+  EXPECT_EQ(target.state_words(), fresh);
 }
 
 }  // namespace

@@ -147,6 +147,6 @@ int main(int argc, char** argv) {
     std::printf("## C. data distribution (observe-only relevance)\n");
     table.print(std::cout);
   }
-  bench::warn_unused(cfg);
+  cfg.warn_unused_keys();
   return 0;
 }

@@ -133,10 +133,4 @@ inline std::string opt_saving(const std::optional<double>& v) {
   return v ? util::fmt(*v, 2) + "x" : "-";
 }
 
-inline void warn_unused(const util::Config& cfg) {
-  for (const auto& key : cfg.unused_keys()) {
-    std::fprintf(stderr, "warning: unknown config key '%s'\n", key.c_str());
-  }
-}
-
 }  // namespace cmfl::bench

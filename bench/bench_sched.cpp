@@ -172,6 +172,6 @@ int main(int argc, char** argv) {
   std::printf("\nScheduling counters:\n");
   sched_table.print(std::cout);
 
-  bench::warn_unused(cfg);
+  cfg.warn_unused_keys();
   return 0;
 }

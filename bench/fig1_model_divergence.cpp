@@ -88,6 +88,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper: >50%% of parameters above 100%% divergence in both models; "
       "maxima 268 / 175\n");
-  bench::warn_unused(cfg);
+  cfg.warn_unused_keys();
   return 0;
 }

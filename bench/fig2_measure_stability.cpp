@@ -70,6 +70,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper shape: Gaia's measure decays by orders of magnitude (log-"
       "scale axis); CMFL's stays in a narrow band\n");
-  bench::warn_unused(cfg);
+  cfg.warn_unused_keys();
   return 0;
 }

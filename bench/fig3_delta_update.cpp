@@ -75,6 +75,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper shape: the distribution is concentrated at small values with "
       "a bounded tail, validating the previous-update estimate\n");
-  bench::warn_unused(cfg);
+  cfg.warn_unused_keys();
   return 0;
 }

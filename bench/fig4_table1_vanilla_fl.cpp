@@ -137,6 +137,6 @@ int main(int argc, char** argv) {
       "paper shape: saving(CMFL) >> saving(Gaia) ~= 1 at every target "
       "accuracy (paper: 3.45x/3.47x vs 1.25x/1.13x on MNIST CNN; "
       "13.35x/13.97x vs 1.42x/1.26x on NWP LSTM)\n");
-  bench::warn_unused(cfg);
+  cfg.warn_unused_keys();
   return 0;
 }

@@ -130,6 +130,6 @@ int main(int argc, char** argv) {
       "paper shape: MOCHA+CMFL reaches each target accuracy with multi-x "
       "fewer accumulated rounds (paper: 4.3x/5.7x on HAR, 1.97x/3.3x on "
       "Semeion) and equal-or-better final accuracy\n");
-  bench::warn_unused(cfg);
+  cfg.warn_unused_keys();
   return 0;
 }

@@ -128,6 +128,6 @@ int main(int argc, char** argv) {
   std::printf(
       "paper shape: the frequently-eliminated population shows a clearly "
       "heavier divergence distribution than the rest\n");
-  bench::warn_unused(cfg);
+  cfg.warn_unused_keys();
   return 0;
 }

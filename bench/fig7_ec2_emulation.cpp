@@ -121,6 +121,6 @@ int main(int argc, char** argv) {
       "\npaper shape: CMFL reaches each accuracy level with several-x fewer "
       "uploaded bytes (paper: 7.1x/6.4x/6.9x); the elimination frames it "
       "sends instead are negligible in size\n");
-  bench::warn_unused(cfg);
+  cfg.warn_unused_keys();
   return 0;
 }

@@ -71,6 +71,6 @@ int main(int argc, char** argv) {
       "\nbaseline (vanilla, dense) uplink: %s bytes; CMFL cuts uploads, "
       "codecs cut bytes per upload, and the savings multiply.\n",
       util::fmt_count(static_cast<long long>(baseline_bytes)).c_str());
-  bench::warn_unused(cfg);
+  cfg.warn_unused_keys();
   return 0;
 }

@@ -16,6 +16,10 @@
 # any change that touches src/codec/ — regressions must be explained.
 set -eu
 
+# Any UBSan report fails the sanitizer pass instead of printing and carrying
+# on.
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 BUILD_DIR="$REPO_ROOT/build-release"
 case "${1:-}" in
@@ -25,7 +29,7 @@ case "${1:-}" in
 esac
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j --target bench_codec
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_codec
 
 OUT="$REPO_ROOT/BENCH_codec.json"
 "$BUILD_DIR/bench/bench_codec" --benchmark_out="$OUT" \
@@ -50,6 +54,6 @@ echo "wrote $OUT (Release provenance verified, simd=$SIMD)"
 ASAN_DIR="${BUILD_DIR}-asan-ubsan"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMFL_SANITIZE=address,undefined
-cmake --build "$ASAN_DIR" -j --target test_codec test_codec_malformed
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target test_codec test_codec_malformed
 (cd "$ASAN_DIR" && ctest -L codec --output-on-failure)
 echo "ASan+UBSan codec gates passed"

@@ -23,6 +23,10 @@
 # the scaling numbers.
 set -eu
 
+# Any UBSan report fails the sanitizer pass instead of printing and carrying
+# on.
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 BUILD_DIR="$REPO_ROOT/build-release"
 case "${1:-}" in
@@ -32,7 +36,7 @@ case "${1:-}" in
 esac
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j --target bench_ingest
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_ingest
 
 OUT="$REPO_ROOT/BENCH_ingest.json"
 "$BUILD_DIR/bench/bench_ingest" --benchmark_out="$OUT" \
@@ -93,7 +97,7 @@ EOF
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMFL_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j --target \
+cmake --build "$TSAN_DIR" -j "$(nproc)" --target \
       test_fl_shard test_sched_work_pool test_sched_population \
       test_sched_round_engine test_fl_simulation
 (cd "$TSAN_DIR" && ctest -L ingest --output-on-failure)
@@ -103,7 +107,7 @@ echo "TSan ingest gates passed"
 ASAN_DIR="${BUILD_DIR}-asan-ubsan"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMFL_SANITIZE=address,undefined
-cmake --build "$ASAN_DIR" -j --target \
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target \
       test_fl_shard test_sched_work_pool test_sched_population \
       test_sched_round_engine test_fl_simulation
 (cd "$ASAN_DIR" && ctest -L ingest --output-on-failure)

@@ -22,6 +22,10 @@
 #      exercised under ASan before a baseline is accepted.
 set -eu
 
+# Any UBSan report fails the sanitizer pass instead of printing and carrying
+# on.
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 BUILD_DIR="$REPO_ROOT/build-release"
 case "${1:-}" in
@@ -31,7 +35,7 @@ case "${1:-}" in
 esac
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j --target bench_train
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_train
 
 OUT="$REPO_ROOT/BENCH_train.json"
 # Repetitions + median comparison: the tracked ratio must not depend on a
@@ -83,7 +87,7 @@ echo "wrote $OUT (Release provenance + CNN floors verified)"
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMFL_SANITIZE=address
-cmake --build "$ASAN_DIR" -j --target test_nn_alloc test_nn_conv_im2col
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target test_nn_alloc test_nn_conv_im2col
 "$ASAN_DIR/tests/test_nn_conv_im2col"
 "$ASAN_DIR/tests/test_nn_alloc"
 echo "ASan hot-path gates passed"

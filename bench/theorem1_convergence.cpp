@@ -65,6 +65,6 @@ int main(int argc, char** argv) {
       "\nexpected: every scheme's time-averaged regret decreases with T "
       "(Theorem 1), CMFL's rounds are fewer than vanilla's, and the final "
       "loss gaps are comparable\n");
-  bench::warn_unused(cfg);
+  cfg.warn_unused_keys();
   return 0;
 }

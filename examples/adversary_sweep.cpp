@@ -115,6 +115,7 @@ int main(int argc, char** argv) {
   cfg.iters = static_cast<std::size_t>(cfg_args.get_int("iters", 10));
   cfg.dim = static_cast<std::size_t>(cfg_args.get_int("dim", 16));
   cfg.seed = static_cast<std::uint64_t>(cfg_args.get_int("seed", 7));
+  cfg_args.warn_unused_keys();
 
   const fl::SimulationResult clean =
       run_once(cfg, {}, 0.0, kDefenses[0]);

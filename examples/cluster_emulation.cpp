@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
       std::make_unique<core::CmflFilter>(core::Schedule::inv_pow(
           cfg.get_double("threshold", 0.55), 0.02)),
       w.evaluator, opt);
+  cfg.warn_unused_keys();
   const net::ClusterResult r = cluster.run();
 
   for (const auto& p : r.footprint) {

@@ -203,8 +203,6 @@ int main(int argc, char** argv) {
   std::printf("\ncombined strictly beats both single axes: %s\n",
               multiplies ? "yes" : "NO");
 
-  for (const auto& key : cfg.unused_keys()) {
-    std::fprintf(stderr, "warning: unknown config key '%s'\n", key.c_str());
-  }
+  cfg.warn_unused_keys();
   return multiplies ? 0 : 1;
 }

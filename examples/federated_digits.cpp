@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
   opt.eval_every = 1;
 
   const double threshold = cfg.get_double("threshold", 0.46);
+  cfg.warn_unused_keys();
   fl::Workload w = fl::make_digits_cnn_workload(spec);
   std::printf("workload: %s\n", w.description.c_str());
   std::printf("CMFL threshold: %.2f (constant)\n\n", threshold);

@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
       std::make_unique<core::CmflFilter>(
           core::Schedule::constant(cfg.get_double("threshold", 0.45))),
       opt);
+  cfg.warn_unused_keys();
   const fl::SimulationResult cmfl = filtered.run();
 
   std::printf("scheme      | uploads | final accuracy\n");

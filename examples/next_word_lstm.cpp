@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
       std::make_unique<core::CmflFilter>(core::Schedule::constant(
           cfg.get_double("threshold", 0.49))),
       w.evaluator, opt);
+  cfg.warn_unused_keys();
   const fl::SimulationResult r = sim.run();
 
   for (const auto& rec : r.history) {

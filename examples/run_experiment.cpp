@@ -126,9 +126,7 @@ int main(int argc, char** argv) {
       fl::write_trace_csv_file(out, r);
       std::printf("trace written to %s\n", out.c_str());
     }
-    for (const auto& key : cfg.unused_keys()) {
-      std::fprintf(stderr, "warning: unknown key '%s'\n", key.c_str());
-    }
+    cfg.warn_unused_keys();
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

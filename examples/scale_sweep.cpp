@@ -150,8 +150,6 @@ int main(int argc, char** argv) {
   std::printf("\npeak resident client state scales with the sampled cohort "
               "(pop_fraction << 1), not the population.\n");
 
-  for (const auto& key : cfg.unused_keys()) {
-    std::fprintf(stderr, "warning: unknown config key '%s'\n", key.c_str());
-  }
+  cfg.warn_unused_keys();
   return 0;
 }

@@ -35,11 +35,6 @@ void GlobalUpdateEstimator::observe(std::span<const float> global_update) {
   observed_ = true;
 }
 
-void GlobalUpdateEstimator::reset() {
-  std::fill(estimate_.begin(), estimate_.end(), 0.0f);
-  observed_ = false;
-}
-
 void GlobalUpdateEstimator::restore(std::span<const float> estimate,
                                     bool observed) {
   if (estimate.size() != estimate_.size()) {

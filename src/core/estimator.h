@@ -32,8 +32,6 @@ class GlobalUpdateEstimator {
 
   bool has_observation() const noexcept { return observed_; }
 
-  void reset();
-
   /// Restores a state previously captured as (estimate(), has_observation())
   /// — used by crash-consistent checkpoint/resume (fl/checkpoint.h).
   /// Throws std::invalid_argument on size mismatch.

@@ -1,6 +1,5 @@
 #include "core/significance.h"
 
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -22,31 +21,6 @@ double norm_ratio_significance(std::span<const float> update,
     return un == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
   }
   return un / mn;
-}
-
-double elementwise_ratio_significance(std::span<const float> update,
-                                      std::span<const float> model,
-                                      float eps) {
-  if (update.size() != model.size()) {
-    throw std::invalid_argument(
-        "elementwise_ratio_significance: size mismatch");
-  }
-  if (update.empty()) {
-    throw std::invalid_argument(
-        "elementwise_ratio_significance: empty vectors");
-  }
-  double acc = 0.0;
-  std::size_t counted = 0;
-  for (std::size_t i = 0; i < update.size(); ++i) {
-    if (std::fabs(model[i]) > eps) {
-      const double r =
-          static_cast<double>(update[i]) / static_cast<double>(model[i]);
-      acc += r * r;
-      ++counted;
-    }
-  }
-  if (counted == 0) return 0.0;
-  return std::sqrt(acc / static_cast<double>(counted));
 }
 
 }  // namespace cmfl::core

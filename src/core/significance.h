@@ -2,12 +2,8 @@
 // reimplemented as the paper's baseline.
 //
 // Gaia deems an update significant when ‖Update/Model‖ exceeds a threshold.
-// Two readings of that expression are provided:
-//  * norm_ratio        — ‖u‖ / ‖x‖ (ratio of Euclidean norms; the form the
-//                        paper plots in Fig. 2a as a single per-client
-//                        scalar).  This is the default used by GaiaFilter.
-//  * elementwise_ratio — RMS of u_j/x_j over parameters with |x_j| > eps
-//                        (closer to Gaia's per-parameter rule, aggregated).
+// GaiaFilter reads that expression as ‖u‖ / ‖x‖, the ratio of Euclidean
+// norms that the paper plots in Fig. 2a as a single per-client scalar.
 #pragma once
 
 #include <span>
@@ -20,11 +16,5 @@ namespace cmfl::core {
 /// mismatch or empty vectors.
 double norm_ratio_significance(std::span<const float> update,
                                std::span<const float> model);
-
-/// Root-mean-square of u_j / x_j over coordinates with |x_j| > eps.
-/// Returns 0 when no coordinate qualifies.
-double elementwise_ratio_significance(std::span<const float> update,
-                                      std::span<const float> model,
-                                      float eps = 1e-8f);
 
 }  // namespace cmfl::core

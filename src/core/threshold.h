@@ -44,10 +44,7 @@ class Schedule {
   double at(std::size_t t) const noexcept;
 
   double base() const noexcept { return base_; }
-  ScheduleKind kind() const noexcept { return kind_; }
   std::string describe() const;
-
-  double exponent() const noexcept { return exponent_; }
 
  private:
   double base_;

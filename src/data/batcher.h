@@ -18,7 +18,6 @@ class Batcher {
   /// it so the shard may be a temporary.
   Batcher(std::span<const std::size_t> shard, std::size_t batch_size);
 
-  std::size_t batch_size() const noexcept { return batch_size_; }
   std::size_t samples() const noexcept { return order_.size(); }
   std::size_t batches_per_epoch() const noexcept;
 

@@ -1,6 +1,6 @@
 #include "data/dataset.h"
 
-#include <numeric>
+#include <algorithm>
 #include <stdexcept>
 
 namespace cmfl::data {
@@ -67,21 +67,6 @@ std::size_t Partition::total_samples() const noexcept {
   std::size_t total = 0;
   for (const auto& shard : client_indices) total += shard.size();
   return total;
-}
-
-Split split_indices(std::size_t count, double train_fraction, util::Rng& rng) {
-  if (train_fraction <= 0.0 || train_fraction > 1.0) {
-    throw std::invalid_argument("split_indices: train_fraction out of (0,1]");
-  }
-  std::vector<std::size_t> order(count);
-  std::iota(order.begin(), order.end(), 0);
-  rng.shuffle(order);
-  const auto cut = static_cast<std::size_t>(
-      train_fraction * static_cast<double>(count));
-  Split split;
-  split.train.assign(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(cut));
-  split.test.assign(order.begin() + static_cast<std::ptrdiff_t>(cut), order.end());
-  return split;
 }
 
 }  // namespace cmfl::data

@@ -55,12 +55,4 @@ struct Partition {
   std::size_t total_samples() const noexcept;
 };
 
-/// Train/test split: the first `train_fraction` of a shuffled index range.
-struct Split {
-  std::vector<std::size_t> train;
-  std::vector<std::size_t> test;
-};
-
-Split split_indices(std::size_t count, double train_fraction, util::Rng& rng);
-
 }  // namespace cmfl::data

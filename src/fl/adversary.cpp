@@ -6,16 +6,6 @@
 
 namespace cmfl::fl {
 
-Attack parse_attack(const std::string& name) {
-  if (name == "none") return Attack::kNone;
-  if (name == "signflip") return Attack::kSignFlip;
-  if (name == "scale") return Attack::kScale;
-  if (name == "garbage") return Attack::kGarbage;
-  if (name == "freerider") return Attack::kFreeRider;
-  if (name == "labelflip") return Attack::kLabelFlip;
-  throw std::invalid_argument("parse_attack: unknown attack '" + name + "'");
-}
-
 std::string attack_name(Attack attack) {
   switch (attack) {
     case Attack::kNone: return "none";

@@ -41,8 +41,6 @@ enum class Attack {
 };
 
 /// "none" | "signflip" | "scale" | "garbage" | "freerider" | "labelflip".
-/// Throws std::invalid_argument on an unknown name.
-Attack parse_attack(const std::string& name);
 std::string attack_name(Attack attack);
 
 struct AdversarySpec {
@@ -74,8 +72,6 @@ class ByzantineClient final : public FlClient {
   }
   std::vector<std::uint64_t> mutable_state() const override;
   void restore_mutable_state(std::span<const std::uint64_t> state) override;
-
-  Attack attack() const noexcept { return spec_.attack; }
 
  private:
   std::unique_ptr<FlClient> inner_;

@@ -18,7 +18,7 @@
 // resume — the final parameters and every recorded metric are bit-identical
 // to the uninterrupted run.
 //
-// On disk a checkpoint is a sealed blob (nn/serialize.h): magic "CMCK",
+// On disk a checkpoint is a sealed file (util/durable_file.h): magic "CMCK",
 // versioned, length-prefixed, CRC-32-protected, written atomically via
 // rename so a crash mid-write never corrupts the previous checkpoint.
 #pragma once
@@ -149,7 +149,7 @@ struct TrainerCheckpoint {
 std::vector<std::byte> encode_checkpoint(const TrainerCheckpoint& ck);
 TrainerCheckpoint decode_checkpoint(std::span<const std::byte> payload);
 
-/// Atomic, CRC-sealed file forms (nn::save_blob_file / load_blob_file).
+/// Atomic, CRC-sealed file forms (util::save_sealed_file / load_sealed_file).
 void save_checkpoint_file(const std::string& path,
                           const TrainerCheckpoint& ck);
 TrainerCheckpoint load_checkpoint_file(const std::string& path);

@@ -36,16 +36,6 @@ bool update_all_finite(std::span<const float> v) {
   return true;
 }
 
-Aggregation parse_aggregation(const std::string& name) {
-  if (name == "mean") return Aggregation::kUniformMean;
-  if (name == "weighted") return Aggregation::kSampleWeighted;
-  if (name == "median") return Aggregation::kMedian;
-  if (name == "trimmed") return Aggregation::kTrimmedMean;
-  if (name == "clipped") return Aggregation::kNormClippedMean;
-  throw std::invalid_argument("parse_aggregation: unknown rule '" + name +
-                              "'");
-}
-
 std::string aggregation_name(Aggregation rule) {
   switch (rule) {
     case Aggregation::kUniformMean: return "mean";

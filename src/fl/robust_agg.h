@@ -33,9 +33,7 @@ enum class Aggregation {
   kNormClippedMean, // uniform mean of norm-clipped updates
 };
 
-/// "mean" | "weighted" | "median" | "trimmed" | "clipped" — for examples
-/// and sweep tooling.  Throws std::invalid_argument on an unknown name.
-Aggregation parse_aggregation(const std::string& name);
+/// "mean" | "weighted" | "median" | "trimmed" | "clipped".
 std::string aggregation_name(Aggregation rule);
 
 /// Knobs of the robust rules (ignored by the two mean rules).

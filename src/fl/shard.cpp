@@ -232,18 +232,6 @@ void ShardedAggregator::aggregate(
   });
 }
 
-std::size_t ShardedAggregator::count_sign_matches(
-    std::span<const float> v, const tensor::SignPack& estimate) {
-  std::vector<std::size_t> partial(shards_.size(), 0);
-  run_on_all_shards([&](std::size_t s) {
-    partial[s] = tensor::count_sign_matches_range(v, estimate, ranges_[s].lo,
-                                                  ranges_[s].hi);
-  });
-  std::size_t total = 0;
-  for (const std::size_t p : partial) total += p;
-  return total;
-}
-
 std::vector<ShardStats> ShardedAggregator::stats() const {
   std::vector<ShardStats> out;
   out.reserve(shards_.size());

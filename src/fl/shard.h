@@ -120,7 +120,6 @@ class ShardedAggregator {
 
   std::size_t shards() const noexcept { return shards_.size(); }
   std::size_t dim() const noexcept { return dim_; }
-  const std::vector<ShardRange>& partition() const noexcept { return ranges_; }
 
   /// Prepares result storage for a round of up to `capacity` uploads and
   /// resets the completion counters.  Must not be called with jobs in
@@ -155,12 +154,6 @@ class ShardedAggregator {
                  std::span<const float> weights,
                  const RobustAggOptions& options, std::span<const double> norms,
                  std::span<float> out);
-
-  /// Range-parallel CMFL relevance score of one vector against a packed
-  /// estimate: per-shard count_sign_matches_range partials summed in shard
-  /// order (exact integers — equals the full-vector count).
-  std::size_t count_sign_matches(std::span<const float> v,
-                                 const tensor::SignPack& estimate);
 
   /// Per-shard counters (quiesced read: call between rounds).
   std::vector<ShardStats> stats() const;

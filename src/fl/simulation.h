@@ -205,7 +205,6 @@ class FederatedSimulation {
   /// (dimension or client-count mismatch, or not an engine checkpoint).
   SimulationResult resume(const TrainerCheckpoint& checkpoint);
 
-  std::size_t client_count() const noexcept { return clients_.size(); }
   std::size_t param_count() const noexcept { return dim_; }
 
  private:

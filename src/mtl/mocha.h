@@ -19,14 +19,6 @@
 
 namespace cmfl::mtl {
 
-struct MochaSpec {
-  std::size_t tasks = 0;
-  std::size_t features = 0;
-  double lambda = 0.01;      // strength of the tr(WΩWᵀ) coupling
-  std::size_t omega_every = 10;  // server refreshes Ω every this many rounds
-  double omega_ridge = 1e-3;
-};
-
 /// Labels are {0,1} in the datasets; the margin losses work on {-1,+1}.
 inline int to_pm1(int label) noexcept { return label == 1 ? 1 : -1; }
 

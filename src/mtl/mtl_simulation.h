@@ -50,8 +50,6 @@ class MtlSimulation {
 
   fl::SimulationResult run();
 
-  std::size_t task_count() const noexcept { return solvers_.size(); }
-
  private:
   const data::DenseDataset* dataset_;
   std::vector<TaskSolver> solvers_;

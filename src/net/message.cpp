@@ -4,21 +4,6 @@
 
 namespace cmfl::net {
 
-FrameType frame_type(const Message& msg) {
-  if (std::holds_alternative<BroadcastMsg>(msg)) return FrameType::kBroadcast;
-  if (std::holds_alternative<UpdateUploadMsg>(msg)) {
-    return FrameType::kUpdateUpload;
-  }
-  if (std::holds_alternative<EliminationMsg>(msg)) {
-    return FrameType::kElimination;
-  }
-  if (std::holds_alternative<RedirectMsg>(msg)) return FrameType::kRedirect;
-  if (std::holds_alternative<CodecUploadMsg>(msg)) {
-    return FrameType::kCodecUpload;
-  }
-  return FrameType::kShutdown;
-}
-
 namespace {
 
 /// Writes `msg`'s frame layout to a WireWriter, or counts it on a WireSizer.

@@ -98,7 +98,4 @@ std::vector<std::byte> encode(const Message& msg);
 /// Parses a frame; throws std::runtime_error on unknown type or truncation.
 Message decode(std::span<const std::byte> frame);
 
-/// Convenience for tests and byte accounting.
-FrameType frame_type(const Message& msg);
-
 }  // namespace cmfl::net

@@ -221,7 +221,6 @@ class RaftStorage {
   /// Cumulative counters including all rotated-away WAL incarnations.
   RaftStorageCounters counters() const noexcept;
 
-  const std::string& dir() const noexcept { return dir_; }
   std::string wal_path() const;
   std::string snapshot_path() const;
 

@@ -42,36 +42,4 @@ void ReLU::backward(const tensor::Matrix& grad_out, tensor::Matrix& grad_in) {
   }
 }
 
-Tanh::Tanh(std::size_t dim) : dim_(dim) {
-  if (dim == 0) throw std::invalid_argument("Tanh: dim must be positive");
-}
-
-std::string Tanh::name() const { return "Tanh(" + std::to_string(dim_) + ")"; }
-
-void Tanh::forward(const tensor::Matrix& in, tensor::Matrix& out,
-                   bool /*training*/) {
-  if (in.cols() != dim_) {
-    throw std::invalid_argument("Tanh::forward: input width mismatch");
-  }
-  out.resize(in.rows(), in.cols());
-  auto src = in.flat();
-  auto dst = out.flat();
-  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = std::tanh(src[i]);
-  cached_out_ = &out;
-}
-
-void Tanh::backward(const tensor::Matrix& grad_out, tensor::Matrix& grad_in) {
-  if (cached_out_ == nullptr || grad_out.rows() != cached_out_->rows() ||
-      grad_out.cols() != dim_) {
-    throw std::invalid_argument("Tanh::backward: gradient shape mismatch");
-  }
-  grad_in.resize(grad_out.rows(), grad_out.cols());
-  auto go = grad_out.flat();
-  auto gi = grad_in.flat();
-  auto co = cached_out_->flat();
-  for (std::size_t i = 0; i < gi.size(); ++i) {
-    gi[i] = go[i] * (1.0f - co[i] * co[i]);
-  }
-}
-
 }  // namespace cmfl::nn

@@ -23,26 +23,6 @@ class ReLU final : public Layer {
   const tensor::Matrix* cached_in_ = nullptr;  // forward input (see Layer)
 };
 
-class Tanh final : public Layer {
- public:
-  explicit Tanh(std::size_t dim);
-
-  std::size_t in_dim() const noexcept override { return dim_; }
-  std::size_t out_dim() const noexcept override { return dim_; }
-  std::string name() const override;
-
-  void forward(const tensor::Matrix& in, tensor::Matrix& out,
-               bool training) override;
-  void backward(const tensor::Matrix& grad_out,
-                tensor::Matrix& grad_in) override;
-
- private:
-  std::size_t dim_;
-  // tanh' = 1 - tanh², so reference the output buffer (owned by the caller,
-  // alive until backward per the Layer lifetime contract).
-  const tensor::Matrix* cached_out_ = nullptr;
-};
-
 /// Scalar helpers shared with the LSTM cell.
 float sigmoid(float x) noexcept;
 

@@ -49,12 +49,6 @@ float& Conv2d::weight(std::size_t oc, std::size_t ic, std::size_t kh,
             kw];
 }
 
-float Conv2d::weight(std::size_t oc, std::size_t ic, std::size_t kh,
-                     std::size_t kw) const noexcept {
-  return w_[((oc * spec_.in_channels + ic) * spec_.kernel + kh) * spec_.kernel +
-            kw];
-}
-
 void Conv2d::im2col_row(std::span<const float> x, float* col) const {
   const auto ih = spec_.in_height, iw = spec_.in_width, k = spec_.kernel,
              pad = spec_.padding;

@@ -20,7 +20,6 @@
 #pragma once
 
 #include "nn/layer.h"
-#include "tensor/tensor4.h"
 
 namespace cmfl::nn {
 
@@ -43,12 +42,10 @@ class Conv2d final : public Layer {
 
   std::size_t out_height() const noexcept { return out_h_; }
   std::size_t out_width() const noexcept { return out_w_; }
-  std::size_t out_channels() const noexcept { return spec_.out_channels; }
 
   /// Switches to the retained naive loops (per-step allocating, no GEMM).
   /// Used by equivalence tests and bench_train's pre-PR baseline.
   void set_reference_impl(bool ref) noexcept { ref_mode_ = ref; }
-  bool reference_impl() const noexcept { return ref_mode_; }
 
   void forward(const tensor::Matrix& in, tensor::Matrix& out,
                bool training) override;
@@ -63,8 +60,6 @@ class Conv2d final : public Layer {
  private:
   float& weight(std::size_t oc, std::size_t ic, std::size_t kh,
                 std::size_t kw) noexcept;
-  float weight(std::size_t oc, std::size_t ic, std::size_t kh,
-               std::size_t kw) const noexcept;
 
   void forward_ref(const tensor::Matrix& in, tensor::Matrix& out);
   void backward_ref(const tensor::Matrix& grad_out, tensor::Matrix& grad_in);

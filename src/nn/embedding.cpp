@@ -13,12 +13,6 @@ Embedding::Embedding(std::size_t vocab, std::size_t dim)
   }
 }
 
-tensor::Matrix Embedding::lookup(std::span<const int> tokens) const {
-  tensor::Matrix out;
-  lookup_into(tokens, out);
-  return out;
-}
-
 void Embedding::lookup_into(std::span<const int> tokens,
                             tensor::Matrix& out) const {
   out.resize(tokens.size(), dim_);

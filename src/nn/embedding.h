@@ -18,16 +18,13 @@ class Embedding {
   std::size_t vocab() const noexcept { return vocab_; }
   std::size_t dim() const noexcept { return dim_; }
 
-  /// Gathers rows for `tokens` (each in [0, vocab)) into a (batch × dim)
-  /// matrix.  Throws std::invalid_argument on out-of-range tokens.
-  tensor::Matrix lookup(std::span<const int> tokens) const;
-
-  /// Allocation-free form: gathers into `out` (resized to batch × dim,
-  /// reusing capacity).
+  /// Gathers rows for `tokens` (each in [0, vocab)) into `out`, resized to
+  /// batch × dim reusing capacity.  Throws std::invalid_argument on
+  /// out-of-range tokens.
   void lookup_into(std::span<const int> tokens, tensor::Matrix& out) const;
 
   /// Scatters `grad` (batch × dim) back into the gradient table for the
-  /// same token batch used in lookup().
+  /// same token batch used in lookup_into().
   void accumulate_grad(std::span<const int> tokens, const tensor::Matrix& grad);
 
   void init_params(util::Rng& rng);

@@ -71,14 +71,6 @@ double FeedForward::train_batch(const tensor::Matrix& x,
   return loss;
 }
 
-double FeedForward::train_batch(const tensor::Matrix& x,
-                                std::span<const int> y, Optimizer& opt,
-                                float lr) {
-  const double loss = compute_grads(x, y);
-  opt.step(params_pack(), grads_pack(), lr);
-  return loss;
-}
-
 EvalResult FeedForward::evaluate(const tensor::Matrix& x,
                                  std::span<const int> y) {
   net_.forward(x, logits_, /*training=*/false);
@@ -96,12 +88,6 @@ EvalResult FeedForward::evaluate(const tensor::Matrix& x,
   }
   result.loss = x.rows() ? loss / static_cast<double>(x.rows()) : 0.0;
   return result;
-}
-
-tensor::Matrix FeedForward::predict(const tensor::Matrix& x) {
-  tensor::Matrix logits;
-  net_.forward(x, logits, /*training=*/false);
-  return logits;
 }
 
 FeedForward make_digits_cnn(const CnnSpec& spec, util::Rng& rng) {

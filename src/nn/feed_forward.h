@@ -9,7 +9,6 @@
 
 #include "nn/loss.h"
 #include "nn/model.h"
-#include "nn/optimizer.h"
 #include "nn/sequential.h"
 
 namespace cmfl::nn {
@@ -27,7 +26,6 @@ class FeedForward {
 
   void init_params(util::Rng& rng) { net_.init_params(rng); }
 
-  std::string summary() const { return net_.summary(); }
   std::size_t input_dim() const { return net_.in_dim(); }
   std::size_t num_classes() const { return net_.out_dim(); }
 
@@ -36,16 +34,8 @@ class FeedForward {
   double train_batch(const tensor::Matrix& x, std::span<const int> y,
                      float lr);
 
-  /// Same, but the parameter update is delegated to `opt` (momentum, Adam,
-  /// ...).  The optimizer instance must be used with this model only.
-  double train_batch(const tensor::Matrix& x, std::span<const int> y,
-                     Optimizer& opt, float lr);
-
   /// Forward + loss/accuracy without touching parameters.
   EvalResult evaluate(const tensor::Matrix& x, std::span<const int> y);
-
-  /// Raw logits (inference mode).
-  tensor::Matrix predict(const tensor::Matrix& x);
 
   /// Computes gradients on (x, y) without applying an update — used by
   /// gradient-checking tests and by ablations that need raw gradients.

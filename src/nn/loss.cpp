@@ -80,47 +80,4 @@ double accuracy(const tensor::Matrix& logits, std::span<const int> labels) {
   return static_cast<double>(correct) / static_cast<double>(labels.size());
 }
 
-double mse(const tensor::Matrix& pred, const tensor::Matrix& target,
-           tensor::Matrix& grad) {
-  if (!pred.same_shape(target)) {
-    throw std::invalid_argument("mse: shape mismatch");
-  }
-  if (pred.rows() == 0) throw std::invalid_argument("mse: empty batch");
-  grad = tensor::Matrix(pred.rows(), pred.cols());
-  const double inv = 1.0 / static_cast<double>(pred.size());
-  double loss = 0.0;
-  auto p = pred.flat();
-  auto t = target.flat();
-  auto g = grad.flat();
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    const double d = static_cast<double>(p[i]) - static_cast<double>(t[i]);
-    loss += d * d;
-    g[i] = static_cast<float>(2.0 * d * inv);
-  }
-  return loss * inv;
-}
-
-double hinge(std::span<const float> scores, std::span<const int> labels,
-             std::span<float> grad) {
-  if (scores.size() != labels.size() || grad.size() != scores.size()) {
-    throw std::invalid_argument("hinge: size mismatch");
-  }
-  if (scores.empty()) throw std::invalid_argument("hinge: empty batch");
-  const double inv = 1.0 / static_cast<double>(scores.size());
-  double loss = 0.0;
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (labels[i] != 1 && labels[i] != -1) {
-      throw std::invalid_argument("hinge: labels must be +1 or -1");
-    }
-    const double margin = 1.0 - labels[i] * static_cast<double>(scores[i]);
-    if (margin > 0.0) {
-      loss += margin;
-      grad[i] = static_cast<float>(-labels[i] * inv);
-    } else {
-      grad[i] = 0.0f;
-    }
-  }
-  return loss * inv;
-}
-
 }  // namespace cmfl::nn

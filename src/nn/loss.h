@@ -33,13 +33,4 @@ std::vector<int> argmax_rows(const tensor::Matrix& logits);
 /// Fraction of rows whose argmax equals the label.
 double accuracy(const tensor::Matrix& logits, std::span<const int> labels);
 
-/// Mean squared error against a dense target matrix (same shape).
-double mse(const tensor::Matrix& pred, const tensor::Matrix& target,
-           tensor::Matrix& grad);
-
-/// Binary hinge loss for labels in {-1, +1} given scalar scores
-/// (batch × 1).  Used by the MOCHA linear SVM substrate.
-double hinge(std::span<const float> scores, std::span<const int> labels,
-             std::span<float> grad);
-
 }  // namespace cmfl::nn

@@ -32,7 +32,6 @@ class Lstm {
   Lstm(std::size_t input_dim, std::size_t hidden_dim);
 
   std::size_t input_dim() const noexcept { return in_; }
-  std::size_t hidden_dim() const noexcept { return hidden_; }
 
   /// Processes a sequence of `steps` input batches (each batch × input_dim,
   /// all with the same batch size), starting from zero state.  Returns the

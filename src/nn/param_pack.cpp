@@ -32,23 +32,6 @@ void ParamPack::copy_from(std::span<const float> in) {
   }
 }
 
-std::vector<float> ParamPack::to_vector() const {
-  std::vector<float> out(total_);
-  copy_to(out);
-  return out;
-}
-
-void ParamPack::axpy_from(float alpha, std::span<const float> src) {
-  if (src.size() != total_) {
-    throw std::invalid_argument("ParamPack::axpy_from: size mismatch");
-  }
-  std::size_t offset = 0;
-  for (auto& v : views_) {
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] += alpha * src[offset + i];
-    offset += v.size();
-  }
-}
-
 void ParamPack::axpy_from(float alpha, const ParamPack& src) {
   if (src.total_ != total_ || src.views_.size() != views_.size()) {
     throw std::invalid_argument("ParamPack::axpy_from: segmentation mismatch");
@@ -62,10 +45,6 @@ void ParamPack::axpy_from(float alpha, const ParamPack& src) {
     }
     for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += alpha * from[i];
   }
-}
-
-void ParamPack::zero() {
-  for (auto& v : views_) std::fill(v.begin(), v.end(), 0.0f);
 }
 
 }  // namespace cmfl::nn

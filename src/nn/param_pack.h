@@ -16,7 +16,6 @@ class ParamPack {
   explicit ParamPack(std::vector<std::span<float>> views);
 
   std::size_t total_size() const noexcept { return total_; }
-  std::size_t segments() const noexcept { return views_.size(); }
 
   /// Copies all segments, in order, into `out` (size must equal
   /// total_size(); throws std::invalid_argument otherwise).
@@ -25,19 +24,9 @@ class ParamPack {
   /// Copies `in` back into the underlying storage.
   void copy_from(std::span<const float> in);
 
-  /// Convenience: materializes a flat vector.
-  std::vector<float> to_vector() const;
-
-  /// dst += alpha * src over the underlying storage (src flat).
-  void axpy_from(float alpha, std::span<const float> src);
-
   /// dst += alpha * src, where src is another pack with the identical
-  /// segmentation (e.g. the gradient pack of the same model).  Avoids the
-  /// flat-vector materialization of axpy_from.
+  /// segmentation (e.g. the gradient pack of the same model).
   void axpy_from(float alpha, const ParamPack& src);
-
-  /// Zeroes the underlying storage.
-  void zero();
 
  private:
   std::vector<std::span<float>> views_;

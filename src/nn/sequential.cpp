@@ -25,15 +25,6 @@ std::size_t Sequential::out_dim() const {
   return layers_.back()->out_dim();
 }
 
-std::string Sequential::summary() const {
-  std::string s;
-  for (const auto& layer : layers_) {
-    if (!s.empty()) s += " -> ";
-    s += layer->name();
-  }
-  return s;
-}
-
 void Sequential::forward(const tensor::Matrix& in, tensor::Matrix& out,
                          bool training) {
   if (layers_.empty()) throw std::logic_error("Sequential: empty model");

@@ -25,9 +25,6 @@ class Sequential {
   Layer& layer(std::size_t i) { return *layers_[i]; }
   const Layer& layer(std::size_t i) const { return *layers_[i]; }
 
-  /// One-line architecture summary, e.g. "Conv2d(...) -> ReLU -> Dense(...)".
-  std::string summary() const;
-
   /// Runs all layers; `out` receives the final activation.  Inter-layer
   /// activations live in buffers owned by this Sequential and are reused
   /// across steps (steady state allocates nothing).  Per the Layer lifetime

@@ -40,8 +40,6 @@ void set_tier(Tier t) noexcept { g_tier.store(t); }
 
 Tier tier() noexcept { return g_tier.load(); }
 
-bool fast_tier_compiled() noexcept { return CMFL_SIMD_X86 != 0; }
-
 bool fast_tier_available() noexcept {
 #if CMFL_SIMD_X86
   static const bool ok = simd::cpu_has_avx2_fma();
@@ -396,43 +394,6 @@ void gemm_nt(const float* a, const float* b, float* c, std::size_t /*m*/,
   }
 }
 
-void gemv(const float* a, const float* x, float* y, std::size_t /*m*/,
-          std::size_t n, std::size_t i0, std::size_t i1) {
-#if CMFL_SIMD_X86
-  if (use_fast()) {
-    simd::gemv_avx2(a, x, y, n, i0, i1);
-    return;
-  }
-#endif
-  std::size_t i = i0;
-  for (; i + kMR <= i1; i += kMR) {
-    const float* a0 = a + (i + 0) * n;
-    const float* a1 = a + (i + 1) * n;
-    const float* a2 = a + (i + 2) * n;
-    const float* a3 = a + (i + 3) * n;
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double xv = x[j];
-      s0 += a0[j] * xv;
-      s1 += a1[j] * xv;
-      s2 += a2[j] * xv;
-      s3 += a3[j] * xv;
-    }
-    y[i + 0] = static_cast<float>(s0);
-    y[i + 1] = static_cast<float>(s1);
-    y[i + 2] = static_cast<float>(s2);
-    y[i + 3] = static_cast<float>(s3);
-  }
-  for (; i < i1; ++i) {
-    const float* ar = a + i * n;
-    double s = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      s += static_cast<double>(ar[j]) * static_cast<double>(x[j]);
-    }
-    y[i] = static_cast<float>(s);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Naive seed kernels (reference for tests and the old-path benchmark)
 // ---------------------------------------------------------------------------
@@ -479,18 +440,6 @@ void gemm_nt_ref(const float* a, const float* b, float* c, std::size_t m,
       }
       c[i * n + j] = static_cast<float>(s);
     }
-  }
-}
-
-void gemv_ref(const float* a, const float* x, float* y, std::size_t m,
-              std::size_t n) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* ar = a + i * n;
-    double s = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      s += static_cast<double>(ar[j]) * static_cast<double>(x[j]);
-    }
-    y[i] = static_cast<float>(s);
   }
 }
 
@@ -583,11 +532,6 @@ void weighted_sum_range(std::span<const std::span<const float>> xs,
       for (std::size_t i = b0; i < b1; ++i) out[i] += wk * xp[i];
     }
   }
-}
-
-void weighted_sum(std::span<const std::span<const float>> xs,
-                  std::span<const float> w, std::span<float> out) {
-  weighted_sum_range(xs, w, out, 0, out.size());
 }
 
 }  // namespace kernels
@@ -748,47 +692,6 @@ std::size_t count_sign_matches(std::span<const float> x, const SignPack& y) {
   for (; w < words; ++w) {
     const std::size_t base = w * 64;
     const std::size_t lanes = std::min<std::size_t>(64, x.size() - base);
-    std::uint64_t negx, nzx;
-    pack_chunk(x.data() + base, lanes, negx, nzx);
-    std::uint64_t m = match_word(negx, nzx, negy[w], nzy[w]);
-    if (lanes < 64) m &= (std::uint64_t{1} << lanes) - 1;
-    matches += static_cast<std::size_t>(std::popcount(m));
-  }
-  return matches;
-}
-
-std::size_t count_sign_matches_range(std::span<const float> x,
-                                     const SignPack& y, std::size_t lo,
-                                     std::size_t hi) {
-  kernels::check_same_size(x.size(), y.size(), "count_sign_matches_range");
-  if (lo > hi || hi > y.size()) {
-    throw std::invalid_argument("count_sign_matches_range: bad range");
-  }
-  if (lo % 64 != 0 || (hi % 64 != 0 && hi != y.size())) {
-    throw std::invalid_argument(
-        "count_sign_matches_range: bounds must be 64-aligned (or hi == size)");
-  }
-  if (lo == hi) return 0;
-  const auto negy = y.negative_words();
-  const auto nzy = y.nonzero_words();
-  const std::size_t w0 = lo / 64;
-  const std::size_t w1 = (hi + 63) / 64;
-  std::size_t matches = 0;
-  std::size_t w = w0;
-#if CMFL_SIMD_X86
-  if (signpack_use_fast()) {
-    // Full 64-lane words inside [lo, hi) run the vector sweep; the partial
-    // tail word (only possible when hi == size) runs the scalar path below —
-    // the same word split the full-vector mixed form uses.
-    const std::size_t full = w0 + (hi - lo) / 64;
-    matches = simd::count_matches_words_avx2(x.data() + lo, negy.data() + w0,
-                                             nzy.data() + w0, full - w0);
-    w = full;
-  }
-#endif
-  for (; w < w1; ++w) {
-    const std::size_t base = w * 64;
-    const std::size_t lanes = std::min<std::size_t>(64, hi - base);
     std::uint64_t negx, nzx;
     pack_chunk(x.data() + base, lanes, negx, nzx);
     std::uint64_t m = match_word(negx, nzx, negy[w], nzy[w]);

@@ -6,7 +6,7 @@
 // This header provides
 //
 //   * cache-blocked, register-tiled GEMM kernels (gemm_nn / gemm_tn /
-//     gemm_nt / gemv) plus the naive seed implementations (*_ref) kept for
+//     gemm_nt) plus the naive seed implementations (*_ref) kept for
 //     equivalence tests and old-vs-new benchmarks,
 //   * an optional ThreadPool-parallel row partition used by the Matrix-level
 //     wrappers and Conv2d when the work exceeds a flop threshold,
@@ -72,10 +72,8 @@ Tier tier() noexcept;
 /// The tier dispatches actually use: kExact or kFast, never kAuto.
 Tier active_tier() noexcept;
 
-/// True when the binary carries the AVX2/FMA backends (x86-64, GCC/Clang).
-bool fast_tier_compiled() noexcept;
-
-/// True when fast_tier_compiled() and the CPU reports AVX2 and FMA3.
+/// True when the binary carries the AVX2/FMA backends (x86-64, GCC/Clang)
+/// and the CPU reports AVX2 and FMA3.
 bool fast_tier_available() noexcept;
 
 /// Short provenance stamp for benchmark JSON: "avx2-fma" when the fast tier
@@ -175,10 +173,6 @@ void gemm_tn(const float* a, const float* b, float* c, std::size_t m,
 void gemm_nt(const float* a, const float* b, float* c, std::size_t m,
              std::size_t k, std::size_t n, std::size_t i0, std::size_t i1);
 
-/// y[m] = a[m×n] · x[n], rows [i0, i1).  Double accumulation.
-void gemv(const float* a, const float* x, float* y, std::size_t m,
-          std::size_t n, std::size_t i0, std::size_t i1);
-
 // Naive seed implementations, kept verbatim for equivalence tests and the
 // old-vs-new benchmark baseline.
 void gemm_nn_ref(const float* a, const float* b, float* c, std::size_t m,
@@ -187,8 +181,6 @@ void gemm_tn_ref(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n);
 void gemm_nt_ref(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n);
-void gemv_ref(const float* a, const float* x, float* y, std::size_t m,
-              std::size_t n);
 
 // ---------------------------------------------------------------------------
 // Fused server aggregation (single pass over the output, L1-blocked)
@@ -200,11 +192,6 @@ void gemv_ref(const float* a, const float* x, float* y, std::size_t m,
 /// Sizes must match (std::invalid_argument otherwise).
 void scaled_sum(std::span<const std::span<const float>> xs, float scale,
                 std::span<float> out);
-
-/// out[i] = Σ_k w[k] · xs[k][i] — the sample-weighted FedAvg aggregate,
-/// same op sequence as the seed's per-client axpy loop.
-void weighted_sum(std::span<const std::span<const float>> xs,
-                  std::span<const float> w, std::span<float> out);
 
 // Range-sliced forms for the sharded aggregation pipeline.  Each writes only
 // out[lo, hi) and reads only that range of every input.  Both tiers compute
@@ -219,7 +206,8 @@ void weighted_sum(std::span<const std::span<const float>> xs,
 void scaled_sum_range(std::span<const std::span<const float>> xs, float scale,
                       std::span<float> out, std::size_t lo, std::size_t hi);
 
-/// out[i] = Σ_k w[k] · xs[k][i] for i in [lo, hi).
+/// out[i] = Σ_k w[k] · xs[k][i] for i in [lo, hi) — the sample-weighted
+/// FedAvg aggregate, same op sequence as the seed's per-client axpy loop.
 void weighted_sum_range(std::span<const std::span<const float>> xs,
                         std::span<const float> w, std::span<float> out,
                         std::size_t lo, std::size_t hi);
@@ -272,17 +260,5 @@ std::size_t count_sign_matches(const SignPack& x, const SignPack& y);
 /// Mixed form: packs x one 64-lane chunk at a time (no allocation) and
 /// matches against the cached pack of y.
 std::size_t count_sign_matches(std::span<const float> x, const SignPack& y);
-
-/// Range form for sharded relevance scoring: matches of x[lo, hi) against the
-/// same element range of the cached pack y.  `x` spans the full vector
-/// (x.size() == y.size()); lo must be a multiple of 64 so the range starts on
-/// a pack-word boundary, and hi must be a multiple of 64 or y.size().  Sign
-/// matching is an exact integer count, so summing disjoint ranges that cover
-/// [0, size) equals the full-vector count exactly — the per-shard scores
-/// fan in to the single-master relevance score with no rounding concerns.
-/// Throws std::invalid_argument on size mismatch or misaligned bounds.
-std::size_t count_sign_matches_range(std::span<const float> x,
-                                     const SignPack& y, std::size_t lo,
-                                     std::size_t hi);
 
 }  // namespace cmfl::tensor

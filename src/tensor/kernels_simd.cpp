@@ -219,53 +219,6 @@ __attribute__((target("avx2,fma"))) void gemm_nt_avx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) void gemv_avx2(const float* a,
-                                                   const float* x, float* y,
-                                                   std::size_t n,
-                                                   std::size_t i0,
-                                                   std::size_t i1) {
-  std::size_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    const float* a0 = a + (i + 0) * n;
-    const float* a1 = a + (i + 1) * n;
-    const float* a2 = a + (i + 2) * n;
-    const float* a3 = a + (i + 3) * n;
-    __m256 s0 = _mm256_setzero_ps(), s1 = _mm256_setzero_ps();
-    __m256 s2 = _mm256_setzero_ps(), s3 = _mm256_setzero_ps();
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      const __m256 xv = _mm256_loadu_ps(x + j);
-      s0 = _mm256_fmadd_ps(_mm256_loadu_ps(a0 + j), xv, s0);
-      s1 = _mm256_fmadd_ps(_mm256_loadu_ps(a1 + j), xv, s1);
-      s2 = _mm256_fmadd_ps(_mm256_loadu_ps(a2 + j), xv, s2);
-      s3 = _mm256_fmadd_ps(_mm256_loadu_ps(a3 + j), xv, s3);
-    }
-    float r0 = hsum8(s0), r1 = hsum8(s1), r2 = hsum8(s2), r3 = hsum8(s3);
-    for (; j < n; ++j) {
-      const float xv = x[j];
-      r0 = __builtin_fmaf(a0[j], xv, r0);
-      r1 = __builtin_fmaf(a1[j], xv, r1);
-      r2 = __builtin_fmaf(a2[j], xv, r2);
-      r3 = __builtin_fmaf(a3[j], xv, r3);
-    }
-    y[i + 0] = r0;
-    y[i + 1] = r1;
-    y[i + 2] = r2;
-    y[i + 3] = r3;
-  }
-  for (; i < i1; ++i) {
-    const float* ar = a + i * n;
-    __m256 s = _mm256_setzero_ps();
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      s = _mm256_fmadd_ps(_mm256_loadu_ps(ar + j), _mm256_loadu_ps(x + j), s);
-    }
-    float r = hsum8(s);
-    for (; j < n; ++j) r = __builtin_fmaf(ar[j], x[j], r);
-    y[i] = r;
-  }
-}
-
 __attribute__((target("avx2"))) void add_col_sums_rowmajor_avx2(
     const float* m, std::size_t rows, std::size_t cols, std::size_t row_stride,
     float* acc) {

@@ -16,8 +16,8 @@
 // lanes map to *independent* output elements (gemm_nn/gemm_nn_acc/gemm_tn,
 // add_col_sums row-major, scaled_sum, weighted_sum) — the only difference is
 // fused multiply-add contraction (one rounding per tap instead of two).
-// Routines that reduce *within* a vector register (gemm_nt, gemv, the
-// strided add_col_sums) additionally reorder the sum into 8 partial lanes.
+// Routines that reduce *within* a vector register (gemm_nt, the strided
+// add_col_sums) additionally reorder the sum into 8 partial lanes.
 // Both effects are covered by the standard forward-error bound
 // |fast − exact| ≤ 2·γ_k·Σ_j |a_ij|·|b_jk| with γ_k = k·ε/(1−k·ε), which the
 // equivalence tests in tests/test_tensor_simd.cpp enforce.
@@ -61,10 +61,6 @@ void gemm_tn_acc_avx2(const float* a, const float* b, float* c, std::size_t m,
 /// kernel; tolerance-gated).
 void gemm_nt_avx2(const float* a, const float* b, float* c, std::size_t k,
                   std::size_t n, std::size_t i0, std::size_t i1);
-
-/// y[m] = a[m×n]·x[n], rows [i0, i1).  8-lane float FMA accumulators.
-void gemv_avx2(const float* a, const float* x, float* y, std::size_t n,
-               std::size_t i0, std::size_t i1);
 
 // --- Column sums (bias gradients) ---
 

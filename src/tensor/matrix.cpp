@@ -95,25 +95,6 @@ void matmul_nt(const Matrix& a, const Matrix& b, Matrix& out) {
   });
 }
 
-void matvec(const Matrix& a, std::span<const float> x, std::span<float> y) {
-  if (x.size() != a.cols() || y.size() != a.rows()) shape_error("matvec");
-  const std::size_t m = a.rows(), n = a.cols();
-  kernels::parallel_rows(m, m * n, [&](std::size_t i0, std::size_t i1) {
-    kernels::gemv(a.flat().data(), x.data(), y.data(), m, n, i0, i1);
-  });
-}
-
-void matvec_t(const Matrix& a, std::span<const float> x, std::span<float> y) {
-  if (x.size() != a.rows() || y.size() != a.cols()) shape_error("matvec_t");
-  std::fill(y.begin(), y.end(), 0.0f);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float xi = x[i];
-    if (xi == 0.0f) continue;
-    auto row = a.row(i);
-    for (std::size_t j = 0; j < a.cols(); ++j) y[j] += row[j] * xi;
-  }
-}
-
 void add_row_bias(Matrix& m, std::span<const float> bias) {
   if (bias.size() != m.cols()) shape_error("add_row_bias");
   for (std::size_t r = 0; r < m.rows(); ++r) {

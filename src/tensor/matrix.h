@@ -75,12 +75,6 @@ void matmul_tn(const Matrix& a, const Matrix& b, Matrix& out);
 /// out = a * bᵀ.  Shapes: (m×k) * (n×k)ᵀ -> (m×n).
 void matmul_nt(const Matrix& a, const Matrix& b, Matrix& out);
 
-/// y = A * x (gemv).  A is (m×n), x has n entries, y has m.
-void matvec(const Matrix& a, std::span<const float> x, std::span<float> y);
-
-/// y = Aᵀ * x.  A is (m×n), x has m entries, y has n.
-void matvec_t(const Matrix& a, std::span<const float> x, std::span<float> y);
-
 /// Adds `bias` (length cols) to every row of `m`.
 void add_row_bias(Matrix& m, std::span<const float> bias);
 

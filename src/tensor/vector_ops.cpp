@@ -21,11 +21,6 @@ void axpy(float alpha, std::span<const float> x, std::span<float> y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
-void copy(std::span<const float> x, std::span<float> y) {
-  check_same_size(x.size(), y.size(), "copy");
-  std::copy(x.begin(), x.end(), y.begin());
-}
-
 void scale(std::span<float> x, float alpha) {
   for (float& v : x) v *= alpha;
 }
@@ -34,31 +29,10 @@ void fill(std::span<float> x, float value) {
   std::fill(x.begin(), x.end(), value);
 }
 
-double dot(std::span<const float> x, std::span<const float> y) {
-  check_same_size(x.size(), y.size(), "dot");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-  }
-  return acc;
-}
-
 double norm2(std::span<const float> x) {
   double acc = 0.0;
   for (float v : x) acc += static_cast<double>(v) * static_cast<double>(v);
   return std::sqrt(acc);
-}
-
-double norm1(std::span<const float> x) {
-  double acc = 0.0;
-  for (float v : x) acc += std::fabs(static_cast<double>(v));
-  return acc;
-}
-
-double norm_inf(std::span<const float> x) {
-  double acc = 0.0;
-  for (float v : x) acc = std::max(acc, std::fabs(static_cast<double>(v)));
-  return acc;
 }
 
 void sub(std::span<const float> x, std::span<const float> y,
@@ -83,20 +57,6 @@ std::size_t count_sign_matches(std::span<const float> x,
     matches += static_cast<std::size_t>(sign(x[i]) == sign(y[i]));
   }
   return matches;
-}
-
-void clip(std::span<float> x, float limit) {
-  if (!(limit > 0.0f)) {
-    throw std::invalid_argument("clip: limit must be positive");
-  }
-  for (float& v : x) v = std::clamp(v, -limit, limit);
-}
-
-double mean(std::span<const float> x) {
-  if (x.empty()) return 0.0;
-  double acc = 0.0;
-  for (float v : x) acc += v;
-  return acc / static_cast<double>(x.size());
 }
 
 }  // namespace cmfl::tensor

@@ -15,26 +15,14 @@ namespace cmfl::tensor {
 /// y += alpha * x.  Sizes must match (std::invalid_argument otherwise).
 void axpy(float alpha, std::span<const float> x, std::span<float> y);
 
-/// Elementwise y = x.
-void copy(std::span<const float> x, std::span<float> y);
-
 /// x *= alpha.
 void scale(std::span<float> x, float alpha);
 
 /// Sets every element to `value`.
 void fill(std::span<float> x, float value);
 
-/// Dot product (accumulated in double for stability).
-double dot(std::span<const float> x, std::span<const float> y);
-
 /// Euclidean (L2) norm, accumulated in double.
 double norm2(std::span<const float> x);
-
-/// L1 norm.
-double norm1(std::span<const float> x);
-
-/// Max-abs (L-inf) norm.
-double norm_inf(std::span<const float> x);
 
 /// Elementwise difference z = x - y.
 void sub(std::span<const float> x, std::span<const float> y,
@@ -53,11 +41,5 @@ inline int sign(float v) noexcept { return (v > 0.0f) - (v < 0.0f); }
 /// Sizes must match.
 std::size_t count_sign_matches(std::span<const float> x,
                                std::span<const float> y);
-
-/// Clips every element into [-limit, limit]; limit must be positive.
-void clip(std::span<float> x, float limit);
-
-/// Returns the mean of the elements (0 for an empty span).
-double mean(std::span<const float> x);
 
 }  // namespace cmfl::tensor

@@ -1,5 +1,6 @@
 #include "util/config.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -84,6 +85,12 @@ std::vector<std::string> Config::unused_keys() const {
     if (!used_.count(key)) unused.push_back(key);
   }
   return unused;
+}
+
+void Config::warn_unused_keys() const {
+  for (const auto& key : unused_keys()) {
+    std::fprintf(stderr, "warning: unknown config key '%s'\n", key.c_str());
+  }
 }
 
 }  // namespace cmfl::util

@@ -3,7 +3,8 @@
 // Bench harnesses and examples accept overrides like:
 //   ./fig4_table1_vanilla_fl rounds=200 clients=50 seed=7
 // so the paper's parameter sweeps can be re-run at other scales without
-// recompiling.  Unknown keys are rejected loudly to catch typos.
+// recompiling.  A supplied key that no getter read is almost always a typo;
+// warn_unused_keys() names each one on stderr, and the run goes on.
 #pragma once
 
 #include <map>
@@ -29,11 +30,14 @@ class Config {
   bool get_bool(const std::string& key, bool fallback) const;
   std::string get_string(const std::string& key, std::string fallback) const;
 
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
-
   /// After all getters ran, reports keys that were supplied but never read —
   /// almost always a typo.  Returns empty vector if everything was consumed.
   std::vector<std::string> unused_keys() const;
+
+  /// Prints "warning: unknown config key '<key>'" on stderr for each of
+  /// unused_keys().  Every binary that parses a Config calls it once it has
+  /// read all its keys.
+  void warn_unused_keys() const;
 
  private:
   const std::string* find(const std::string& key) const;

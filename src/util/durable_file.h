@@ -1,5 +1,5 @@
-// Crash-consistent file primitives shared by checkpointing (nn/serialize,
-// fl/checkpoint) and the durable Raft control plane (net/raft.h).
+// Crash-consistent file primitives shared by checkpointing (fl/checkpoint)
+// and the durable Raft control plane (net/raft.h).
 //
 // Two durability idioms live here, and nowhere else:
 //

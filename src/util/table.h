@@ -31,9 +31,6 @@ class Table {
   /// Renders with aligned columns:  `| a   | bb |`.
   void print(std::ostream& os) const;
 
-  /// Renders as plain CSV (header + rows).
-  void print_csv(std::ostream& os) const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

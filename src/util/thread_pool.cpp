@@ -29,22 +29,15 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_available_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  // Completion is tracked in call-local shared state, not the pool-global
-  // in_flight_ counter: unrelated concurrent submit()s cannot extend the
-  // wait, and because the caller claims indices itself it always makes
+  // Completion is tracked in call-local shared state: unrelated concurrent
+  // submit()s cannot extend the wait, and because the caller claims indices itself it always makes
   // progress — a nested parallel_for from a worker completes even if every
   // other worker is busy (its queued helper tasks then find no indices left
   // and exit immediately).
@@ -99,10 +92,6 @@ void ThreadPool::worker_loop() {
       tasks_.pop();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 

@@ -33,15 +33,11 @@ class ThreadPool {
   /// Enqueues a task for asynchronous execution.
   void submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
-
   /// Runs fn(i) for i in [0, n), blocking until all complete.  Exceptions
   /// thrown by fn propagate to the caller (first one wins).  Completion is
-  /// tracked per call (not via the pool-global idle state), and the calling
-  /// thread participates in the work, so concurrent unrelated submit()s do
-  /// not extend the wait and nested parallel_for from a worker cannot
-  /// deadlock.
+  /// tracked per call, and the calling thread participates in the work, so
+  /// concurrent unrelated submit()s do not extend the wait and nested
+  /// parallel_for from a worker cannot deadlock.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
@@ -51,8 +47,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 

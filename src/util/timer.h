@@ -17,7 +17,6 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double millis() const { return seconds() * 1e3; }
   double micros() const { return seconds() * 1e6; }
 
  private:

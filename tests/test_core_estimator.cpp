@@ -42,14 +42,6 @@ TEST(Estimator, Validation) {
   EXPECT_THROW(est.observe(std::vector<float>{1.0f}), std::invalid_argument);
 }
 
-TEST(Estimator, ResetClears) {
-  GlobalUpdateEstimator est(2);
-  est.observe(std::vector<float>{1.0f, 1.0f});
-  est.reset();
-  EXPECT_FALSE(est.has_observation());
-  for (float v : est.estimate()) EXPECT_FLOAT_EQ(v, 0.0f);
-}
-
 TEST(DeltaUpdate, Eq8Definition) {
   std::vector<float> prev = {3.0f, 4.0f};            // norm 5
   std::vector<float> next = {3.0f, 4.0f};

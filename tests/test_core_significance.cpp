@@ -49,31 +49,5 @@ TEST(NormRatio, ScalesLinearlyWithUpdateMagnitude) {
   EXPECT_NEAR(norm_ratio_significance(small, x), base * 0.01, base * 1e-4);
 }
 
-TEST(ElementwiseRatio, SimpleCase) {
-  std::vector<float> u = {1.0f, 2.0f};
-  std::vector<float> x = {2.0f, 4.0f};
-  // ratios are 0.5 each -> RMS 0.5
-  EXPECT_NEAR(elementwise_ratio_significance(u, x), 0.5, 1e-12);
-}
-
-TEST(ElementwiseRatio, SkipsTinyModelEntries) {
-  std::vector<float> u = {100.0f, 1.0f};
-  std::vector<float> x = {1e-12f, 2.0f};
-  // first coordinate skipped (|x| < eps) -> only 1/2 remains
-  EXPECT_NEAR(elementwise_ratio_significance(u, x), 0.5, 1e-12);
-}
-
-TEST(ElementwiseRatio, AllSkippedGivesZero) {
-  std::vector<float> u = {1.0f};
-  std::vector<float> x = {0.0f};
-  EXPECT_DOUBLE_EQ(elementwise_ratio_significance(u, x), 0.0);
-}
-
-TEST(ElementwiseRatio, Validation) {
-  std::vector<float> u = {1.0f};
-  std::vector<float> x = {1.0f, 2.0f};
-  EXPECT_THROW(elementwise_ratio_significance(u, x), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace cmfl::core

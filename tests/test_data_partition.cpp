@@ -143,18 +143,6 @@ TEST(Batcher, Validation) {
   EXPECT_THROW(Batcher(std::vector<std::size_t>{}, 2), std::invalid_argument);
 }
 
-TEST(SplitIndices, PartitionsWholeRange) {
-  util::Rng rng(7);
-  const Split s = split_indices(100, 0.8, rng);
-  EXPECT_EQ(s.train.size(), 80u);
-  EXPECT_EQ(s.test.size(), 20u);
-  std::set<std::size_t> all(s.train.begin(), s.train.end());
-  all.insert(s.test.begin(), s.test.end());
-  EXPECT_EQ(all.size(), 100u);
-  EXPECT_THROW(split_indices(10, 0.0, rng), std::invalid_argument);
-  EXPECT_THROW(split_indices(10, 1.5, rng), std::invalid_argument);
-}
-
 TEST(DenseDataset, GatherAndValidation) {
   DenseDataset ds;
   ds.x = tensor::Matrix(3, 2, {1, 2, 3, 4, 5, 6});

@@ -61,15 +61,6 @@ std::vector<float> one_round(ByzantineClient& client,
 
 const std::vector<float> kBroadcast = {1.0f, -2.0f, 3.0f, 0.5f};
 
-TEST(Adversary, NamesRoundTrip) {
-  for (const auto a : {Attack::kNone, Attack::kSignFlip, Attack::kScale,
-                       Attack::kGarbage, Attack::kFreeRider,
-                       Attack::kLabelFlip}) {
-    EXPECT_EQ(parse_attack(attack_name(a)), a);
-  }
-  EXPECT_THROW(parse_attack("teleport"), std::invalid_argument);
-}
-
 TEST(Adversary, SignFlipNegatesTheUpdate) {
   auto client = wrap(Attack::kSignFlip);
   const auto out = one_round(*client, kBroadcast);

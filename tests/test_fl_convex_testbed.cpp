@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace cmfl::fl {
 namespace {
 
@@ -38,18 +40,36 @@ TEST(ConvexTestbed, VanillaRegretVanishes) {
   EXPECT_EQ(r.total_rounds, 20u * 400u);
 }
 
+// Theorem 1 under the paper's schedules η_t = 0.2/√t and v_t = 0.5/√t, on
+// every seed of a fixed range: the time-averaged regret (1/T)·ΣR falls at
+// T = 50, 100, 200 and 400, for CMFL and for vanilla FL alike.  On seeds
+// 1–12 CMFL's value at T = 400 measured 0.250–0.251× its value at T = 100.
+// No CMFL-to-vanilla regret factor is asserted: at T = 400 it measured
+// 0.89–38× on seeds 1–8 and 0.78–438× on seeds 1–12.  The 438× is seed 11,
+// where an early stall (CMFL's (1/50)·ΣR 28.7 against vanilla's 0.066) is
+// ended by the decaying v_t; any bound would be fitted to the seeds.
 TEST(ConvexTestbed, CmflConvergesWithFewerRounds) {
-  ConvexTestbed tb(small_spec());
-  core::AcceptAllFilter vanilla;
-  const auto base = tb.run(400, core::Schedule::inv_sqrt(0.2), vanilla);
-  core::CmflFilter cmfl(core::Schedule::inv_sqrt(0.5));
-  const auto filtered = tb.run(400, core::Schedule::inv_sqrt(0.2), cmfl);
-  EXPECT_LT(filtered.total_rounds, base.total_rounds);
-  // Convergence preserved: the time-averaged regret still decays...
-  EXPECT_LT(filtered.time_averaged_regret[399],
-            filtered.time_averaged_regret[50]);
-  // ...and the final gap is within a small factor of vanilla's.
-  EXPECT_LT(filtered.final_loss_gap, base.final_loss_gap * 10 + 0.5);
+  const auto averaged = [](const ConvexRunResult& r, std::size_t t) {
+    return r.time_averaged_regret[t - 1];
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ConvexTestbedSpec spec = small_spec();
+    spec.seed = seed;
+    ConvexTestbed tb(spec);
+    core::AcceptAllFilter vanilla;
+    const auto base = tb.run(400, core::Schedule::inv_sqrt(0.2), vanilla);
+    core::CmflFilter cmfl(core::Schedule::inv_sqrt(0.5));
+    const auto filtered = tb.run(400, core::Schedule::inv_sqrt(0.2), cmfl);
+    EXPECT_LT(filtered.total_rounds, base.total_rounds);
+    for (const auto* r : {&filtered, &base}) {
+      EXPECT_LT(averaged(*r, 100), averaged(*r, 50));
+      EXPECT_LT(averaged(*r, 200), averaged(*r, 100));
+      EXPECT_LT(averaged(*r, 400), averaged(*r, 200));
+    }
+    // The final gap is within a small factor of vanilla's.
+    EXPECT_LT(filtered.final_loss_gap, base.final_loss_gap * 10 + 0.5);
+  }
 }
 
 TEST(ConvexTestbed, DecayingScheduleBeatsConstantLr) {

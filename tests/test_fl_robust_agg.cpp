@@ -31,16 +31,6 @@ std::vector<float> aggregate(Aggregation rule,
   return out;
 }
 
-TEST(Aggregation, NamesRoundTrip) {
-  for (const auto rule :
-       {Aggregation::kUniformMean, Aggregation::kSampleWeighted,
-        Aggregation::kMedian, Aggregation::kTrimmedMean,
-        Aggregation::kNormClippedMean}) {
-    EXPECT_EQ(parse_aggregation(aggregation_name(rule)), rule);
-  }
-  EXPECT_THROW(parse_aggregation("krum"), std::invalid_argument);
-}
-
 TEST(Aggregation, UniformMeanIsExact) {
   const auto out = aggregate(Aggregation::kUniformMean,
                              {{1.0f, -2.0f}, {3.0f, 4.0f}});

@@ -193,21 +193,6 @@ TEST(ShardedAggregator, AggregateBitIdenticalToSerialForEveryRule) {
   }
 }
 
-TEST(ShardedAggregator, CountSignMatchesEqualsFullVectorScan) {
-  const std::size_t dim = 4113;  // not a multiple of 64
-  const auto updates = make_updates(1, dim);
-  util::Rng rng(9);
-  std::vector<float> est(dim);
-  for (auto& x : est) x = rng.uniform_f(-1.0f, 1.0f);
-  tensor::SignPack estimate(est);
-
-  const std::size_t expected = tensor::count_sign_matches(updates[0], estimate);
-  for (const std::size_t s : {1u, 2u, 4u, 8u}) {
-    ShardedAggregator agg(dim, shard_opts(s));
-    EXPECT_EQ(agg.count_sign_matches(updates[0], estimate), expected);
-  }
-}
-
 TEST(ShardedAggregator, StatsAccumulateDeterministicallyAndRoundTrip) {
   const std::size_t dim = 512;
   const auto updates = make_updates(6, dim);

@@ -275,12 +275,5 @@ TEST(FrameSeal, FourZeroBytesOpenToEmptyPayloadButDoNotDecode) {
   EXPECT_THROW(decode(payload), std::runtime_error);
 }
 
-TEST(Message, FrameTypeDispatch) {
-  EXPECT_EQ(frame_type(Message(BroadcastMsg{})), FrameType::kBroadcast);
-  EXPECT_EQ(frame_type(Message(UpdateUploadMsg{})), FrameType::kUpdateUpload);
-  EXPECT_EQ(frame_type(Message(EliminationMsg{})), FrameType::kElimination);
-  EXPECT_EQ(frame_type(Message(ShutdownMsg{})), FrameType::kShutdown);
-}
-
 }  // namespace
 }  // namespace cmfl::net

@@ -87,17 +87,6 @@ TEST(GradCheck, MlpWithReluHidden) {
   check_feed_forward(model, 5, rng);
 }
 
-TEST(GradCheck, TanhLayer) {
-  util::Rng rng(3);
-  Sequential net;
-  net.add(std::make_unique<Dense>(5, 6));
-  net.add(std::make_unique<Tanh>(6));
-  net.add(std::make_unique<Dense>(6, 3));
-  FeedForward model(std::move(net));
-  model.init_params(rng);
-  check_feed_forward(model, 4, rng);
-}
-
 TEST(GradCheck, Conv2dSamePadding) {
   util::Rng rng(4);
   Sequential net;

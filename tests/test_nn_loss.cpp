@@ -80,28 +80,5 @@ TEST(ArgmaxRows, PicksMaxIndex) {
   EXPECT_EQ(idx[1], 0);
 }
 
-TEST(Mse, LossAndGradient) {
-  tensor::Matrix pred(1, 2, {1.0f, 3.0f});
-  tensor::Matrix target(1, 2, {0.0f, 1.0f});
-  tensor::Matrix grad;
-  const double loss = mse(pred, target, grad);
-  EXPECT_NEAR(loss, (1.0 + 4.0) / 2.0, 1e-6);  // mean squared error
-  EXPECT_NEAR(grad.at(0, 0), 2.0 * 1.0 / 2.0, 1e-6);
-  EXPECT_NEAR(grad.at(0, 1), 2.0 * 2.0 / 2.0, 1e-6);
-}
-
-TEST(Hinge, LossGradAndValidation) {
-  std::vector<float> scores = {2.0f, -0.5f};
-  std::vector<int> labels = {1, -1};
-  std::vector<float> grad(2);
-  const double loss = hinge(scores, labels, grad);
-  // sample 0: margin 1-2 = -1 -> 0 loss; sample 1: 1-0.5=0.5 loss
-  EXPECT_NEAR(loss, 0.25, 1e-9);
-  EXPECT_FLOAT_EQ(grad[0], 0.0f);
-  EXPECT_FLOAT_EQ(grad[1], 0.5f);
-  std::vector<int> bad_labels = {1, 0};
-  EXPECT_THROW(hinge(scores, bad_labels, grad), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace cmfl::nn

@@ -1,12 +1,9 @@
 // Model-level tests: parameter round-trips, training actually reduces loss,
-// serialization, evaluation bookkeeping.
+// evaluation bookkeeping.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "nn/feed_forward.h"
 #include "nn/lstm_lm.h"
-#include "nn/serialize.h"
 #include "util/rng.h"
 
 namespace cmfl::nn {
@@ -74,15 +71,6 @@ TEST(FeedForward, DigitsCnnShapes) {
         return make_digits_cnn(bad, r);
       }(),
       std::invalid_argument);
-}
-
-TEST(FeedForward, PredictReturnsLogitsPerClass) {
-  util::Rng rng(5);
-  FeedForward model = make_mlp(4, {}, 3, rng);
-  tensor::Matrix x(2, 4);
-  const tensor::Matrix logits = model.predict(x);
-  EXPECT_EQ(logits.rows(), 2u);
-  EXPECT_EQ(logits.cols(), 3u);
 }
 
 TEST(LstmLm, ParamRoundTripAndCount) {
@@ -169,37 +157,6 @@ TEST(EvalResult, MergeIsWeighted) {
   const EvalResult empty;
   const EvalResult same = merge(empty, a);
   EXPECT_NEAR(same.accuracy, 0.5, 1e-12);
-}
-
-TEST(Serialize, RoundTripStream) {
-  std::vector<float> params = {1.5f, -2.25f, 0.0f, 3.75f};
-  std::stringstream ss;
-  save_params(ss, params);
-  const auto loaded = load_params(ss);
-  EXPECT_EQ(loaded, params);
-}
-
-TEST(Serialize, RejectsBadMagicAndTruncation) {
-  std::stringstream bad("XXXXgarbage");
-  EXPECT_THROW(load_params(bad), std::runtime_error);
-
-  std::vector<float> params = {1.0f, 2.0f};
-  std::stringstream ss;
-  save_params(ss, params);
-  std::string data = ss.str();
-  data.resize(data.size() - 3);  // truncate
-  std::stringstream truncated(data);
-  EXPECT_THROW(load_params(truncated), std::runtime_error);
-}
-
-TEST(Serialize, FileRoundTrip) {
-  util::Rng rng(9);
-  std::vector<float> params(100);
-  for (auto& v : params) v = rng.uniform_f(-1.0f, 1.0f);
-  const std::string path = ::testing::TempDir() + "/cmfl_params.bin";
-  save_params_file(path, params);
-  EXPECT_EQ(load_params_file(path), params);
-  EXPECT_THROW(load_params_file(path + ".missing"), std::runtime_error);
 }
 
 }  // namespace

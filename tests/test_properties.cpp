@@ -6,12 +6,10 @@
 #include "core/relevance.h"
 #include "core/significance.h"
 #include "net/message.h"
-#include "nn/serialize.h"
 #include "stats/cdf.h"
 #include "util/rng.h"
 
 #include <cmath>
-#include <sstream>
 
 namespace cmfl {
 namespace {
@@ -73,13 +71,6 @@ TEST_P(SizeSeedTest, DeltaUpdateTriangleSanity) {
   EXPECT_GE(d, 0.0);
   // Identical updates have zero difference.
   EXPECT_DOUBLE_EQ(core::normalized_update_difference(a, a), 0.0);
-}
-
-TEST_P(SizeSeedTest, ParamSerializationRoundTrips) {
-  const auto params = random_vec(n(), 9);
-  std::stringstream ss;
-  nn::save_params(ss, params);
-  EXPECT_EQ(nn::load_params(ss), params);
 }
 
 TEST_P(SizeSeedTest, UpdateFrameRoundTrips) {

@@ -1,5 +1,4 @@
 #include "stats/cdf.h"
-#include "stats/summary.h"
 
 #include <gtest/gtest.h>
 
@@ -56,30 +55,6 @@ TEST(Cdf, PlotSeriesCappedAtSampleCount) {
   Cdf cdf({1.0, 2.0});
   EXPECT_EQ(cdf.plot_series(10).size(), 2u);
   EXPECT_TRUE(cdf.plot_series(0).empty());
-}
-
-TEST(Running, MeanVarianceMinMax) {
-  Running r;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) r.add(x);
-  EXPECT_EQ(r.count(), 8u);
-  EXPECT_DOUBLE_EQ(r.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(r.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(r.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(r.min(), 2.0);
-  EXPECT_DOUBLE_EQ(r.max(), 9.0);
-}
-
-TEST(Running, SingleSampleHasZeroVariance) {
-  Running r;
-  r.add(3.0);
-  EXPECT_DOUBLE_EQ(r.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(r.mean(), 3.0);
-}
-
-TEST(MeanOf, HandlesEmptyAndValues) {
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  const std::vector<double> xs = {1.0, 2.0, 6.0};
-  EXPECT_DOUBLE_EQ(mean_of(xs), 3.0);
 }
 
 }  // namespace

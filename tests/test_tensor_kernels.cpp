@@ -97,17 +97,6 @@ TEST(GemmEquivalence, NTMatchesReferenceOnAdversarialShapes) {
   }
 }
 
-TEST(GemmEquivalence, GemvMatchesReference) {
-  for (const auto& s : kShapes) {
-    const auto a = random_vec(s.m * s.n, 7 + s.m);
-    const auto x = random_vec(s.n, 8 + s.n);
-    std::vector<float> want(s.m), got(s.m);
-    kernels::gemv_ref(a.data(), x.data(), want.data(), s.m, s.n);
-    kernels::gemv(a.data(), x.data(), got.data(), s.m, s.n, 0, s.m);
-    expect_all_near(got, want, 1e-5);
-  }
-}
-
 TEST(GemmEquivalence, SparseInputStillMatches) {
   // The seed kernels skip zero multipliers; the blocked ones do not.  With
   // finite data the skipped terms contribute exact ±0, so results agree.
@@ -269,7 +258,7 @@ TEST(FusedAggregation, WeightedSumBitIdenticalToPerClientAxpy) {
   }
   std::vector<std::span<const float>> views(updates.begin(), updates.end());
   std::vector<float> got(d);
-  kernels::weighted_sum(views, weights, got);
+  kernels::weighted_sum_range(views, weights, got, 0, got.size());
   EXPECT_EQ(got, want);
 }
 
@@ -280,7 +269,8 @@ TEST(FusedAggregation, SizeMismatchThrows) {
   const std::vector<float> w = {0.5f};
   const std::vector<std::span<const float>> ok = {a};
   std::vector<float> out5(5);
-  EXPECT_THROW(kernels::weighted_sum(ok, w, out5), std::invalid_argument);
+  EXPECT_THROW(kernels::weighted_sum_range(ok, w, out5, 0, out5.size()),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -87,31 +87,6 @@ TEST(Matmul, VariantsAgreeWithExplicitTranspose) {
   }
 }
 
-TEST(Matvec, MatchesMatmul) {
-  util::Rng rng(6);
-  const Matrix a = random_matrix(4, 3, rng);
-  std::vector<float> x = {0.5f, -1.0f, 2.0f};
-  std::vector<float> y(4);
-  matvec(a, x, y);
-  for (std::size_t i = 0; i < 4; ++i) {
-    double acc = 0;
-    for (std::size_t j = 0; j < 3; ++j) acc += a.at(i, j) * x[j];
-    EXPECT_NEAR(y[i], acc, 1e-6);
-  }
-}
-
-TEST(MatvecT, MatchesTransposedMatvec) {
-  util::Rng rng(8);
-  const Matrix a = random_matrix(4, 3, rng);
-  std::vector<float> x = {1.0f, 2.0f, -1.0f, 0.5f};
-  std::vector<float> y(3);
-  matvec_t(a, x, y);
-  const Matrix at = a.transposed();
-  std::vector<float> expected(3);
-  matvec(at, x, expected);
-  for (std::size_t j = 0; j < 3; ++j) EXPECT_NEAR(y[j], expected[j], 1e-6);
-}
-
 TEST(AddRowBias, AddsToEveryRow) {
   Matrix m(2, 3);
   std::vector<float> bias = {1.0f, 2.0f, 3.0f};

@@ -218,31 +218,6 @@ TEST(SimdGemm, NTWithinUlpBound) {
   }
 }
 
-TEST(SimdGemm, GemvWithinUlpBound) {
-  SKIP_WITHOUT_FAST_TIER();
-  for (const auto& s : kShapes) {
-    const auto a = random_vec(s.m * s.n, 1000 + s.m);
-    const auto x = random_vec(s.n, 1100 + s.n);
-    std::vector<float> exact(s.m), fast(s.m);
-    {
-      TierGuard g(Tier::kExact);
-      kernels::gemv(a.data(), x.data(), exact.data(), s.m, s.n, 0, s.m);
-    }
-    {
-      TierGuard g(Tier::kFast);
-      kernels::gemv(a.data(), x.data(), fast.data(), s.m, s.n, 0, s.m);
-    }
-    std::vector<double> mag(s.m, 0.0);
-    for (std::size_t i = 0; i < s.m; ++i) {
-      for (std::size_t j = 0; j < s.n; ++j) {
-        mag[i] += std::fabs(static_cast<double>(a[i * s.n + j])) *
-                  std::fabs(static_cast<double>(x[j]));
-      }
-    }
-    expect_ulp_bounded(fast, exact, mag, s.n, "gemv");
-  }
-}
-
 // --- add_col_sums -----------------------------------------------------------
 
 TEST(SimdColSums, RowMajorFormBitIdenticalToExact) {
@@ -333,11 +308,11 @@ TEST(SimdAggregation, WeightedSumWithinUlpBound) {
     std::vector<float> exact(d), fast(d);
     {
       TierGuard g(Tier::kExact);
-      kernels::weighted_sum(views, w, exact);
+      kernels::weighted_sum_range(views, w, exact, 0, d);
     }
     {
       TierGuard g(Tier::kFast);
-      kernels::weighted_sum(views, w, fast);
+      kernels::weighted_sum_range(views, w, fast, 0, d);
     }
     std::vector<double> mag(d, 0.0);
     for (std::size_t c = 0; c < clients; ++c) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -23,24 +24,14 @@ TEST(VectorOps, AxpySizeMismatchThrows) {
   EXPECT_THROW(axpy(1.0f, x, y), std::invalid_argument);
 }
 
-TEST(VectorOps, DotProduct) {
-  std::vector<float> x = {1.0f, 2.0f, 3.0f};
-  std::vector<float> y = {4.0f, -5.0f, 6.0f};
-  EXPECT_DOUBLE_EQ(dot(x, y), 4.0 - 10.0 + 18.0);
-}
-
 TEST(VectorOps, Norms) {
   std::vector<float> x = {3.0f, -4.0f};
   EXPECT_DOUBLE_EQ(norm2(x), 5.0);
-  EXPECT_DOUBLE_EQ(norm1(x), 7.0);
-  EXPECT_DOUBLE_EQ(norm_inf(x), 4.0);
 }
 
 TEST(VectorOps, NormsOfEmpty) {
   std::vector<float> x;
   EXPECT_DOUBLE_EQ(norm2(x), 0.0);
-  EXPECT_DOUBLE_EQ(norm1(x), 0.0);
-  EXPECT_DOUBLE_EQ(norm_inf(x), 0.0);
 }
 
 TEST(VectorOps, SubAndAdd) {
@@ -75,34 +66,16 @@ TEST(VectorOps, CountSignMatchesZeroVsNonzero) {
   EXPECT_EQ(count_sign_matches(x, y), 0u);
 }
 
-TEST(VectorOps, ClipBounds) {
-  std::vector<float> x = {-5.0f, 0.5f, 9.0f};
-  clip(x, 1.0f);
-  EXPECT_FLOAT_EQ(x[0], -1.0f);
-  EXPECT_FLOAT_EQ(x[1], 0.5f);
-  EXPECT_FLOAT_EQ(x[2], 1.0f);
-}
-
-TEST(VectorOps, ClipRejectsNonPositiveLimit) {
-  std::vector<float> x = {1.0f};
-  EXPECT_THROW(clip(x, 0.0f), std::invalid_argument);
-  EXPECT_THROW(clip(x, -1.0f), std::invalid_argument);
-}
-
-TEST(VectorOps, MeanAndFillAndScaleAndCopy) {
+TEST(VectorOps, FillAndScale) {
   std::vector<float> x = {1.0f, 2.0f, 3.0f};
-  EXPECT_DOUBLE_EQ(mean(x), 2.0);
   scale(x, 2.0f);
   EXPECT_FLOAT_EQ(x[1], 4.0f);
-  std::vector<float> y(3);
-  copy(x, y);
-  EXPECT_FLOAT_EQ(y[2], 6.0f);
-  fill(y, -1.0f);
-  EXPECT_DOUBLE_EQ(mean(y), -1.0);
-  EXPECT_DOUBLE_EQ(mean(std::vector<float>{}), 0.0);
+  fill(x, -1.0f);
+  for (float v : x) EXPECT_FLOAT_EQ(v, -1.0f);
 }
 
-// Property sweep: ||x||_inf <= ||x||_2 <= ||x||_1 for random vectors.
+// Property sweep on norm2: ||x||_inf <= ||x||_2 <= ||x||_1 <= sqrt(n)||x||_2
+// for random vectors. The L1 and L-inf norms are computed here as oracles.
 class NormOrderingTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(NormOrderingTest, NormInequalitiesHold) {
@@ -113,9 +86,15 @@ TEST_P(NormOrderingTest, NormInequalitiesHold) {
     state = state * 1664525u + 1013904223u;
     v = static_cast<float>(static_cast<int>(state % 2001) - 1000) / 100.0f;
   }
-  const double n1 = norm1(x), n2 = norm2(x), ni = norm_inf(x);
+  double n1 = 0.0, ni = 0.0;
+  for (float v : x) {
+    n1 += std::fabs(v);
+    ni = std::max(ni, static_cast<double>(std::fabs(v)));
+  }
+  const double n2 = norm2(x);
   EXPECT_LE(ni, n2 + 1e-9);
   EXPECT_LE(n2, n1 + 1e-9);
+  EXPECT_LE(n1, std::sqrt(static_cast<double>(x.size())) * n2 + 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NormOrderingTest, ::testing::Range(0, 20));

@@ -29,14 +29,6 @@ TEST(Table, PrintAlignsColumns) {
   EXPECT_NE(out.find("| vanilla | 500    |"), std::string::npos);
 }
 
-TEST(Table, PrintCsv) {
-  Table t({"x", "y"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "x,y\n1,2\n");
-}
-
 TEST(Fmt, FixedDecimals) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(3.0, 0), "3");

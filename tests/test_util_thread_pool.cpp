@@ -11,12 +11,13 @@ namespace cmfl::util {
 namespace {
 
 TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.submit([&] { counter.fetch_add(1); });
+    }
+  }  // the destructor completes pending tasks before joining
   EXPECT_EQ(counter.load(), 100);
 }
 
@@ -61,8 +62,8 @@ TEST(ThreadPool, ReusableAcrossCalls) {
   }
 }
 
-// Regression: parallel_for used to wait on the pool-global in_flight_
-// counter, so an unrelated blocked submit() extended (or hung) the wait.
+// Regression: parallel_for used to wait for the whole pool to go idle, so an
+// unrelated blocked submit() extended (or hung) the wait.
 // Completion is now tracked per call; parallel_for must return while the
 // unrelated task is still blocked.
 TEST(ThreadPool, ParallelForUnaffectedByUnrelatedBlockedSubmit) {
@@ -81,7 +82,6 @@ TEST(ThreadPool, ParallelForUnaffectedByUnrelatedBlockedSubmit) {
   EXPECT_EQ(counter.load(), 100);  // returned while the blocker still holds
 
   release.set_value();
-  pool.wait_idle();
 }
 
 // Regression: nested parallel_for from a worker used to deadlock (the inner
@@ -97,12 +97,13 @@ TEST(ThreadPool, NestedParallelForCompletes) {
 }
 
 TEST(ThreadPool, ParallelForFromSubmittedTaskCompletes) {
-  ThreadPool pool(1);  // single worker: only caller participation saves this
   std::atomic<int> counter{0};
-  pool.submit([&] {
-    pool.parallel_for(32, [&](std::size_t) { counter.fetch_add(1); });
-  });
-  pool.wait_idle();
+  {
+    ThreadPool pool(1);  // single worker: only caller participation saves this
+    pool.submit([&] {
+      pool.parallel_for(32, [&](std::size_t) { counter.fetch_add(1); });
+    });
+  }  // the destructor completes the submitted task before joining
   EXPECT_EQ(counter.load(), 32);
 }
 

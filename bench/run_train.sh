@@ -1,25 +1,27 @@
 #!/usr/bin/env sh
-# Records the end-to-end training baseline BENCH_train.json at the repo root
-# from a Release build, then re-runs the hot-path correctness gates
-# (allocation regression + conv im2col equivalence) under AddressSanitizer.
+# Runs the hot-path correctness gates (allocation regression + conv im2col
+# equivalence) under AddressSanitizer+UBSan, then records the end-to-end
+# training baseline BENCH_train.json at the repo root from a Release build.
 #
 #   bench/run_train.sh [build_dir] [--benchmark_* flags...]
 #
 # Steps:
-#   1. Configure/build bench_train with -DCMAKE_BUILD_TYPE=Release
+#   1. Build test_nn_alloc + test_nn_conv_im2col with
+#      -DCMFL_SANITIZE=address,undefined (dir <build_dir>-asan-ubsan) and
+#      run them, so the workspace-reuse paths are exercised under ASan and
+#      UBSan before a baseline is recorded; a noisy speed floor below cannot
+#      skip this gate.
+#   2. Configure/build bench_train with -DCMAKE_BUILD_TYPE=Release
 #      (default dir build-release/) and record BENCH_train.json.
-#   2. Verify the JSON's `cmfl_build_type` stamp says Release (the
+#   3. Verify the JSON's `cmfl_build_type` stamp says Release (the
 #      library_build_type key only describes libbenchmark) — fail loudly
 #      otherwise.
-#   3. Verify the im2col/GEMM CNN path is >= 2x the retained naive path
+#   4. Verify the im2col/GEMM CNN path is >= 2x the retained naive path
 #      (BM_TrainStep_CNN vs BM_TrainStep_CNN_NaiveRef steps/sec), and —
 #      when the binary reports cmfl_simd=avx2-fma — that the vector-tier
 #      step (BM_TrainStep_CNN_Fast) clears its own higher floor of 3x the
 #      naive path.  The kernel thread setting honors CMFL_THREADS when set
 #      (auto otherwise); the tracked baseline is single-core.
-#   4. Build test_nn_alloc + test_nn_conv_im2col with -DCMFL_SANITIZE=address
-#      (dir <build_dir>-asan) and run them, so the workspace-reuse paths are
-#      exercised under ASan before a baseline is accepted.
 set -eu
 
 # Any UBSan report fails the sanitizer pass instead of printing and carrying
@@ -33,6 +35,15 @@ case "${1:-}" in
   "") ;;
   *) BUILD_DIR=$1; shift ;;
 esac
+
+# --- ASan+UBSan gate over the hot-path correctness tests ---
+ASAN_DIR="${BUILD_DIR}-asan-ubsan"
+cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMFL_SANITIZE=address,undefined
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target test_nn_alloc test_nn_conv_im2col
+"$ASAN_DIR/tests/test_nn_conv_im2col"
+"$ASAN_DIR/tests/test_nn_alloc"
+echo "ASan+UBSan hot-path gates passed"
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_train
@@ -82,12 +93,3 @@ else:
     print("cmfl_simd != avx2-fma: vector-tier floor skipped")
 EOF
 echo "wrote $OUT (Release provenance + CNN floors verified)"
-
-# --- ASan gate over the hot-path correctness tests ---
-ASAN_DIR="${BUILD_DIR}-asan"
-cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMFL_SANITIZE=address
-cmake --build "$ASAN_DIR" -j "$(nproc)" --target test_nn_alloc test_nn_conv_im2col
-"$ASAN_DIR/tests/test_nn_conv_im2col"
-"$ASAN_DIR/tests/test_nn_alloc"
-echo "ASan hot-path gates passed"

@@ -1,6 +1,5 @@
 #include "net/cluster.h"
 
-#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -34,14 +33,15 @@ FlCluster::FlCluster(std::vector<std::unique_ptr<fl::FlClient>> clients,
   }
   options_.fault.validate(clients_.size());
   const RecoveryOptions& rec = options_.recovery;
-  if (rec.round_timeout_s < 0.0) {
-    throw std::invalid_argument("FlCluster: negative round deadline");
+  if (!std::isfinite(rec.round_timeout_s) || rec.round_timeout_s < 0.0) {
+    throw std::invalid_argument(
+        "FlCluster: round_timeout_s must be finite and >= 0");
   }
   if (rec.max_attempts < 1) {
     throw std::invalid_argument("FlCluster: max_attempts must be >= 1");
   }
-  if (rec.backoff < 1.0) {
-    throw std::invalid_argument("FlCluster: backoff must be >= 1");
+  if (!std::isfinite(rec.backoff) || rec.backoff < 1.0) {
+    throw std::invalid_argument("FlCluster: backoff must be finite and >= 1");
   }
   if (!(rec.quorum > 0.0 && rec.quorum <= 1.0)) {
     throw std::invalid_argument("FlCluster: quorum must lie in (0, 1]");
@@ -50,8 +50,20 @@ FlCluster::FlCluster(std::vector<std::unique_ptr<fl::FlClient>> clients,
     throw std::invalid_argument(
         "FlCluster: suspect_after_stale_rounds must be >= 0");
   }
-  if (rec.backoff_jitter < 0.0) {
-    throw std::invalid_argument("FlCluster: backoff_jitter must be >= 0");
+  if (!std::isfinite(rec.backoff_jitter) || rec.backoff_jitter < 0.0) {
+    throw std::invalid_argument(
+        "FlCluster: backoff_jitter must be finite and >= 0");
+  }
+  // The last attempt's deadline must fit a Clock::duration, with room for
+  // `now + deadline`: half the clock's range, ~146 years.
+  const double last_deadline_s = rec.round_timeout_s *
+                                 std::pow(rec.backoff, rec.max_attempts - 1) *
+                                 (1.0 + rec.backoff_jitter);
+  if (rec.round_timeout_s > 0.0 &&
+      !(last_deadline_s <=
+        std::chrono::duration<double>(Clock::duration::max()).count() / 2)) {
+    throw std::invalid_argument(
+        "FlCluster: the last attempt's round deadline outgrows the clock");
   }
   if (options_.fault.enabled() && rec.round_timeout_s <= 0.0) {
     throw std::invalid_argument(
@@ -83,22 +95,16 @@ FlCluster::FlCluster(std::vector<std::unique_ptr<fl::FlClient>> clients,
         "FlCluster: replication needs >= 3 replicas (a majority must "
         "survive one crash)");
   }
-  if (rec.quorum != 1.0 || rec.first_k_reports != 0 ||
-      rec.suspect_after_stale_rounds != 0) {
-    throw std::invalid_argument(
-        "FlCluster: replicated mode supports quorum 1.0 only (no "
-        "first_k_reports / staleness suspicion): the committed cohort must "
-        "be a pure function of replicated state");
-  }
   if (options_.fl.sharding.shards > 1) {
     throw std::invalid_argument(
         "FlCluster: sharded aggregation is not supported with a replicated "
         "control plane (the replicated master applies uploads through its "
         "Raft-ordered state machine)");
   }
-  if (rep.tick_interval_s <= 0.0) {
+  if (!std::isfinite(rep.tick_interval_s) || rep.tick_interval_s <= 0.0) {
     throw std::invalid_argument(
-        "FlCluster: replication tick_interval_s must be positive");
+        "FlCluster: replication tick_interval_s must be positive and "
+        "finite");
   }
   RaftConfig raft_check;
   raft_check.cluster_size = static_cast<std::uint32_t>(rep.replicas);
@@ -170,11 +176,6 @@ ClusterResult FlCluster::run_single_master(
   clients_.front()->get_params(initial);
   fl::RoundCommitter committer(options_.fl, num_workers, std::move(initial));
   RoundLedger ledger(num_workers);
-  // Consecutive *deadline-expired* rounds a worker was invited to but did
-  // not answer.  Deliberately not `t - last_acked`: a worker that answers
-  // slowly and keeps losing first_k_reports races is late, not crashed, so
-  // K-committed rounds never count as misses (see RecoveryOptions).
-  std::vector<std::uint64_t> stale_misses(num_workers, 0);
   std::size_t start_t = 1;
 
   // --- Resume: restore all mutable state before any worker thread starts
@@ -202,11 +203,10 @@ ClusterResult FlCluster::run_single_master(
   }, [&] { master_inbox.close(); });
 
   // --- Master loop (Algorithm 1 GlobalOptimization over the wire) ---
-  const RecoveryOptions& rec_opt = options_.recovery;
-  const bool bounded = rec_opt.round_timeout_s > 0.0;
   // Backoff-jitter stream: salted far outside the link_rng namespace
   // (worker*2 + dir) so it never collides with a fault stream.
-  util::Rng jitter_rng = util::Rng(options_.fault.seed).split(0x6a177e5ULL);
+  RoundDriver driver(options_.recovery,
+                     util::Rng(options_.fault.seed).split(0x6a177e5ULL));
   std::vector<FaultyChannel> downlinks;
   downlinks.reserve(num_workers);
   for (std::size_t k = 0; k < num_workers; ++k) {
@@ -250,148 +250,74 @@ ClusterResult FlCluster::run_single_master(
     // Invited = alive and not quarantined: the master no longer broadcasts
     // to quarantined workers, so they stop training (and stop costing
     // downlink bytes) the moment they are tripped.
-    const std::size_t active_count = ledger.open(t, committer, frame.size());
-    if (active_count == 0) break;
-    const auto quorum_needed = std::max<std::size_t>(
-        1,
-        static_cast<std::size_t>(
-            std::ceil(rec_opt.quorum * static_cast<double>(active_count))));
-    bool round_timed_out = false;
-    bool k_committed = false;
-
-    int attempt = 0;
-    for (;;) {
-      // (Re)transmit this round's broadcast to every unanswered worker.
-      for (std::size_t k = 0; k < num_workers; ++k) {
-        if (!ledger.awaits(k)) continue;
-        if (attempt == 0) {
-          downlink_meter.record(frame.size());
-        } else {
-          downlink_meter.record_retransmit(frame.size());
-          ++master_retransmits;
+    if (ledger.open(t, committer, frame.size()) == 0) break;
+    std::optional<RoundClose> close;
+    const auto apply = [&](const RoundDriver::Step& step) {
+      master_retransmits +=
+          send_broadcast(step, frame, downlinks, downlink_meter);
+      for (const std::uint32_t k : step.crash) ledger.crash(k);
+      close = step.commit;
+    };
+    apply(driver.open(ledger, Clock::now()));
+    while (!close) {
+      // Gather replies until the driver commits the round, handing it each
+      // expired deadline.
+      std::optional<std::vector<std::byte>> reply_frame;
+      if (const auto deadline = driver.deadline()) {
+        const auto now = Clock::now();
+        if (now < *deadline) {
+          reply_frame = master_inbox.recv_for(*deadline - now);
         }
-        downlinks[k].send(frame);
-      }
-
-      // Gather replies until every pending worker answered or — in the
-      // bounded regime — the attempt deadline expires.
-      double deadline_scale = std::pow(rec_opt.backoff, attempt);
-      if (rec_opt.backoff_jitter > 0.0) {
-        deadline_scale *= 1.0 + rec_opt.backoff_jitter * jitter_rng.uniform();
-      }
-      const auto deadline =
-          Clock::now() +
-          seconds_to_duration(rec_opt.round_timeout_s * deadline_scale);
-      while (ledger.pending() > 0) {
-        std::optional<std::vector<std::byte>> reply_frame;
-        if (bounded) {
-          const auto now = Clock::now();
-          if (now >= deadline) break;
-          reply_frame = master_inbox.recv_for(deadline - now);
-          if (!reply_frame) {
-            workers.rethrow_error();  // closed by a failed worker
-            break;                    // deadline expired
-          }
-        } else {
-          reply_frame = master_inbox.recv();
-          if (!reply_frame) {
-            workers.rethrow_error();
-            throw std::runtime_error("FlCluster: master inbox closed early");
-          }
-        }
-        const auto payload = try_open_frame(*reply_frame);
-        std::optional<Reply> reply;
-        if (payload) reply = read_reply(*payload, workers);
-        if (!reply) {
-          ++master_corrupt;
+        if (!reply_frame) {
+          workers.rethrow_error();  // closed by a failed worker
+          apply(driver.on_expiry(Clock::now()));
           continue;
         }
-        if (reply->iteration > t) {
-          throw std::runtime_error("FlCluster: reply from a future round");
-        }
-        const std::size_t k = reply->client_id;
-        if (!ledger.expects(reply->iteration, k)) {
-          // A late reply to an already-committed round, or a duplicate of
-          // one accepted this round — idempotently discarded (and, for
-          // codec frames, discarded *before* any decode touches state).
-          ++master_redundant;
-          continue;
-        }
-        RoundLedger::Answer answer{.upload = reply->is_upload(),
-                                   .score = reply->score,
-                                   .wire_bytes = reply_frame->size()};
-        if (answer.upload) {
-          // Decoded through worker k's own codec (stateful decoders, such
-          // as the codebook cache, are allowed on a single master).
-          answer.update = reply_update(*reply, codecs.at(k), dim_);
-        }
-        ledger.accept(t, k, std::move(answer));
-        if (rec_opt.first_k_reports > 0 &&
-            ledger.accepted() >= rec_opt.first_k_reports &&
-            ledger.pending() > 0) {
-          // Over-selection: the Kth reply commits the round right now.
-          // The stragglers' late replies carry this round's iteration and
-          // are discarded idempotently once the round has closed.
-          k_committed = true;
-          break;
+      } else {
+        reply_frame = master_inbox.recv();
+        if (!reply_frame) {
+          workers.rethrow_error();
+          throw std::runtime_error("FlCluster: master inbox closed early");
         }
       }
-      if (k_committed) {
-        ++result.faults.over_select_commits;
-        break;
+      const auto payload = try_open_frame(*reply_frame);
+      std::optional<Reply> reply;
+      if (payload) reply = read_reply(*payload, workers);
+      if (!reply) {
+        ++master_corrupt;
+        continue;
       }
-      if (ledger.pending() == 0) break;  // every live worker answered
-
-      round_timed_out = true;
-      if (ledger.accepted() >= quorum_needed) {
-        // Quorum reached: commit now; the unanswered workers are late for
-        // this round and will re-sync on the next broadcast.
-        break;
+      if (reply->iteration > t) {
+        throw std::runtime_error("FlCluster: reply from a future round");
       }
-      if (attempt + 1 >= rec_opt.max_attempts) {
-        // Retransmit budget exhausted below quorum: the silent workers are
-        // declared crashed (crash-stop suspicion) and the round commits
-        // with whatever answered.
-        for (std::size_t k = 0; k < num_workers; ++k) {
-          if (ledger.awaits(k)) ledger.crash(k);
-        }
-        break;
+      const std::size_t k = reply->client_id;
+      if (!ledger.expects(reply->iteration, k)) {
+        // A late reply to an already-committed round, or a duplicate of
+        // one accepted this round — idempotently discarded (and, for
+        // codec frames, discarded *before* any decode touches state).
+        ++master_redundant;
+        continue;
       }
-      ++attempt;
-    }
-
-    if (round_timed_out) ++result.faults.timed_out_rounds;
-    const bool missing = ledger.missed();
-    if (missing && !k_committed) ++result.faults.quorum_rounds;
-    for (std::size_t k = 0; k < num_workers; ++k) {
-      if (ledger.answered(k)) {
-        stale_misses[k] = 0;
-      } else if (ledger.awaits(k) && !k_committed) {
-        ++stale_misses[k];
+      RoundLedger::Answer answer{.upload = reply->is_upload(),
+                                 .score = reply->score,
+                                 .wire_bytes = reply_frame->size()};
+      if (answer.upload) {
+        // Decoded through worker k's own codec (stateful decoders, such
+        // as the codebook cache, are allowed on a single master).
+        answer.update = reply_update(*reply, codecs.at(k), dim_);
       }
-      // Losing an over-selected race leaves the counter untouched: only a
-      // deadline the worker actually blew is evidence towards a crash.
+      ledger.accept(t, k, std::move(answer));
+      apply(driver.on_reply(k));
     }
 
     const fl::RoundOutcome outcome = ledger.close(
-        committer, evaluator_, workers.local_samples(), options_);
-
-    if (rec_opt.suspect_after_stale_rounds > 0) {
-      for (std::size_t k = 0; k < num_workers; ++k) {
-        if (ledger.alive(k) && !committer.quarantined(k) &&
-            stale_misses[k] >= static_cast<std::uint64_t>(
-                                   rec_opt.suspect_after_stale_rounds)) {
-          ledger.crash(k);
-        }
-      }
+        committer, evaluator_, workers.local_samples(), options_, *close);
+    for (const std::uint32_t k :
+         RoundDriver::suspects(options_.recovery, ledger, committer)) {
+      ledger.crash(k);
     }
-
-    // Checkpoint only when the round is quiesced: every worker this round
-    // answered (each reply happens-before this point via the channel), and
-    // no worker was ever declared crashed (a suspected worker's thread may
-    // still be running, so its client state cannot be read safely).
-    const bool quiesced = !missing && ledger.crashed().empty();
-    if (quiesced && committer.checkpoint_due(t, outcome.stop)) {
+    if (ledger.quiesced(committer) &&
+        committer.checkpoint_due(t, outcome.stop)) {
       fl::save_checkpoint_file(options_.fl.checkpoint_path, snapshot(t));
     }
     if (outcome.stop) break;
@@ -417,6 +343,9 @@ ClusterResult FlCluster::run_single_master(
   }
   result.sim = committer.finish();
   result.simulated_transfer_seconds = ledger.transfer_seconds();
+  result.faults.timed_out_rounds = ledger.timed_out_rounds();
+  result.faults.quorum_rounds = ledger.quorum_rounds();
+  result.faults.over_select_commits = ledger.over_select_commits();
   result.faults.crashed_workers = ledger.crashed();
   result.faults.max_staleness_per_client = ledger.max_staleness();
   result.uplink_bytes = worker_stats.uplink.total_bytes();

@@ -16,9 +16,11 @@
 // get the (sequence-numbered, idempotent) broadcast retransmitted with
 // backoff, and the round commits once a quorum of live workers has
 // answered.  Workers that exhaust the retransmit budget (or miss too many
-// consecutive rounds) are declared crashed; late and duplicate frames are
-// discarded idempotently into the net::RoundLedger both masters share.  See
-// DESIGN.md §9 for the protocol and its determinism argument.
+// consecutive deadlines) are declared crashed; late and duplicate frames
+// are discarded idempotently.  Both masters, single and replicated, run
+// this policy through one net::RoundDriver over one net::RoundLedger (both
+// in net/worker.h).  See DESIGN.md §9 for the protocol and its determinism
+// argument.
 #pragma once
 
 #include <memory>
@@ -34,9 +36,11 @@
 
 namespace cmfl::net {
 
-/// Round-deadline / retransmission / quorum policy.  The zero-timeout
-/// default reproduces the seed's perfectly reliable synchronous protocol
-/// bit-for-bit; any FaultPlan requires a positive deadline.
+/// Round-deadline / retransmission / quorum policy, the same on both
+/// masters (net::RoundDriver).  The zero-timeout default reproduces the
+/// seed's perfectly reliable synchronous protocol bit-for-bit; any FaultPlan
+/// requires a positive deadline.  Timing values must be finite, and the
+/// last attempt's deadline must fit the clock.
 struct RecoveryOptions {
   /// Per-attempt round deadline in seconds (0 = wait forever).
   double round_timeout_s = 0.0;
@@ -48,11 +52,11 @@ struct RecoveryOptions {
   /// Fraction of live workers that must answer before a deadline may
   /// commit the round (1.0 = wait for every live worker).
   double quorum = 1.0;
-  /// Declare a live worker crashed once it has missed this many
-  /// consecutive committed rounds (0 disables staleness suspicion; crashes
-  /// are then detected only by retransmit exhaustion, which quorum < 1
-  /// rounds may never trigger).  Rounds that committed through
-  /// first_k_reports never count as misses: a consistently slow-but-live
+  /// Declare a live worker crashed once it has missed the deadline of this
+  /// many consecutive committed rounds (0 disables staleness suspicion;
+  /// crashes are then detected only by retransmit exhaustion, which
+  /// quorum < 1 rounds may never trigger).  Rounds that committed through
+  /// first_k_reports neither count nor reset: a consistently slow-but-live
   /// worker merely loses over-selected races, and losing a race is not
   /// evidence of a crash (only deadline-expired rounds are).
   int suspect_after_stale_rounds = 0;
@@ -64,7 +68,9 @@ struct RecoveryOptions {
   /// quorum path it needs no deadline — the Kth reply itself commits.
   /// Note the committed set depends on real reply arrival order (thread
   /// timing), so — exactly as with quorum < 1 — per-round counters are not
-  /// bit-reproducible across runs.  Workers that only ever lose
+  /// bit-reproducible across runs.  A replicated leader counts a reply from
+  /// its proposal, so the cohort is the Reply entries logged before the
+  /// RoundCommit, on every replica.  Workers that only ever lose
   /// over-selected races are exempt from suspect_after_stale_rounds (see
   /// above), so in a run where every round K-commits, crash-stop workers
   /// are only detected once a deadline actually expires below K.
@@ -124,7 +130,8 @@ struct ClusterOptions {
 };
 
 /// Fault and recovery accounting for one cluster run.  In the quorum-1.0
-/// regime every counter is deterministic for a fixed FaultPlan seed.
+/// regime every counter is deterministic for a fixed FaultPlan seed.  Both
+/// masters count the recovery actions in net::RoundLedger::close.
 struct FaultReport {
   // Injected by the fault layer (sender side).
   std::uint64_t frames_dropped = 0;
@@ -136,7 +143,7 @@ struct FaultReport {
   // Recovery actions.
   std::uint64_t retransmits = 0;        // frames re-sent (both directions)
   std::uint64_t timed_out_rounds = 0;   // rounds with >= 1 deadline expiry
-  std::uint64_t quorum_rounds = 0;      // rounds committed missing a live worker
+  std::uint64_t quorum_rounds = 0;      // committed short, not by first-K
   std::uint64_t over_select_commits = 0;  // rounds closed by first_k_reports
   // Replicated control plane (always 0 in single-master runs).  These are
   // wall-clock-coupled — a slow machine may hold extra elections — so they

@@ -1,6 +1,7 @@
 #include "net/fault.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -93,8 +94,9 @@ void FaultPlan::validate(std::size_t num_workers) const {
     }
   }
   for (const auto& [k, d] : straggler_delay_s) {
-    if (d < 0.0) {
-      throw std::invalid_argument("FaultPlan: negative straggler delay");
+    if (!std::isfinite(d) || d < 0.0) {
+      throw std::invalid_argument(
+          "FaultPlan: straggler delay must be finite and >= 0");
     }
     if (k >= num_workers) {
       throw std::invalid_argument("FaultPlan: straggler delay for worker " +
@@ -118,9 +120,10 @@ void FaultPlan::validate(std::size_t num_workers) const {
       throw std::invalid_argument(
           "FaultPlan: replica_restart round is 1-based (round 0 never runs)");
     }
-    if (!(r.restart_after_ms >= 0.0)) {
+    if (!std::isfinite(r.restart_after_ms) || r.restart_after_ms < 0.0) {
       throw std::invalid_argument(
-          "FaultPlan: replica_restart.restart_after_ms must be >= 0");
+          "FaultPlan: replica_restart.restart_after_ms must be finite and "
+          ">= 0");
     }
   }
   for (const auto& [r, window] : replica_partition) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <exception>
 #include <filesystem>
 #include <memory>
@@ -32,9 +31,9 @@ namespace {
 enum class Cmd : std::uint8_t {
   kRoundStart = 1,    // open round t, account the broadcast
   kReply = 2,         // one accepted worker reply (upload or elimination)
-  kRoundCommit = 3,   // aggregate round t and close it
+  kRoundCommit = 3,   // aggregate round t and close it, as the policy says
   kClientStates = 4,  // quiesced per-worker state blobs -> checkpoint files
-  kWorkerCrash = 5,   // a worker exhausted its retransmit budget
+  kWorkerCrash = 5,   // the round policy declared a worker dead
   kFinish = 6,        // the run is over
 };
 
@@ -67,10 +66,12 @@ std::vector<std::byte> encode_reply(std::uint64_t round, std::uint32_t worker,
   return w.take();
 }
 
-std::vector<std::byte> encode_round_commit(std::uint64_t t) {
+std::vector<std::byte> encode_round_commit(std::uint64_t t, RoundClose how) {
   WireWriter w;
   w.u8(static_cast<std::uint8_t>(Cmd::kRoundCommit));
   w.u64(t);
+  w.u8(how.timed_out ? 1 : 0);
+  w.u8(how.over_selected ? 1 : 0);
   return w.take();
 }
 
@@ -135,7 +136,6 @@ struct Shared {
   std::atomic<std::uint64_t> master_corrupt{0};
   std::atomic<std::uint64_t> master_redundant{0};
   std::atomic<std::uint64_t> master_retransmits{0};
-  std::atomic<std::uint64_t> timed_out_rounds{0};
   std::atomic<std::uint64_t> leader_redirects{0};
   std::atomic<std::uint64_t> leader_crashes{0};
   std::atomic<std::uint64_t> replica_restarts{0};
@@ -151,6 +151,9 @@ struct Shared {
   std::unique_ptr<std::atomic<bool>[]> crash_fired;
   std::unique_ptr<std::atomic<bool>[]> restart_fired;
   std::unique_ptr<std::atomic<bool>[]> replica_crashed;
+  // Per replica: its scheduled restart fired, and its rebuild has neither
+  // completed nor failed yet.
+  std::unique_ptr<std::atomic<bool>[]> restart_pending;
 
   // Rebuild inputs for crash-restart: what a fresh StateMachine starts from
   // before the recovered snapshot is applied on top.
@@ -183,7 +186,6 @@ struct StateMachine {
   std::uint64_t upload_frames = 0;
   std::uint64_t elimination_frames = 0;
 
-  std::uint64_t quorum_rounds = 0;  // rounds a worker crashed out of
   std::uint64_t states_round = 0;  // last round whose ClientStates applied
   bool stop = false;               // target accuracy reached
   bool finished = false;
@@ -198,16 +200,16 @@ struct StateMachine {
       std::vector<std::vector<std::uint64_t>> codec_states) const;
 
  private:
-  void apply_round_commit(std::uint64_t t, Shared& sh);
+  void apply_round_commit(std::uint64_t t, RoundClose how, Shared& sh);
   void apply_client_states(std::uint64_t t,
                            std::vector<std::vector<std::uint64_t>> states,
                            std::vector<std::vector<std::uint64_t>> codec_states,
                            Shared& sh, std::uint32_t replica_id);
 };
 
-void StateMachine::apply_round_commit(std::uint64_t t, Shared& sh) {
+void StateMachine::apply_round_commit(std::uint64_t t, RoundClose how,
+                                      Shared& sh) {
   if (!ledger.is_open() || t != ledger.round()) return;
-  if (ledger.missed()) ++quorum_rounds;  // a worker crashed out of it
   const fl::RoundOutcome outcome = ledger.close(
       committer,
       [&sh](std::span<const float> params) {
@@ -215,7 +217,13 @@ void StateMachine::apply_round_commit(std::uint64_t t, Shared& sh) {
         std::lock_guard<std::mutex> lock(sh.eval_mutex);
         return (*sh.evaluator)(params);
       },
-      sh.workers->local_samples(), *sh.options);
+      sh.workers->local_samples(), *sh.options, how);
+  // Suspicion reads only applied state: every replica declares the same
+  // workers dead with the commit, before any next round opens.
+  for (const std::uint32_t k :
+       RoundDriver::suspects(sh.options->recovery, ledger, committer)) {
+    ledger.crash(k);
+  }
   if (outcome.stop) stop = true;
 }
 
@@ -261,9 +269,14 @@ void StateMachine::apply(std::span<const std::byte> command, Shared& sh,
       }
       return;
     }
-    case Cmd::kRoundCommit:
-      apply_round_commit(r.u64(), sh);
+    case Cmd::kRoundCommit: {
+      const std::uint64_t t = r.u64();
+      RoundClose how;
+      how.timed_out = r.u8() != 0;
+      how.over_selected = r.u8() != 0;
+      apply_round_commit(t, how, sh);
       return;
+    }
     case Cmd::kClientStates: {
       const std::uint64_t t = r.u64();
       const auto read_blobs = [&r](std::uint32_t n) {
@@ -340,7 +353,6 @@ std::vector<std::byte> StateMachine::snapshot_blob() const {
   w.u8(stop ? 1 : 0);
   w.u8(finished ? 1 : 0);
   w.u64(states_round);
-  w.u64(quorum_rounds);
   const std::vector<std::uint64_t> words = ledger.state_words();
   w.u64(words.size());
   for (const std::uint64_t word : words) w.u64(word);
@@ -353,7 +365,6 @@ void StateMachine::restore_snapshot(std::span<const std::byte> blob) {
   const bool snap_stop = r.u8() != 0;
   const bool snap_finished = r.u8() != 0;
   const std::uint64_t snap_states_round = r.u64();
-  const std::uint64_t snap_quorum = r.u64();
   const std::uint64_t word_count = r.u64();
   if (word_count > r.remaining() / sizeof(std::uint64_t)) {
     throw std::runtime_error("snapshot: ledger words exceed the snapshot");
@@ -372,7 +383,6 @@ void StateMachine::restore_snapshot(std::span<const std::byte> blob) {
   states_round = snap_states_round;
   stop = snap_stop;
   finished = snap_finished;
-  quorum_rounds = snap_quorum;
 }
 
 // ------------------------------------------------------------ the replicas
@@ -437,18 +447,16 @@ struct Driver {
   bool leading = false;
   std::uint64_t term = 0;
   std::uint64_t started_round = 0;  // rounds whose RoundStart *we* proposed
-  std::uint64_t bcast_round = 0;    // round our broadcasts currently target
-  int attempt = 0;
-  Clock::time_point deadline{};
-  std::uint64_t proposed_commit = 0;
+  // Our leadership's no-op barrier: once it commits, every entry of an
+  // earlier term is applied, and only our own proposals move the ledger.
+  std::uint64_t barrier = 0;
+  std::uint64_t driven_round = 0;   // the round `policy` drives
+  std::optional<RoundDriver> policy;  // jitter seeded per leadership
   std::uint64_t proposed_states = 0;
   bool proposed_finish = false;
-  std::vector<char> proposed_reply;  // per worker, current round
-  std::vector<char> proposed_crash;
   std::uint64_t accepted = 0;  // replies accepted under this leadership
   std::uint64_t frame_round = 0;  // the round `frame` broadcasts
   std::vector<std::byte> frame;   // our sealed broadcast of frame_round
-  util::Rng jitter{0};
   std::optional<Clock::time_point> finish_deadline;
 };
 
@@ -515,6 +523,7 @@ bool maybe_crash(Replica& self, Shared& sh, const Driver& drv) {
     if (restarts[i].round != self.sm.ledger.round()) continue;
     if (drv.accepted < restarts[i].after_replies) continue;
     if (sh.restart_fired[i].exchange(true)) continue;  // already fired
+    sh.restart_pending[self.id].store(true, std::memory_order_release);
     sh.replica_crashed[self.id].store(true, std::memory_order_release);
     self.crash_event = CrashEvent{/*restart=*/true,
                                   restarts[i].restart_after_ms,
@@ -541,37 +550,32 @@ const std::vector<std::byte>& broadcast_frame(const Replica& self,
   return drv.frame;
 }
 
-void send_broadcasts(Replica& self, Shared& sh, Driver& drv,
-                     std::vector<FaultyChannel>& downlinks, bool original) {
-  const auto& frame = broadcast_frame(self, sh, drv, self.sm.ledger.round());
-  for (std::size_t k = 0; k < sh.num_workers; ++k) {
-    if (!self.sm.ledger.awaits(k)) continue;
-    if (original) {
-      sh.downlink_meter->record(frame.size());
-    } else {
-      sh.downlink_meter->record_retransmit(frame.size());
-      sh.master_retransmits.fetch_add(1, std::memory_order_relaxed);
-    }
-    downlinks[k].send(frame);
+/// Carries out a step of the round policy as leader: sends the open round's
+/// broadcast, and proposes the crashes and the commit it decides.
+void lead(Replica& self, Shared& sh, Driver& drv,
+          std::vector<FaultyChannel>& downlinks,
+          const RoundDriver::Step& step) {
+  const std::uint64_t t = self.sm.ledger.round();
+  if (!step.send.empty()) {
+    // A leader that did not start this round is re-driving a predecessor's
+    // round: its (re)broadcasts are recovery traffic, not originals.
+    sh.master_retransmits.fetch_add(
+        send_broadcast(step, broadcast_frame(self, sh, drv, t), downlinks,
+                       *sh.downlink_meter, drv.started_round == t),
+        std::memory_order_relaxed);
   }
-}
-
-Clock::time_point next_deadline(const Shared& sh, Driver& drv) {
-  const RecoveryOptions& rec = sh.options->recovery;
-  double scale = std::pow(rec.backoff, drv.attempt);
-  if (rec.backoff_jitter > 0.0) {
-    scale *= 1.0 + rec.backoff_jitter * drv.jitter.uniform();
+  for (const std::uint32_t k : step.crash) {
+    self.node.propose(encode_worker_crash(t, k));
   }
-  return Clock::now() + seconds_to_duration(rec.round_timeout_s * scale);
+  if (step.commit) self.node.propose(encode_round_commit(t, *step.commit));
 }
 
 enum class DriveResult { kOk, kCrash };
 
-/// The leader's control loop: a pure function of the *applied* state plus
-/// volatile retransmission bookkeeping.  Followers no-op.  Progress gates on
-/// applied (= committed) state only, which forces the log order
-/// RoundStart < all Replies < RoundCommit < ClientStates and makes every
-/// apply deterministic.
+/// The leader's control loop: the round policy over the *applied* state.
+/// Followers no-op.  Progress gates on applied (= committed) state only,
+/// which forces the log order RoundStart < all Replies < RoundCommit <
+/// ClientStates and makes every apply deterministic.
 DriveResult drive(Replica& self, Shared& sh, Driver& drv,
                   std::vector<FaultyChannel>& downlinks) {
   if (self.node.role() != RaftNode::Role::kLeader) {
@@ -584,17 +588,19 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
     drv.leading = true;
     drv.term = self.node.term();
     drv.started_round = started;
-    drv.proposed_reply.assign(sh.num_workers, 0);
-    drv.proposed_crash.assign(sh.num_workers, 0);
-    drv.jitter = util::Rng(sh.options->fault.seed ^ (0x6a1700ULL + self.id));
+    drv.barrier = self.node.last_log_index();
+    drv.policy.emplace(
+        sh.options->recovery,
+        util::Rng(sh.options->fault.seed ^ (0x6a1700ULL + self.id)));
   }
   StateMachine& sm = self.sm;
   const fl::SimulationOptions& flopt = sh.options->fl;
-  const RecoveryOptions& rec = sh.options->recovery;
 
   if (sm.finished) {
     // Linger until surviving followers hold the whole log (so each can
-    // apply the final checkpoint entry), then tear the cluster down.
+    // apply the final checkpoint entry), then tear the cluster down.  A
+    // replica whose scheduled restart is still pending will rejoin, so it
+    // is waited for too.
     const auto now = Clock::now();
     if (!drv.finish_deadline) {
       const double linger_s =
@@ -606,7 +612,10 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
          p < static_cast<std::uint32_t>(sh.options->replication.replicas);
          ++p) {
       if (p == self.id) continue;
-      if (sh.replica_crashed[p].load(std::memory_order_relaxed)) continue;
+      if (sh.replica_crashed[p].load(std::memory_order_acquire) &&
+          !sh.restart_pending[p].load(std::memory_order_acquire)) {
+        continue;
+      }
       if (self.node.peer_match_index(p) < self.node.last_log_index()) {
         caught_up = false;
       }
@@ -619,55 +628,21 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
     }
     return DriveResult::kOk;
   }
+  // The policy counts a reply as answered once proposed; it starts from
+  // applied state, so that state must hold every earlier-term entry first.
+  if (self.node.commit_index() < drv.barrier) return DriveResult::kOk;
 
   if (sm.ledger.is_open()) {
     const std::uint64_t t = sm.ledger.round();
-    const bool bounded = rec.round_timeout_s > 0.0;
-    if (drv.bcast_round != t) {
-      drv.bcast_round = t;
-      drv.attempt = 0;
+    const auto now = Clock::now();
+    if (drv.driven_round != t) {
+      drv.driven_round = t;
       drv.accepted = 0;
-      drv.proposed_reply.assign(sh.num_workers, 0);
-      drv.proposed_crash.assign(sh.num_workers, 0);
-      // A leader that did not start this round is re-driving a predecessor's
-      // round: its (re)broadcasts are recovery traffic, not originals.
-      send_broadcasts(self, sh, drv, downlinks,
-                      /*original=*/drv.started_round == t);
-      if (bounded) drv.deadline = next_deadline(sh, drv);
+      lead(self, sh, drv, downlinks, drv.policy->open(sm.ledger, now));
       if (maybe_crash(self, sh, drv)) return DriveResult::kCrash;
-    } else if (bounded && Clock::now() >= drv.deadline) {
-      bool unanswered = false;
-      for (std::size_t k = 0; k < sh.num_workers; ++k) {
-        if (sm.ledger.awaits(k) && !drv.proposed_reply[k]) {
-          unanswered = true;
-        }
-      }
-      if (unanswered) {
-        if (drv.attempt == 0) {  // count the round, not every expiry
-          sh.timed_out_rounds.fetch_add(1, std::memory_order_relaxed);
-        }
-        ++drv.attempt;
-        if (drv.attempt >= rec.max_attempts) {
-          for (std::size_t k = 0; k < sh.num_workers; ++k) {
-            if (sm.ledger.awaits(k) && !drv.proposed_reply[k] &&
-                !drv.proposed_crash[k]) {
-              self.node.propose(
-                  encode_worker_crash(t, static_cast<std::uint32_t>(k)));
-              drv.proposed_crash[k] = 1;
-            }
-          }
-          drv.deadline = Clock::now() + seconds_to_duration(3600.0);
-        } else {
-          send_broadcasts(self, sh, drv, downlinks, /*original=*/false);
-          drv.deadline = next_deadline(sh, drv);
-        }
-      } else {
-        drv.deadline = next_deadline(sh, drv);  // replies in flight to commit
-      }
-    }
-    if (sm.ledger.pending() == 0 && drv.proposed_commit != t) {
-      self.node.propose(encode_round_commit(t));
-      drv.proposed_commit = t;
+    } else if (const auto deadline = drv.policy->deadline();
+               deadline && now >= *deadline) {
+      lead(self, sh, drv, downlinks, drv.policy->on_expiry(now));
     }
     return DriveResult::kOk;
   }
@@ -676,7 +651,7 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
   const std::uint64_t t = sm.ledger.round();
   const bool last = t >= flopt.max_iterations;
   const bool checkpoint_due = t >= 1 && sm.states_round < t &&
-                              sm.ledger.crashed().empty() &&
+                              sm.ledger.quiesced(sm.committer) &&
                               sm.committer.checkpoint_due(t, sm.stop);
   if (checkpoint_due) {
     if (drv.proposed_states != t) {
@@ -708,6 +683,7 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
 /// One frame out of the replica's inbox: Raft traffic steps the node; data
 /// frames hit the leader path (propose a Reply entry) or earn a redirect.
 DriveResult handle_frame(Replica& self, Shared& sh, Driver& drv,
+                         std::vector<FaultyChannel>& downlinks,
                          const std::vector<std::byte>& frame) {
   const auto payload = try_open_frame(frame);
   if (!payload) {
@@ -754,7 +730,7 @@ DriveResult handle_frame(Replica& self, Shared& sh, Driver& drv,
     throw std::runtime_error("replicated master: reply from the future");
   }
   if (!sm.ledger.expects(reply->iteration, client_id) ||
-      drv.proposed_reply[client_id]) {
+      !drv.policy->awaits(client_id)) {
     sh.master_redundant.fetch_add(1, std::memory_order_relaxed);
     return DriveResult::kOk;
   }
@@ -769,9 +745,9 @@ DriveResult handle_frame(Replica& self, Shared& sh, Driver& drv,
         reply_update(*reply, self.decoder.get(), sm.committer.global().size());
   }
   self.node.propose(encode_reply(sm.ledger.round(), client_id, answer));
-  drv.proposed_reply[client_id] = 1;
   ++drv.accepted;
   if (maybe_crash(self, sh, drv)) return DriveResult::kCrash;
+  lead(self, sh, drv, downlinks, drv.policy->on_reply(client_id));
   return DriveResult::kOk;
 }
 
@@ -800,7 +776,10 @@ void replica_main(Replica& self, Shared& sh) {
     }
     auto frame = self.inbox.recv_for(next_tick - now);
     if (!frame) continue;
-    if (handle_frame(self, sh, drv, *frame) == DriveResult::kCrash) return;
+    if (handle_frame(self, sh, drv, downlinks, *frame) ==
+        DriveResult::kCrash) {
+      return;
+    }
   }
 }
 
@@ -867,10 +846,14 @@ void run_incarnations(Replica& self, Shared& sh) {
     if (!ev.restart) return;  // crash-stop: dead for the rest of the run
     std::this_thread::sleep_for(seconds_to_duration(ev.delay_ms / 1000.0));
     if (sh.done.load(std::memory_order_acquire)) return;
-    if (!rebuild_replica(self, sh, ev)) return;  // loud failure: stay down
-    sh.replica_restarts.fetch_add(1, std::memory_order_relaxed);
-    // Only now may peers resume sending: the rebuilt node is ready.
-    sh.replica_crashed[self.id].store(false, std::memory_order_release);
+    const bool rebuilt = rebuild_replica(self, sh, ev);
+    if (rebuilt) {
+      sh.replica_restarts.fetch_add(1, std::memory_order_relaxed);
+      // Only now may peers resume sending: the rebuilt node is ready.
+      sh.replica_crashed[self.id].store(false, std::memory_order_release);
+    }
+    sh.restart_pending[self.id].store(false, std::memory_order_release);
+    if (!rebuilt) return;  // loud failure: stay down
   }
 }
 
@@ -966,8 +949,10 @@ ClusterResult run_replicated_cluster(
     sh.restart_fired[i] = false;
   }
   sh.replica_crashed = std::make_unique<std::atomic<bool>[]>(num_replicas);
+  sh.restart_pending = std::make_unique<std::atomic<bool>[]>(num_replicas);
   for (std::uint32_t r = 0; r < num_replicas; ++r) {
     sh.replica_crashed[r] = false;
+    sh.restart_pending[r] = false;
   }
   sh.initial_global = &global;
   sh.resume_from = resume_from;
@@ -1020,8 +1005,9 @@ ClusterResult run_replicated_cluster(
       sh.master_redundant.load() + worker_stats.redundant_frames.load();
   faults.retransmits =
       sh.master_retransmits.load() + worker_stats.retransmits.load();
-  faults.timed_out_rounds = sh.timed_out_rounds.load();
-  faults.quorum_rounds = sm.quorum_rounds;
+  faults.timed_out_rounds = sm.ledger.timed_out_rounds();
+  faults.quorum_rounds = sm.ledger.quorum_rounds();
+  faults.over_select_commits = sm.ledger.over_select_commits();
   faults.leader_redirects = sh.leader_redirects.load();
   faults.leader_crashes = sh.leader_crashes.load();
   faults.leader_probes = worker_stats.leader_probes.load();

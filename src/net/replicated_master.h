@@ -53,7 +53,8 @@ namespace cmfl::net {
 /// Runs one federated training job under the replicated control plane.
 /// Invoked by FlCluster::run()/resume() when replication.replicas > 0;
 /// callers go through FlCluster, which validates the option set (>= 3
-/// replicas, quorum 1.0, no first_k_reports / staleness suspicion).
+/// replicas, one shard, a stateless-decode codec).  The recovery options
+/// are the single master's: the leader runs the same net::RoundDriver.
 ///
 /// Checkpointing: each replica independently writes
 /// `checkpoint_path + ".replica<id>"` when it applies a quiesced

@@ -1,6 +1,7 @@
 #include "net/worker.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -347,13 +348,22 @@ RoundLedger::RoundLedger(std::size_t workers)
       invited_(workers, 0),
       answers_(workers),
       last_acked_(workers, 0),
-      max_staleness_(workers, 0) {}
+      max_staleness_(workers, 0),
+      missed_deadlines_(workers, 0) {}
 
 void RoundLedger::resume(std::uint64_t t, double transfer_seconds) {
   round_ = t;
   open_ = false;
   last_acked_.assign(last_acked_.size(), t);
   transfer_seconds_ = transfer_seconds;
+}
+
+bool RoundLedger::quiesced(const fl::RoundCommitter& committer) const {
+  if (open_ || !crashed_.empty()) return false;
+  for (std::size_t k = 0; k < last_acked_.size(); ++k) {
+    if (!committer.quarantined(k) && last_acked_[k] != round_) return false;
+  }
+  return true;
 }
 
 std::size_t RoundLedger::invitable(const fl::RoundCommitter& committer) const {
@@ -402,8 +412,19 @@ void RoundLedger::crash(std::size_t k) {
 fl::RoundOutcome RoundLedger::close(fl::RoundCommitter& committer,
                                     const fl::GlobalEvaluator& evaluate,
                                     std::span<const std::size_t> samples,
-                                    const ClusterOptions& options) {
+                                    const ClusterOptions& options,
+                                    RoundClose how) {
   if (!open_) throw std::logic_error("RoundLedger: no open round to close");
+  timed_out_rounds_ += how.timed_out ? 1 : 0;
+  over_select_commits_ += how.over_selected ? 1 : 0;
+  quorum_rounds_ += missed() && !how.over_selected ? 1 : 0;
+  for (std::size_t k = 0; k < answers_.size(); ++k) {
+    if (answers_[k]) {
+      missed_deadlines_[k] = 0;
+    } else if (awaits(k) && !how.over_selected) {
+      ++missed_deadlines_[k];
+    }
+  }
   std::vector<fl::RoundReport> reports;
   reports.reserve(accepted_);
   double max_upload_transfer = 0.0;
@@ -439,6 +460,10 @@ std::vector<std::uint64_t> RoundLedger::state_words() const {
   words.insert(words.end(), alive_.begin(), alive_.end());
   words.insert(words.end(), last_acked_.begin(), last_acked_.end());
   words.insert(words.end(), max_staleness_.begin(), max_staleness_.end());
+  words.insert(words.end(), missed_deadlines_.begin(),
+               missed_deadlines_.end());
+  words.insert(words.end(),
+               {timed_out_rounds_, quorum_rounds_, over_select_commits_});
   words.push_back(crashed_.size());
   words.insert(words.end(), crashed_.begin(), crashed_.end());
   return words;
@@ -446,12 +471,13 @@ std::vector<std::uint64_t> RoundLedger::state_words() const {
 
 void RoundLedger::restore_state_words(std::span<const std::uint64_t> words) {
   const std::size_t n = alive_.size();
-  if (words.size() < 3 * n + 2 || words[0] != n) {
+  const std::size_t head = 4 * n + 4;  // n, four per-worker rows, counters
+  if (words.size() < head + 1 || words[0] != n) {
     throw std::runtime_error("RoundLedger: words for another worker count");
   }
   // The crash count must fit the workers and the words that follow it.
-  const std::uint64_t count = words[3 * n + 1];
-  const std::span<const std::uint64_t> crashed = words.subspan(3 * n + 2);
+  const std::uint64_t count = words[head];
+  const std::span<const std::uint64_t> crashed = words.subspan(head + 1);
   if (count > n || count != crashed.size() ||
       std::any_of(crashed.begin(), crashed.end(),
                   [n](std::uint64_t k) { return k >= n; })) {
@@ -461,9 +487,125 @@ void RoundLedger::restore_state_words(std::span<const std::uint64_t> words) {
     alive_[k] = words[1 + k] != 0 ? 1 : 0;
     last_acked_[k] = words[1 + n + k];
     max_staleness_[k] = words[1 + 2 * n + k];
+    missed_deadlines_[k] = words[1 + 3 * n + k];
   }
+  timed_out_rounds_ = words[1 + 4 * n];
+  quorum_rounds_ = words[2 + 4 * n];
+  over_select_commits_ = words[3 + 4 * n];
   crashed_.assign(crashed.begin(), crashed.end());
   open_ = false;
+}
+
+// ------------------------------------------------------------ round driver
+
+void RoundDriver::arm(Clock::time_point now) {
+  deadline_.reset();
+  if (options_.round_timeout_s <= 0.0) return;
+  double scale = std::pow(options_.backoff, attempt_);
+  if (options_.backoff_jitter > 0.0) {
+    scale *= 1.0 + options_.backoff_jitter * jitter_.uniform();
+  }
+  deadline_ = now + seconds_to_duration(options_.round_timeout_s * scale);
+}
+
+RoundDriver::Step RoundDriver::commit(Step step, RoundClose how) {
+  awaited_.clear();
+  pending_ = 0;
+  deadline_.reset();
+  step.commit = how;
+  return step;
+}
+
+RoundDriver::Step RoundDriver::settle(Step step) {
+  // Over-selection: the Kth reply commits the round now; the stragglers'
+  // late replies are discarded idempotently once it has closed.
+  const bool over = options_.first_k_reports > 0 && pending_ > 0 &&
+                    accepted_ >= options_.first_k_reports;
+  if (pending_ > 0 && !over) return step;
+  step.send.clear();
+  return commit(std::move(step), {timed_out_, over});
+}
+
+RoundDriver::Step RoundDriver::open(const RoundLedger& ledger,
+                                    Clock::time_point now) {
+  awaited_.assign(ledger.workers(), 0);
+  pending_ = 0;
+  accepted_ = ledger.accepted();
+  quorum_ = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(
+             options_.quorum * static_cast<double>(ledger.invited()))));
+  attempt_ = 0;
+  timed_out_ = false;
+  Step step;
+  for (std::size_t k = 0; k < awaited_.size(); ++k) {
+    if (!ledger.awaits(k)) continue;
+    awaited_[k] = 1;
+    ++pending_;
+    step.send.push_back(static_cast<std::uint32_t>(k));
+  }
+  arm(now);
+  return settle(std::move(step));
+}
+
+RoundDriver::Step RoundDriver::on_reply(std::size_t k) {
+  if (!awaits(k)) return {};
+  awaited_[k] = 0;
+  --pending_;
+  ++accepted_;
+  return settle({});
+}
+
+RoundDriver::Step RoundDriver::on_expiry(Clock::time_point now) {
+  if (!deadline_) return {};
+  timed_out_ = true;
+  Step step;
+  if (accepted_ >= quorum_) {
+    // Quorum reached: the unanswered are late for this round and re-sync
+    // on the next broadcast.
+    return commit(std::move(step), {.timed_out = true});
+  }
+  for (std::size_t k = 0; k < awaited_.size(); ++k) {
+    if (awaited_[k]) step.send.push_back(static_cast<std::uint32_t>(k));
+  }
+  if (++attempt_ < options_.max_attempts) {
+    step.resend = true;
+    arm(now);
+    return step;
+  }
+  // Retransmit budget spent below quorum: the silent workers are declared
+  // crashed and the round commits with whatever answered.
+  step.crash.swap(step.send);
+  return commit(std::move(step), {.timed_out = true});
+}
+
+std::vector<std::uint32_t> RoundDriver::suspects(
+    const RecoveryOptions& options, const RoundLedger& ledger,
+    const fl::RoundCommitter& committer) {
+  std::vector<std::uint32_t> dead;
+  const int after = options.suspect_after_stale_rounds;
+  for (std::size_t k = 0; after > 0 && k < ledger.workers(); ++k) {
+    if (ledger.alive(k) && !committer.quarantined(k) &&
+        ledger.missed_deadlines(k) >= static_cast<std::uint64_t>(after)) {
+      dead.push_back(static_cast<std::uint32_t>(k));
+    }
+  }
+  return dead;
+}
+
+std::uint64_t send_broadcast(const RoundDriver::Step& step,
+                             const std::vector<std::byte>& frame,
+                             std::vector<FaultyChannel>& downlinks,
+                             ByteMeter& meter, bool original) {
+  const bool retransmit = step.resend || !original;
+  for (const std::uint32_t k : step.send) {
+    if (retransmit) {
+      meter.record_retransmit(frame.size());
+    } else {
+      meter.record(frame.size());
+    }
+    downlinks[k].send(frame);
+  }
+  return retransmit ? step.send.size() : 0;
 }
 
 }  // namespace cmfl::net

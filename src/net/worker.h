@@ -27,6 +27,7 @@
 #include "fl/client.h"
 #include "fl/round_commit.h"
 #include "net/cluster.h"
+#include "util/rng.h"
 
 namespace cmfl::net {
 
@@ -230,11 +231,19 @@ std::optional<Reply> read_reply(std::span<const std::byte> payload,
 std::vector<float> reply_update(Reply& reply, codec::UpdateCodec* decoder,
                                 std::size_t dim);
 
+/// How the RoundDriver committed a round: past a deadline expiry, and by
+/// the first_k_reports-th reply.
+struct RoundClose {
+  bool timed_out = false;
+  bool over_selected = false;
+};
+
 /// The open-round bookkeeping both masters keep: worker liveness and crash
-/// order, each worker's last answered round and max staleness, and the open
-/// round's invited set and accepted replies.  The single master drives it
-/// from its receive loop, the replicated state machine from committed log
-/// entries; either way a round closes over its replies in client-id order.
+/// order, each worker's last answered round, max staleness and missed
+/// deadlines, the open round's invited set and accepted replies, and the
+/// recovery counters.  The single master drives it from its receive loop,
+/// the replicated state machine from committed log entries; either way a
+/// round closes over its replies in client-id order.
 class RoundLedger {
  public:
   /// One accepted reply, held until its round closes.
@@ -247,6 +256,7 @@ class RoundLedger {
 
   explicit RoundLedger(std::size_t workers);
 
+  std::size_t workers() const { return alive_.size(); }
   /// The last round opened; it takes replies while is_open().
   std::uint64_t round() const { return round_; }
   bool is_open() const { return open_; }
@@ -260,6 +270,7 @@ class RoundLedger {
   bool expects(std::uint64_t round, std::size_t k) const {
     return round == round_ && k < alive_.size() && awaits(k);
   }
+  std::size_t invited() const { return invited_count_; }
   std::size_t accepted() const { return accepted_; }
   std::size_t pending() const { return pending_; }
   /// An invited worker has not answered the open round, or crashed out.
@@ -270,8 +281,22 @@ class RoundLedger {
   const std::vector<std::uint64_t>& max_staleness() const {
     return max_staleness_;
   }
+  /// Consecutive rounds closed past a deadline without worker k's reply; a
+  /// race lost to over-selection is no evidence of a crash.
+  std::uint64_t missed_deadlines(std::size_t k) const {
+    return missed_deadlines_[k];
+  }
   /// Σ over closed rounds: broadcast downlink time + slowest tallied reply.
   double transfer_seconds() const { return transfer_seconds_; }
+  /// Closed rounds that timed out; that missed an invited worker, unless
+  /// over-selected; that were over-selected.  FaultReport's meanings.
+  std::uint64_t timed_out_rounds() const { return timed_out_rounds_; }
+  std::uint64_t quorum_rounds() const { return quorum_rounds_; }
+  std::uint64_t over_select_commits() const { return over_select_commits_; }
+  /// Worker-owned state may be read: no round is open, no worker was ever
+  /// declared dead (its thread may still run), and every unquarantined
+  /// worker answered the last round.  Reads only snapshot state.
+  bool quiesced(const fl::RoundCommitter& committer) const;
 
   /// Continues after checkpointed round t, which every worker answered.
   void resume(std::uint64_t t, double transfer_seconds);
@@ -288,16 +313,18 @@ class RoundLedger {
   /// open round, the round closes without it.
   void crash(std::size_t k);
   /// Hands the open round's replies to committer.close_round in client-id
-  /// order, updates staleness, adds the round's transfer time, and frees
-  /// the updates on the calling thread.
+  /// order, updates staleness, missed deadlines and the recovery counters
+  /// by `how`, adds the round's transfer time, and frees the updates on the
+  /// calling thread.
   fl::RoundOutcome close(fl::RoundCommitter& committer,
                          const fl::GlobalEvaluator& evaluate,
                          std::span<const std::size_t> samples,
-                         const ClusterOptions& options);
+                         const ClusterOptions& options, RoundClose how = {});
 
-  /// Liveness, staleness and crash order: the replicated snapshot's part.
-  /// The reader throws std::runtime_error, changing nothing, on words for
-  /// another worker count or words that do not hold what they claim.
+  /// Liveness, staleness, missed deadlines, counters and crash order: the
+  /// replicated snapshot's part.  The reader throws std::runtime_error,
+  /// changing nothing, on words for another worker count or words that do
+  /// not hold what they claim.
   std::vector<std::uint64_t> state_words() const;
   void restore_state_words(std::span<const std::uint64_t> words);
 
@@ -307,6 +334,7 @@ class RoundLedger {
   std::vector<std::optional<Answer>> answers_;
   std::vector<std::uint64_t> last_acked_;
   std::vector<std::uint64_t> max_staleness_;
+  std::vector<std::uint64_t> missed_deadlines_;
   std::vector<std::uint32_t> crashed_;
   std::uint64_t round_ = 0;
   bool open_ = false;
@@ -315,6 +343,71 @@ class RoundLedger {
   std::size_t accepted_ = 0;
   std::size_t pending_ = 0;
   double transfer_seconds_ = 0.0;
+  std::uint64_t timed_out_rounds_ = 0;
+  std::uint64_t quorum_rounds_ = 0;
+  std::uint64_t over_select_commits_ = 0;
 };
+
+/// The round policy of both masters (RecoveryOptions): deadlines of
+/// round_timeout_s · backoff^attempt · (1 + backoff_jitter·U), retransmit to
+/// the unanswered, quorum and first-K commits, the crash after max_attempts,
+/// and staleness suspicion.  It does no I/O and reads no clock.  The single
+/// master applies each step to its ledger and channels, and a reply counts
+/// once accepted; the replicated leader sends the broadcasts, proposes the
+/// crashes and the commit, and a reply counts once proposed.
+class RoundDriver {
+ public:
+  struct Step {
+    std::vector<std::uint32_t> send;   ///< workers to send the broadcast to
+    bool resend = false;               ///< the sends are retransmissions
+    std::vector<std::uint32_t> crash;  ///< workers to declare dead
+    std::optional<RoundClose> commit;  ///< set when the round commits
+  };
+
+  /// `jitter` is the owner's stream, drawn once per attempt deadline.
+  RoundDriver(const RecoveryOptions& options, util::Rng jitter)
+      : options_(options), jitter_(jitter) {}
+
+  /// Drives the ledger's open round from the replies it holds.
+  Step open(const RoundLedger& ledger, Clock::time_point now);
+  /// A reply moves no deadline, so it needs no clock.  No-op unless awaits.
+  Step on_reply(std::size_t k);
+  /// Called once deadline() has passed.
+  Step on_expiry(Clock::time_point now);
+  bool awaits(std::size_t k) const {
+    return k < awaited_.size() && awaited_[k] != 0;
+  }
+  /// None between rounds and when round_timeout_s is 0 (wait forever).
+  std::optional<Clock::time_point> deadline() const { return deadline_; }
+
+  /// After RoundLedger::close: the workers suspicion declares dead.  A pure
+  /// function of the ledger, so every replica applies it with the commit.
+  static std::vector<std::uint32_t> suspects(
+      const RecoveryOptions& options, const RoundLedger& ledger,
+      const fl::RoundCommitter& committer);
+
+ private:
+  Step settle(Step step);  // commits once every reply or the Kth is in
+  Step commit(Step step, RoundClose how);
+  void arm(Clock::time_point now);
+
+  RecoveryOptions options_;
+  util::Rng jitter_;
+  std::vector<char> awaited_;
+  std::size_t pending_ = 0;
+  std::size_t accepted_ = 0;
+  std::size_t quorum_ = 0;
+  int attempt_ = 0;
+  bool timed_out_ = false;
+  std::optional<Clock::time_point> deadline_;
+};
+
+/// Sends `frame` to the step's workers and meters each send, as a
+/// retransmission when the step resends or `original` is false; returns the
+/// retransmissions.
+std::uint64_t send_broadcast(const RoundDriver::Step& step,
+                             const std::vector<std::byte>& frame,
+                             std::vector<FaultyChannel>& downlinks,
+                             ByteMeter& meter, bool original = true);
 
 }  // namespace cmfl::net

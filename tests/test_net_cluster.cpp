@@ -245,6 +245,36 @@ TEST(FlCluster, RecoveryOptionValidation) {
     opt.recovery.round_timeout_s = 0.2;
     EXPECT_THROW(make(opt), std::invalid_argument);
   }
+  // Round timing must be finite, and the last attempt's deadline must fit
+  // the clock: NaN slipped past the fault-injection guard and hung the
+  // first dropped frame; 1e10 s overflowed the duration cast.
+  for (const double timeout :
+       {std::nan(""), HUGE_VAL, 1e10}) {
+    auto opt = fast_options();
+    opt.fault.uplink.drop_prob = 0.1;
+    opt.recovery.round_timeout_s = timeout;
+    EXPECT_THROW(make(opt), std::invalid_argument) << timeout;
+  }
+  for (const double backoff : {std::nan(""), HUGE_VAL}) {
+    auto opt = fast_options();
+    opt.recovery.round_timeout_s = 0.2;
+    opt.recovery.backoff = backoff;
+    EXPECT_THROW(make(opt), std::invalid_argument) << backoff;
+  }
+  for (const double jitter : {std::nan(""), HUGE_VAL}) {
+    auto opt = fast_options();
+    opt.recovery.round_timeout_s = 0.2;
+    opt.recovery.backoff_jitter = jitter;
+    EXPECT_THROW(make(opt), std::invalid_argument) << jitter;
+  }
+  {
+    // 1e8 s fits, but not once backed off: 1e8 · 2^7 s outgrows the clock.
+    auto opt = fast_options();
+    opt.recovery.round_timeout_s = 1e8;
+    EXPECT_THROW(make(opt), std::invalid_argument);
+    opt.recovery.max_attempts = 1;
+    EXPECT_NO_THROW(make(opt));
+  }
 }
 
 ClusterOptions faulty_options() {
@@ -1286,6 +1316,218 @@ TEST(RoundLedger, StateWordsRoundTripAndRejectLyingCounts) {
   EXPECT_THROW(RoundLedger(3).restore_state_words(words), std::runtime_error);
   EXPECT_THROW(target.restore_state_words({}), std::runtime_error);
   EXPECT_EQ(target.state_words(), fresh);
+}
+
+// ------------------------------------------------------------ round driver
+//
+// The round policy on a fake clock: time is whatever `now` the test hands
+// in, so no thread runs and nothing sleeps.
+
+constexpr Clock::time_point kT0{};
+
+Clock::duration secs(double s) { return seconds_to_duration(s); }
+
+RecoveryOptions driver_options() {
+  RecoveryOptions rec;
+  rec.round_timeout_s = 1.0;
+  rec.backoff = 2.0;
+  rec.max_attempts = 3;
+  return rec;
+}
+
+/// Takes worker k's reply to the open round, as a master's intake does.
+RoundDriver::Step reply(RoundLedger& ledger, RoundDriver& driver,
+                        std::size_t k) {
+  EXPECT_TRUE(ledger.accept(ledger.round(), k, answer_of(k, true)));
+  return driver.on_reply(k);
+}
+
+TEST(RoundDriver, RetransmitsToTheUnansweredOnAJitteredBackoffThenCrashes) {
+  RecoveryOptions rec = driver_options();
+  rec.backoff_jitter = 0.5;
+  fl::RoundCommitter committer(ledger_fl_options(), 4, std::vector<float>(4));
+  RoundLedger ledger(4);
+  RoundDriver driver(rec, util::Rng(42));
+  util::Rng reference(42);
+  // round_timeout_s · backoff^a · (1 + jitter · U), U from the same stream.
+  const auto attempt_deadline = [&](Clock::time_point now, int a) {
+    double scale = std::pow(rec.backoff, a);
+    scale *= 1.0 + rec.backoff_jitter * reference.uniform();
+    return now + secs(rec.round_timeout_s * scale);
+  };
+
+  ASSERT_EQ(ledger.open(1, committer, 500), 4u);
+  RoundDriver::Step step = driver.open(ledger, kT0);
+  EXPECT_EQ(step.send, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_FALSE(step.resend);
+  EXPECT_FALSE(step.commit);
+  const Clock::time_point d0 = attempt_deadline(kT0, 0);
+  EXPECT_EQ(driver.deadline(), d0);
+
+  for (const std::size_t k : {2u, 0u}) {
+    step = reply(ledger, driver, k);
+    EXPECT_TRUE(step.send.empty());
+    EXPECT_FALSE(step.commit);
+    EXPECT_EQ(driver.deadline(), d0);  // a reply moves no deadline
+  }
+  EXPECT_FALSE(driver.awaits(0));
+  EXPECT_TRUE(driver.awaits(1));
+
+  step = driver.on_expiry(d0);
+  EXPECT_EQ(step.send, (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_TRUE(step.resend);
+  const Clock::time_point d1 = attempt_deadline(d0, 1);
+  EXPECT_EQ(driver.deadline(), d1);
+
+  step = reply(ledger, driver, 1);
+  EXPECT_FALSE(step.commit);
+  step = driver.on_expiry(d1);
+  EXPECT_EQ(step.send, (std::vector<std::uint32_t>{3}));
+  const Clock::time_point d2 = attempt_deadline(d1, 2);
+  EXPECT_EQ(driver.deadline(), d2);
+
+  // Attempt 3 of 3 expired below quorum 1.0: worker 3 is declared dead.
+  step = driver.on_expiry(d2);
+  EXPECT_TRUE(step.send.empty());
+  EXPECT_EQ(step.crash, (std::vector<std::uint32_t>{3}));
+  ASSERT_TRUE(step.commit);
+  EXPECT_TRUE(step.commit->timed_out);
+  EXPECT_FALSE(step.commit->over_selected);
+  EXPECT_FALSE(driver.deadline());
+  EXPECT_FALSE(driver.awaits(3));
+  EXPECT_TRUE(driver.on_expiry(d2 + secs(60)).send.empty());  // committed
+}
+
+TEST(RoundDriver, UnjitteredDeadlinesAreExactPowersOfTheBackoff) {
+  RecoveryOptions rec = driver_options();
+  rec.round_timeout_s = 0.25;
+  rec.backoff = 1.5;
+  fl::RoundCommitter committer(ledger_fl_options(), 4, std::vector<float>(4));
+  RoundLedger ledger(4);
+  RoundDriver driver(rec, util::Rng(42));
+  ledger.open(1, committer, 500);
+  driver.open(ledger, kT0);
+  EXPECT_EQ(driver.deadline(), kT0 + secs(0.25));
+  driver.on_expiry(kT0 + secs(1));
+  EXPECT_EQ(driver.deadline(), kT0 + secs(1) + secs(0.25 * 1.5));
+  driver.on_expiry(kT0 + secs(2));
+  EXPECT_EQ(driver.deadline(), kT0 + secs(2) + secs(0.25 * 2.25));
+
+  // round_timeout_s 0 waits forever: no deadline, nothing expires.
+  rec.round_timeout_s = 0.0;
+  RoundDriver unbounded(rec, util::Rng(42));
+  EXPECT_EQ(unbounded.open(ledger, kT0).send.size(), 4u);
+  EXPECT_FALSE(unbounded.deadline());
+  EXPECT_FALSE(unbounded.on_expiry(kT0 + secs(1e6)).commit);
+}
+
+TEST(RoundDriver, QuorumCommitsAtTheDeadlineAndFirstKOnTheKthReply) {
+  {
+    fl::RoundCommitter committer(ledger_fl_options(), 4,
+                                 std::vector<float>(4));
+    RecoveryOptions rec = driver_options();
+    rec.quorum = 0.5;  // two of four
+    RoundLedger ledger(4);
+    RoundDriver driver(rec, util::Rng(1));
+    ledger.open(1, committer, 500);
+    driver.open(ledger, kT0);
+    EXPECT_FALSE(reply(ledger, driver, 0).commit);
+    EXPECT_FALSE(reply(ledger, driver, 1).commit);  // quorum waits for expiry
+    const RoundDriver::Step step = driver.on_expiry(kT0 + secs(1));
+    EXPECT_TRUE(step.send.empty());
+    EXPECT_TRUE(step.crash.empty());
+    ASSERT_TRUE(step.commit);
+    EXPECT_TRUE(step.commit->timed_out);
+    EXPECT_FALSE(step.commit->over_selected);
+    ledger.close(committer, fake_eval, kLedgerSamples, ClusterOptions{},
+                 *step.commit);
+    EXPECT_EQ(ledger.timed_out_rounds(), 1u);
+    EXPECT_EQ(ledger.quorum_rounds(), 1u);
+    EXPECT_EQ(ledger.missed_deadlines(2), 1u);
+    EXPECT_EQ(ledger.missed_deadlines(0), 0u);
+  }
+  {
+    fl::RoundCommitter committer(ledger_fl_options(), 4,
+                                 std::vector<float>(4));
+    RecoveryOptions rec = driver_options();
+    rec.first_k_reports = 3;
+    RoundLedger ledger(4);
+    RoundDriver driver(rec, util::Rng(1));
+    ledger.open(1, committer, 500);
+    driver.open(ledger, kT0);
+    EXPECT_FALSE(reply(ledger, driver, 3).commit);
+    EXPECT_FALSE(reply(ledger, driver, 0).commit);
+    const RoundDriver::Step step = reply(ledger, driver, 1);  // no expiry
+    ASSERT_TRUE(step.commit);
+    EXPECT_FALSE(step.commit->timed_out);
+    EXPECT_TRUE(step.commit->over_selected);
+    EXPECT_FALSE(driver.awaits(2));  // its late reply is not taken
+    ledger.close(committer, fake_eval, kLedgerSamples, ClusterOptions{},
+                 *step.commit);
+    EXPECT_EQ(ledger.over_select_commits(), 1u);
+    EXPECT_EQ(ledger.quorum_rounds(), 0u);
+    EXPECT_EQ(ledger.timed_out_rounds(), 0u);
+    EXPECT_EQ(ledger.missed_deadlines(2), 0u);  // a lost race is no miss
+  }
+}
+
+TEST(RoundDriver, OpenResumesFromTheRepliesTheLedgerHolds) {
+  // A new leadership opens the policy over applied state: replies already
+  // in the ledger count as answered.
+  fl::RoundCommitter committer(ledger_fl_options(), 4, std::vector<float>(4));
+  RecoveryOptions rec = driver_options();
+  rec.first_k_reports = 3;
+  RoundLedger ledger(4);
+  ledger.open(1, committer, 500);
+  ledger.accept(1, 1, answer_of(1, true));
+  RoundDriver driver(rec, util::Rng(1));
+  EXPECT_EQ(driver.open(ledger, kT0).send,
+            (std::vector<std::uint32_t>{0, 2, 3}));
+  ledger.accept(1, 0, answer_of(0, true));
+  ledger.accept(1, 2, answer_of(2, true));
+  const RoundDriver::Step step =
+      RoundDriver(rec, util::Rng(1)).open(ledger, kT0);
+  EXPECT_TRUE(step.send.empty());
+  ASSERT_TRUE(step.commit);
+  EXPECT_TRUE(step.commit->over_selected);
+  ledger.accept(1, 3, answer_of(3, true));
+  const RoundDriver::Step all =
+      RoundDriver(rec, util::Rng(1)).open(ledger, kT0);
+  ASSERT_TRUE(all.commit);
+  EXPECT_FALSE(all.commit->over_selected);  // every worker answered
+}
+
+TEST(RoundDriver, SuspectsOnlyWorkersThatBlewDeadlinesInARow) {
+  // Worker 3 misses round 1 at a deadline, loses round 2's first-K race,
+  // and misses round 3 at a deadline: two misses, so it is suspected after
+  // round 3 and not before — the lost race neither counts nor resets.
+  fl::RoundCommitter committer(ledger_fl_options(), 4, std::vector<float>(4));
+  RecoveryOptions rec = driver_options();
+  rec.quorum = 0.5;
+  rec.first_k_reports = 3;
+  rec.suspect_after_stale_rounds = 2;
+  RoundLedger ledger(4);
+  RoundDriver driver(rec, util::Rng(1));
+  const auto round = [&](std::uint64_t t, std::vector<std::size_t> replies,
+                         bool expire) {
+    ledger.open(t, committer, 500);
+    driver.open(ledger, kT0);
+    RoundDriver::Step step;
+    for (const std::size_t k : replies) step = reply(ledger, driver, k);
+    if (expire) step = driver.on_expiry(kT0 + secs(1));
+    EXPECT_TRUE(step.commit) << "round " << t;
+    ledger.close(committer, fake_eval, kLedgerSamples, ClusterOptions{},
+                 *step.commit);
+    return RoundDriver::suspects(rec, ledger, committer);
+  };
+  EXPECT_TRUE(round(1, {0, 1}, /*expire=*/true).empty());
+  EXPECT_TRUE(round(2, {0, 1, 2}, /*expire=*/false).empty());
+  EXPECT_EQ(ledger.missed_deadlines(3), 1u);
+  EXPECT_EQ(round(3, {1, 2}, /*expire=*/true),
+            (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(ledger.missed_deadlines(0), 1u);  // one miss only
+  ledger.crash(3);
+  EXPECT_TRUE(RoundDriver::suspects(rec, ledger, committer).empty());
 }
 
 }  // namespace

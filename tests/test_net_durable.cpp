@@ -467,6 +467,28 @@ TEST(DurableCluster, LeaderKillAndRestartMidRoundBitIdentical) {
   EXPECT_GT(restarted.faults.wal_replay_entries, 0u);
 }
 
+TEST(DurableCluster, LastRoundLeaderRestartsBeforeTheRunEnds) {
+  // The last round's leader is killed with a 200 ms downtime, which the
+  // rest of the run does not last.  The finishing leader lingers for the
+  // pending restart (inside its 0.5 s bound), so the killed replica always
+  // rejoins, replaying its WAL.
+  TempDir tmp;
+  const ClusterResult baseline = run_once(base_options());
+
+  auto opt = base_options();
+  opt.replication.storage_dir = tmp.path("wal");
+  opt.fault.replica_restart.push_back(
+      {opt.fl.max_iterations, 2, 200.0, StorageFault::kNone});
+  opt.recovery.round_timeout_s = 0.5;
+  opt.recovery.max_attempts = 10;
+  const ClusterResult restarted = run_once(opt);
+
+  expect_same_trajectory(baseline, restarted);
+  EXPECT_EQ(restarted.faults.replica_restarts, 1u);
+  EXPECT_EQ(restarted.faults.restart_load_errors, 0u);
+  EXPECT_GT(restarted.faults.wal_replay_entries, 0u);
+}
+
 TEST(DurableCluster, RestartWithDamagedWalRecoversOrStaysDownLoudly) {
   // Every storage-fault kind, against the tentpole invariant: the restarted
   // replica either recovers (a prefix of its WAL is intact, and the leader

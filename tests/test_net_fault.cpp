@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "net/message.h"
 #include "net/wire.h"
 
@@ -76,6 +78,16 @@ TEST(FaultPlan, ValidateRejectsMalformedPlans) {
   {
     FaultPlan p;
     p.straggler_delay_s[1] = -0.5;
+    EXPECT_THROW(p.validate(4), std::invalid_argument);
+  }
+  for (const double delay : {std::nan(""), HUGE_VAL}) {
+    FaultPlan p;
+    p.straggler_delay_s[1] = delay;
+    EXPECT_THROW(p.validate(4), std::invalid_argument) << delay;
+  }
+  {
+    FaultPlan p;
+    p.replica_restart.push_back({3, 2, HUGE_VAL, StorageFault::kNone});
     EXPECT_THROW(p.validate(4), std::invalid_argument);
   }
   {

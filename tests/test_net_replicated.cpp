@@ -15,6 +15,7 @@
 // runs them under ASan/UBSan and TSan.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -64,7 +65,9 @@ ClusterResult run_once(const ClusterOptions& opt) {
   return cluster.run();
 }
 
-void expect_same_trajectory(const ClusterResult& a, const ClusterResult& b) {
+/// Everything the tallied replies decide: the records, the model, the
+/// per-client counters, Φ and the footprint.
+void expect_same_tally(const ClusterResult& a, const ClusterResult& b) {
   ASSERT_EQ(a.sim.history.size(), b.sim.history.size());
   for (std::size_t i = 0; i < a.sim.history.size(); ++i) {
     EXPECT_TRUE(fl::bitwise_equal(a.sim.history[i], b.sim.history[i]))
@@ -75,8 +78,6 @@ void expect_same_trajectory(const ClusterResult& a, const ClusterResult& b) {
   EXPECT_EQ(a.sim.uploads_per_client, b.sim.uploads_per_client);
   EXPECT_EQ(a.sim.total_rounds, b.sim.total_rounds);
   EXPECT_EQ(a.sim.uploaded_bytes, b.sim.uploaded_bytes);
-  EXPECT_EQ(a.upload_messages, b.upload_messages);
-  EXPECT_EQ(a.elimination_messages, b.elimination_messages);
   EXPECT_EQ(a.simulated_transfer_seconds, b.simulated_transfer_seconds);
   ASSERT_EQ(a.footprint.size(), b.footprint.size());
   for (std::size_t i = 0; i < a.footprint.size(); ++i) {
@@ -84,6 +85,12 @@ void expect_same_trajectory(const ClusterResult& a, const ClusterResult& b) {
     EXPECT_EQ(a.footprint[i].accuracy, b.footprint[i].accuracy);
     EXPECT_EQ(a.footprint[i].uplink_bytes, b.footprint[i].uplink_bytes);
   }
+}
+
+void expect_same_trajectory(const ClusterResult& a, const ClusterResult& b) {
+  expect_same_tally(a, b);
+  EXPECT_EQ(a.upload_messages, b.upload_messages);
+  EXPECT_EQ(a.elimination_messages, b.elimination_messages);
 }
 
 TEST(ReplicatedCluster, OptionValidation) {
@@ -98,23 +105,25 @@ TEST(ReplicatedCluster, OptionValidation) {
     opt.replication.replicas = 2;  // a crash would lose quorum
     EXPECT_THROW(make(opt), std::invalid_argument);
   }
+  // Both masters run one round policy: the replicated cohort is the Reply
+  // entries applied before a RoundCommit (the *MatchTheSingleMaster tests).
   {
     auto opt = replicated(base_options());
-    opt.recovery.quorum = 0.5;  // committed cohort must be replicated state
+    opt.recovery.quorum = 0.5;
     opt.recovery.round_timeout_s = 0.1;
-    EXPECT_THROW(make(opt), std::invalid_argument);
+    EXPECT_NO_THROW(make(opt));
   }
   {
     auto opt = replicated(base_options());
     opt.recovery.first_k_reports = 2;
     opt.recovery.round_timeout_s = 0.1;
-    EXPECT_THROW(make(opt), std::invalid_argument);
+    EXPECT_NO_THROW(make(opt));
   }
   {
     auto opt = replicated(base_options());
     opt.recovery.suspect_after_stale_rounds = 2;
     opt.recovery.round_timeout_s = 0.1;
-    EXPECT_THROW(make(opt), std::invalid_argument);
+    EXPECT_NO_THROW(make(opt));
   }
   {
     auto opt = base_options();  // schedules need replication
@@ -140,6 +149,11 @@ TEST(ReplicatedCluster, OptionValidation) {
     auto opt = replicated(base_options());
     opt.replication.tick_interval_s = 0.0;
     EXPECT_THROW(make(opt), std::invalid_argument);
+  }
+  for (const double tick : {std::nan(""), HUGE_VAL}) {
+    auto opt = replicated(base_options());
+    opt.replication.tick_interval_s = tick;
+    EXPECT_THROW(make(opt), std::invalid_argument) << tick;
   }
   { EXPECT_NO_THROW(make(replicated(base_options()))); }
 }
@@ -309,6 +323,99 @@ TEST(ReplicatedCluster, CrashStopWorkerIsDeclaredDeadAsOnTheSingleMaster) {
   EXPECT_EQ(triple.faults.quorum_rounds, single.faults.quorum_rounds);
   EXPECT_EQ(triple.faults.max_staleness_per_client,
             single.faults.max_staleness_per_client);
+}
+
+struct PolicyRuns {
+  ClusterResult single;
+  std::vector<std::string> replica_files;  // the bytes of each one written
+};
+
+/// Runs `opt` on the single master and on 3 replicas with a checkpoint
+/// every round, and checks the two agree on the trajectory and on every
+/// recovery outcome both masters count by one definition.
+PolicyRuns expect_policy_matches_single_master(ClusterOptions opt,
+                                               const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  const auto remove_all = [&path] {
+    std::remove(path.c_str());
+    for (int r = 0; r < 3; ++r) {
+      std::remove((path + ".replica" + std::to_string(r)).c_str());
+    }
+  };
+  remove_all();
+  opt.fl.checkpoint_every = 1;
+  opt.fl.checkpoint_path = path;
+  const ClusterResult single = run_once(opt);
+  const ClusterResult triple = run_once(replicated(opt));
+
+  // The frame counts are not compared: the single master counts every
+  // frame its workers sent, late ones too, and the replicated master the
+  // replies its rounds tallied.
+  expect_same_tally(single, triple);
+  EXPECT_EQ(triple.faults.crashed_workers, single.faults.crashed_workers);
+  EXPECT_EQ(triple.faults.quorum_rounds, single.faults.quorum_rounds);
+  EXPECT_EQ(triple.faults.over_select_commits,
+            single.faults.over_select_commits);
+  EXPECT_EQ(triple.faults.max_staleness_per_client,
+            single.faults.max_staleness_per_client);
+
+  PolicyRuns runs{single, {}};
+  for (int r = 0; r < 3; ++r) {
+    std::ifstream in(path + ".replica" + std::to_string(r), std::ios::binary);
+    if (!in.good()) continue;
+    runs.replica_files.emplace_back(std::istreambuf_iterator<char>(in),
+                                    std::istreambuf_iterator<char>());
+  }
+  // A replica writes a checkpoint exactly when the single master does:
+  // only a quiesced round may read worker-owned client state.
+  EXPECT_EQ(std::ifstream(path, std::ios::binary).good(),
+            !runs.replica_files.empty());
+  remove_all();
+  return runs;
+}
+
+TEST(ReplicatedCluster, QuorumAndSuspicionMatchTheSingleMaster) {
+  // Worker 2 dies before round 4.  At quorum 0.5 rounds 4 and 5 commit at
+  // their deadline without it, and after its second missed deadline both
+  // masters declare it dead before round 6 opens.  The deadline is
+  // generous, so the live workers never miss it.
+  auto opt = base_options();
+  opt.fault.crash_at_iteration[2] = 4;
+  opt.recovery.round_timeout_s = 0.5;
+  opt.recovery.quorum = 0.5;
+  opt.recovery.suspect_after_stale_rounds = 2;
+  const PolicyRuns runs =
+      expect_policy_matches_single_master(opt, "replicated_quorum_ck.bin");
+  EXPECT_EQ(runs.single.faults.crashed_workers,
+            std::vector<std::uint32_t>{2});
+  EXPECT_EQ(runs.single.faults.quorum_rounds, 2u);
+  // Rounds 1-3 quiesced; every replica wrote the same bytes.
+  const std::vector<std::string>& files = runs.replica_files;
+  ASSERT_EQ(files.size(), 3u);
+  EXPECT_FALSE(files[0].empty());
+  EXPECT_EQ(files[1], files[0]);
+  EXPECT_EQ(files[2], files[0]);
+}
+
+TEST(ReplicatedCluster, FirstKReportsMatchTheSingleMaster) {
+  // Worker 3 answers every broadcast 0.3 s late; the third reply commits
+  // each round, well inside the 2 s deadline.  The straggler is still
+  // training when each round closes, so no round is quiesced and neither
+  // master may write a checkpoint.
+  auto opt = base_options();
+  opt.fl.max_iterations = 4;
+  opt.fault.straggler_delay_s[3] = 0.3;
+  opt.recovery.round_timeout_s = 2.0;
+  opt.recovery.first_k_reports = 3;
+  opt.recovery.max_attempts = 30;
+  const PolicyRuns runs =
+      expect_policy_matches_single_master(opt, "replicated_first_k_ck.bin");
+  EXPECT_EQ(runs.single.faults.over_select_commits, 4u);
+  EXPECT_EQ(runs.single.faults.quorum_rounds, 0u);
+  // The straggler's four late replies count on the single master only.
+  EXPECT_EQ(runs.single.upload_messages + runs.single.elimination_messages,
+            4u * 4u);
+  EXPECT_TRUE(runs.replica_files.empty());
 }
 
 TEST(ReplicatedCluster, CheckpointWriteErrorsPropagateFromRun) {

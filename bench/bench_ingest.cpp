@@ -1,22 +1,22 @@
-// Sharded-ingest throughput benchmarks (google-benchmark): the concurrent
-// upload pipeline of DESIGN.md §17 under an over-selected cohort burst.
+// Sharded-ingest throughput benchmarks (google-benchmark): the upload
+// pipeline of DESIGN.md §17 under an over-selected cohort burst.
 //
 // Rows:
-//   * BM_ScalarInline     — the exact per-upload scalar work (finiteness
-//                           scan, serial double-accumulation L2 norm, CMFL
-//                           sign-agreement count) run inline on the caller
-//                           thread: the single-master baseline an S-shard
-//                           pipeline divides.
-//   * BM_IngestBurst/S    — a 96-upload over-selected burst submitted to a
-//                           ShardedAggregator at S shards and collected in
+//   * BM_ScalarInline     — the exact per-upload scalar work the runtimes
+//                           screen with (finiteness scan, serial
+//                           double-accumulation L2 norm) run inline on the
+//                           caller thread: the single-master baseline an
+//                           S-shard pipeline divides.
+//   * BM_IngestBurst/S    — a 96-upload over-selected burst screened by a
+//                           ShardedAggregator at S shards, results in
 //                           index order; `uploads_per_s` is the headline
 //                           scaling axis (≥3× at S=8 vs S=1 on a host with
 //                           ≥8 cores — run_ingest.sh gates on this, and
 //                           stamps `cmfl_host_cpus` so a single-core
 //                           recording is never mistaken for a scaling run).
-//   * BM_CommitRound/S    — the full commit cycle: scalar pass, screen,
-//                           then the range-parallel aggregate fan-out into
-//                           the global update (`rounds_per_s`).
+//   * BM_CommitRound/S    — the full commit cycle: scalar pass, then the
+//                           range-parallel aggregate fan-out into the
+//                           global update (`rounds_per_s`).
 //   * BM_MeterPadded/BM_MeterPacked — the ByteMeter false-sharing micro
 //                           row: T threads each hammering their own meter.
 //                           Padded = the real alignas(64) ByteMeter (one
@@ -26,15 +26,15 @@
 //                           multi-core host the packed row's line ping-pong
 //                           costs several × the padded rate.
 //
-// All pipeline rows use real time: the submitting thread runs only shard
-// 0's share inside collect() and the other shards' work happens on their
-// worker threads, so CPU time of the main thread alone would be
+// All pipeline rows use real time: the calling thread runs about one
+// shard's share of each pass and the other shards' work happens on the
+// aggregator's pool threads, so CPU time of the main thread alone would be
 // meaningless.
 //
-// `bench/run_ingest.sh` records the tracked baseline BENCH_ingest.json at
-// the repo root from a Release build, verifies the provenance stamps and
-// the S=8 scaling gate, then re-runs the `ingest`-labeled test suite under
-// ThreadSanitizer and ASan+UBSan before the baseline is accepted.
+// `bench/run_ingest.sh` records BENCH_ingest.json into its build directory
+// from a Release build, verifies the provenance stamps and the S=8 scaling
+// gate, then re-runs the `ingest`-labeled test suite under ThreadSanitizer
+// and ASan+UBSan.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -71,28 +71,21 @@ std::vector<std::vector<float>> make_burst(std::size_t count,
   return burst;
 }
 
-tensor::SignPack make_estimate(std::size_t dim) {
-  util::Rng rng(7);
-  std::vector<float> est(dim);
-  for (auto& x : est) x = rng.uniform_f(-0.5f, 0.5f);
-  tensor::SignPack pack;
-  pack.assign(est);
-  return pack;
+std::vector<std::span<const float>> views_of(
+    const std::vector<std::vector<float>>& burst) {
+  return {burst.begin(), burst.end()};
 }
 
 /// The serial single-master scalar pass, for the baseline row.
-void scalar_pass_inline(std::span<const float> u,
-                        const tensor::SignPack& estimate) {
+void scalar_pass_inline(std::span<const float> u) {
   benchmark::DoNotOptimize(fl::update_all_finite(u));
   benchmark::DoNotOptimize(fl::update_l2_norm(u));
-  benchmark::DoNotOptimize(tensor::count_sign_matches(u, estimate));
 }
 
 void BM_ScalarInline(benchmark::State& state) {
   const auto burst = make_burst(kBurst, kDim);
-  const auto estimate = make_estimate(kDim);
   for (auto _ : state) {
-    for (const auto& u : burst) scalar_pass_inline(u, estimate);
+    for (const auto& u : burst) scalar_pass_inline(u);
   }
   state.counters["uploads_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations() * kBurst),
@@ -108,13 +101,10 @@ void BM_IngestBurst(benchmark::State& state) {
   so.shards = static_cast<std::size_t>(state.range(0));
   fl::ShardedAggregator agg(kDim, so);
   const auto burst = make_burst(kBurst, kDim);
-  const auto estimate = make_estimate(kDim);
+  const auto views = views_of(burst);
+  const std::vector<std::uint64_t> wire(kBurst, kDim * sizeof(float));
   for (auto _ : state) {
-    agg.begin_batch(kBurst);
-    for (std::size_t i = 0; i < kBurst; ++i) {
-      agg.submit_update(i, burst[i], &estimate, kDim * sizeof(float));
-    }
-    const auto results = agg.collect(kBurst);
+    const auto results = agg.screen(views, wire);
     benchmark::DoNotOptimize(results.data());
   }
   state.counters["uploads_per_s"] = benchmark::Counter(
@@ -131,19 +121,13 @@ void BM_CommitRound(benchmark::State& state) {
   so.shards = static_cast<std::size_t>(state.range(0));
   fl::ShardedAggregator agg(kDim, so);
   const auto burst = make_burst(kBurst, kDim);
-  const auto estimate = make_estimate(kDim);
-  std::vector<std::span<const float>> views(burst.begin(), burst.end());
+  const auto views = views_of(burst);
+  const std::vector<std::uint64_t> wire(kBurst, kDim * sizeof(float));
   std::vector<float> global_update(kDim);
   const fl::RobustAggOptions ropt;
   for (auto _ : state) {
-    agg.begin_batch(kBurst);
-    for (std::size_t i = 0; i < kBurst; ++i) {
-      agg.submit_update(i, burst[i], &estimate, kDim * sizeof(float));
-    }
-    const auto results = agg.collect(kBurst);
-    for (const auto& r : results) {
-      benchmark::DoNotOptimize(r.scalars.finite);
-    }
+    const auto results = agg.screen(views, wire);
+    for (const auto& r : results) benchmark::DoNotOptimize(r.finite);
     agg.aggregate(fl::Aggregation::kUniformMean, views, {}, ropt, {},
                   global_update);
     benchmark::DoNotOptimize(global_update.data());

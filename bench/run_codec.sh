@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
-# Records the codec-throughput baseline BENCH_codec.json at the repo root
+# Records the codec-throughput benchmark into <build_dir>/BENCH_codec.json
 # from a Release build, then re-runs the `codec`-labeled test suite (codec
 # round-trip/state tests plus the exhaustive malformed-payload matrices)
-# under AddressSanitizer+UBSan.
+# under AddressSanitizer+UBSan.  The tracked baseline BENCH_codec.json at the
+# repo root is never rewritten: the script ends by printing the `cp` that
+# would update it.
 #
 #   bench/run_codec.sh [build_dir] [--benchmark_* flags...]
 #
@@ -31,7 +33,7 @@ esac
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_codec
 
-OUT="$REPO_ROOT/BENCH_codec.json"
+OUT="$BUILD_DIR/BENCH_codec.json"
 "$BUILD_DIR/bench/bench_codec" --benchmark_out="$OUT" \
                                --benchmark_out_format=json "$@"
 
@@ -57,3 +59,4 @@ cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$ASAN_DIR" -j "$(nproc)" --target test_codec test_codec_malformed
 (cd "$ASAN_DIR" && ctest -L codec --output-on-failure)
 echo "ASan+UBSan codec gates passed"
+echo "to update the tracked baseline: cp $OUT $REPO_ROOT/BENCH_codec.json"

@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
-# Records the kernel-throughput baseline BENCH_kernels.json at the repo root
+# Records the kernel-throughput benchmark into <build_dir>/BENCH_kernels.json
 # from a Release build, then re-runs the SIMD equivalence tests under
-# AddressSanitizer+UBSan.
+# AddressSanitizer+UBSan.  The tracked baseline BENCH_kernels.json at the
+# repo root is never rewritten: the script ends by printing the `cp` that
+# would update it.
 #
 #   bench/run_kernels.sh [build_dir] [--benchmark_* flags...]
 #
@@ -62,7 +64,7 @@ if [ -n "$OVER" ]; then
   set -- "$@" "--benchmark_filter=^(?!BM_GemmNN_(Fast)?MT/($OVER)(/|$))(?=.*(?:$USER_FILTER))"
 fi
 
-OUT="$REPO_ROOT/BENCH_kernels.json"
+OUT="$BUILD_DIR/BENCH_kernels.json"
 "$BUILD_DIR/bench/bench_kernels" --benchmark_out="$OUT" \
                                  --benchmark_out_format=json "$@"
 
@@ -91,3 +93,4 @@ cmake --build "$ASAN_DIR" -j --target test_tensor_simd test_tensor_kernels \
 "$ASAN_DIR/tests/test_tensor_kernels"
 "$ASAN_DIR/tests/test_util_crc32"
 echo "ASan+UBSan SIMD and CRC-32 equivalence gates passed"
+echo "to update the tracked baseline: cp $OUT $REPO_ROOT/BENCH_kernels.json"

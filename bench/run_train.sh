@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Runs the hot-path correctness gates (allocation regression + conv im2col
 # equivalence) under AddressSanitizer+UBSan, then records the end-to-end
-# training baseline BENCH_train.json at the repo root from a Release build.
+# training benchmark into <build_dir>/BENCH_train.json from a Release build.
+# The tracked baseline BENCH_train.json at the repo root is never rewritten:
+# the script ends by printing the `cp` that would update it.
 #
 #   bench/run_train.sh [build_dir] [--benchmark_* flags...]
 #
@@ -48,7 +50,7 @@ echo "ASan+UBSan hot-path gates passed"
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_train
 
-OUT="$REPO_ROOT/BENCH_train.json"
+OUT="$BUILD_DIR/BENCH_train.json"
 # Repetitions + median comparison: the tracked ratio must not depend on a
 # noise burst hitting one benchmark of the pair.
 "$BUILD_DIR/bench/bench_train" --benchmark_out="$OUT" \
@@ -93,3 +95,4 @@ else:
     print("cmfl_simd != avx2-fma: vector-tier floor skipped")
 EOF
 echo "wrote $OUT (Release provenance + CNN floors verified)"
+echo "to update the tracked baseline: cp $OUT $REPO_ROOT/BENCH_train.json"

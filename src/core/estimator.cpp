@@ -13,7 +13,7 @@ GlobalUpdateEstimator::GlobalUpdateEstimator(std::size_t dim, double ema_decay)
   if (dim == 0) {
     throw std::invalid_argument("GlobalUpdateEstimator: dim must be positive");
   }
-  if (ema_decay < 0.0 || ema_decay >= 1.0) {
+  if (!(0.0 <= ema_decay && ema_decay < 1.0)) {
     throw std::invalid_argument(
         "GlobalUpdateEstimator: ema_decay must be in [0, 1)");
   }

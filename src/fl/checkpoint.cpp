@@ -22,7 +22,9 @@ constexpr std::array<char, 4> kMagic = {'C', 'M', 'C', 'K'};
 // sched::RoundEngine and writes the engine's scheduler block.
 // v6: ClusterMeterState lost the footprint curve, which a cluster run
 // derives from the history.
-constexpr std::uint32_t kVersion = 6;
+// v7: ClusterMeterState lost the upload/elimination frame counts, which a
+// cluster run derives from the per-client tallies.
+constexpr std::uint32_t kVersion = 7;
 
 void put_u64_vec(net::WireWriter& w, std::span<const std::uint64_t> v) {
   w.u64(v.size());
@@ -114,8 +116,6 @@ std::vector<std::byte> encode_checkpoint(const TrainerCheckpoint& ck) {
   w.u64(m.downlink_bytes);
   w.u64(m.downlink_messages);
   w.u64(m.downlink_retransmitted);
-  w.u64(m.upload_messages);
-  w.u64(m.elimination_messages);
   w.f64(m.simulated_transfer_seconds);
 
   const SchedulerCheckpoint& s = ck.sched;
@@ -213,8 +213,6 @@ TrainerCheckpoint decode_checkpoint(std::span<const std::byte> payload) {
   m.downlink_bytes = r.u64();
   m.downlink_messages = r.u64();
   m.downlink_retransmitted = r.u64();
-  m.upload_messages = r.u64();
-  m.elimination_messages = r.u64();
   m.simulated_transfer_seconds = r.f64();
 
   SchedulerCheckpoint& s = ck.sched;

@@ -44,8 +44,6 @@ struct ClusterMeterState {
   std::uint64_t downlink_bytes = 0;
   std::uint64_t downlink_messages = 0;
   std::uint64_t downlink_retransmitted = 0;
-  std::uint64_t upload_messages = 0;
-  std::uint64_t elimination_messages = 0;
   double simulated_transfer_seconds = 0.0;
 
   bool operator==(const ClusterMeterState&) const = default;

@@ -112,7 +112,7 @@ void aggregate_updates_range(Aggregation rule,
     }
 
     case Aggregation::kTrimmedMean: {
-      if (options.trim_fraction < 0.0 || options.trim_fraction >= 0.5) {
+      if (!(0.0 <= options.trim_fraction && options.trim_fraction < 0.5)) {
         throw std::invalid_argument(
             "aggregate_updates: trim_fraction must lie in [0, 0.5)");
       }
@@ -178,8 +178,10 @@ std::size_t ValidationReport::quarantined_count() const noexcept {
 UpdateValidator::UpdateValidator(std::size_t num_clients,
                                  const ValidationPolicy& policy)
     : policy_(policy) {
-  if (policy.max_norm < 0.0 || policy.norm_multiple < 0.0) {
-    throw std::invalid_argument("UpdateValidator: negative norm bound");
+  if (!(std::isfinite(policy.max_norm) && policy.max_norm >= 0.0) ||
+      !(std::isfinite(policy.norm_multiple) && policy.norm_multiple >= 0.0)) {
+    throw std::invalid_argument(
+        "UpdateValidator: norm bounds must be finite and non-negative");
   }
   report_.strikes.assign(num_clients, 0);
   report_.quarantined.assign(num_clients, 0);

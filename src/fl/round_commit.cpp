@@ -95,18 +95,10 @@ void RoundCommitter::screen_and_apply(IterationRecord& rec,
     throw std::invalid_argument("RoundCommitter: one staleness per update");
   }
 
-  // Screening scalars (finiteness, the serial L2 norm) come from the shard
-  // workers, upload i on shard i mod S, collected in index order.
-  aggregator_->begin_batch(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    aggregator_->submit_update(i, in.updates[i], nullptr, in.wire_bytes[i]);
-  }
-  std::vector<UpdateValidator::UploadScalars> pre;
-  pre.reserve(n);
-  for (ShardedAggregator::UploadResult& r : aggregator_->collect(n)) {
-    if (r.error) std::rethrow_exception(r.error);
-    pre.push_back(r.scalars);
-  }
+  // Screening scalars (finiteness, the serial L2 norm) come from the
+  // shards, upload i on shard i mod S, in index order.
+  const std::vector<UpdateValidator::UploadScalars> pre =
+      aggregator_->screen(in.updates, in.wire_bytes);
   const std::vector<Verdict> verdicts =
       validator_.screen_round(in.clients, pre);
 

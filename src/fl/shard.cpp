@@ -1,9 +1,9 @@
 #include "fl/shard.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace cmfl::fl {
 
@@ -25,185 +25,53 @@ std::vector<ShardRange> shard_partition(std::size_t dim, std::size_t shards) {
   return ranges;
 }
 
+namespace {
+
+/// Runs fn(s) for every shard s: one pool run, or a direct call at S = 1.
+/// The pool gets a reference wrapper, which std::function stores inline.
+template <typename Fn>
+void for_each_shard(util::WorkStealingPool* pool, std::size_t shards,
+                    Fn&& fn) {
+  if (pool != nullptr) {
+    pool->run(shards, std::ref(fn));
+  } else {
+    fn(0);
+  }
+}
+
+}  // namespace
+
 ShardedAggregator::ShardedAggregator(std::size_t dim,
                                      const ShardOptions& options)
-    : dim_(dim), ranges_(shard_partition(dim, options.shards)) {
-  shards_.resize(options.shards);
-  // Shard 0 has no worker: the coordinating thread runs its jobs.
-  threads_.reserve(options.shards - 1);
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
-    threads_.emplace_back([this, &shard] { worker(shard); });
+    : dim_(dim),
+      ranges_(shard_partition(dim, options.shards)),
+      stats_(options.shards) {
+  if (options.shards > 1) {
+    pool_ = std::make_unique<util::WorkStealingPool>(options.shards);
   }
 }
 
-ShardedAggregator::~ShardedAggregator() {
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    Shard& shard = shards_[s];
-    std::lock_guard lock(shard.mu);
-    shard.stop = true;
-    shard.cv.notify_all();
+std::vector<UpdateValidator::UploadScalars> ShardedAggregator::screen(
+    std::span<const std::span<const float>> updates,
+    std::span<const std::uint64_t> wire_bytes) {
+  if (wire_bytes.size() != updates.size()) {
+    throw std::invalid_argument(
+        "ShardedAggregator: one wire size per upload");
   }
-  for (auto& t : threads_) t.join();
-}
-
-void ShardedAggregator::worker(Shard& shard) {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock lock(shard.mu);
-      shard.cv.wait(lock, [&] { return shard.stop || !shard.jobs.empty(); });
-      if (shard.jobs.empty()) return;  // stop requested and queue drained
-      job = std::move(shard.jobs.front());
-      shard.jobs.pop_front();
+  std::vector<UpdateValidator::UploadScalars> out(updates.size());
+  const std::size_t shards = stats_.size();
+  for_each_shard(pool_.get(), shards, [&](std::size_t s) {
+    ShardStats add;
+    for (std::size_t i = s; i < updates.size(); i += shards) {
+      out[i].finite = update_all_finite(updates[i]);
+      out[i].norm = update_l2_norm(updates[i]);
+      add.uploads += 1;
+      add.bytes += wire_bytes[i];
     }
-    job();
-  }
-}
-
-void ShardedAggregator::enqueue(std::size_t shard_index,
-                                std::function<void()> fn) {
-  Shard& shard = shards_[shard_index];
-  {
-    std::lock_guard lock(shard.mu);
-    shard.jobs.push_back(std::move(fn));
-  }
-  if (shard_index != 0) {
-    shard.cv.notify_one();
-    return;
-  }
-  std::lock_guard lock(done_mu_);
-  shard_zero_pending_ = true;
-  done_cv_.notify_all();
-}
-
-void ShardedAggregator::run_shard_zero() {
-  Shard& shard = shards_.front();
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::lock_guard lock(shard.mu);
-      if (shard.jobs.empty()) return;
-      job = std::move(shard.jobs.front());
-      shard.jobs.pop_front();
-    }
-    job();
-  }
-}
-
-void ShardedAggregator::begin_batch(std::size_t capacity) {
-  std::lock_guard lock(done_mu_);
-  if (completed_ != submitted_) {
-    throw std::logic_error("ShardedAggregator: begin_batch with in-flight jobs");
-  }
-  results_.assign(capacity, UploadResult{});
-  submitted_ = 0;
-  completed_ = 0;
-}
-
-void ShardedAggregator::submit(std::size_t index, std::uint64_t wire_bytes,
-                               UploadJob job) {
-  {
-    std::lock_guard lock(done_mu_);
-    if (index >= results_.size()) {
-      throw std::invalid_argument(
-          "ShardedAggregator: submit index beyond batch capacity");
-    }
-    ++submitted_;
-  }
-  const std::size_t s = index % shards_.size();
-  Shard& shard = shards_[s];
-  enqueue(s, [this, &shard, index, wire_bytes, job = std::move(job)] {
-    UploadResult r;
-    try {
-      r = job();
-    } catch (...) {
-      r.error = std::current_exception();
-    }
-    shard.stats.uploads += 1;
-    shard.stats.bytes += wire_bytes;
-    results_[index] = std::move(r);
-    {
-      std::lock_guard lock(done_mu_);
-      ++completed_;
-    }
-    done_cv_.notify_all();
+    stats_[s].uploads += add.uploads;
+    stats_[s].bytes += add.bytes;
   });
-}
-
-void ShardedAggregator::submit_update(std::size_t index,
-                                      std::span<const float> update,
-                                      const tensor::SignPack* estimate,
-                                      std::uint64_t wire_bytes) {
-  submit(index, wire_bytes, [update, estimate] {
-    UploadResult r;
-    r.scalars.finite = update_all_finite(update);
-    r.scalars.norm = update_l2_norm(update);
-    if (estimate != nullptr) {
-      r.sign_matches = tensor::count_sign_matches(update, *estimate);
-    }
-    return r;
-  });
-}
-
-std::vector<ShardedAggregator::UploadResult> ShardedAggregator::collect(
-    std::size_t count) {
-  std::unique_lock lock(done_mu_);
-  if (count != submitted_) {
-    throw std::logic_error("ShardedAggregator: collect count != submitted");
-  }
-  while (completed_ != submitted_) {
-    shard_zero_pending_ = false;
-    lock.unlock();
-    run_shard_zero();
-    lock.lock();
-    done_cv_.wait(lock, [&] {
-      return completed_ == submitted_ || shard_zero_pending_;
-    });
-  }
-  std::vector<UploadResult> out(
-      std::make_move_iterator(results_.begin()),
-      std::make_move_iterator(results_.begin() +
-                              static_cast<std::ptrdiff_t>(count)));
-  results_.clear();
-  submitted_ = 0;
-  completed_ = 0;
   return out;
-}
-
-void ShardedAggregator::run_on_all_shards(
-    const std::function<void(std::size_t)>& fn) {
-  const std::size_t n = shards_.size();
-  std::vector<std::exception_ptr> errors(n);
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t remaining = n;
-  // Shard 0 last: the workers start on their slices while this thread
-  // runs shard 0's.
-  for (std::size_t s = n; s-- > 0;) {
-    enqueue(s, [&, s] {
-      try {
-        fn(s);
-      } catch (...) {
-        errors[s] = std::current_exception();
-      }
-      shards_[s].stats.range_passes += 1;
-      {
-        // Notify while holding the lock: mu/cv/remaining live on the
-        // coordinator's stack, and an unlocked notify could run after the
-        // coordinator saw remaining == 0 and destroyed them.
-        std::lock_guard lock(mu);
-        --remaining;
-        cv.notify_all();
-      }
-    });
-  }
-  run_shard_zero();
-  std::unique_lock lock(mu);
-  cv.wait(lock, [&] { return remaining == 0; });
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
 }
 
 void ShardedAggregator::aggregate(
@@ -226,42 +94,38 @@ void ShardedAggregator::aggregate(
     for (const auto& u : updates) computed.push_back(update_l2_norm(u));
     norms = computed;
   }
-  run_on_all_shards([&](std::size_t s) {
+  for_each_shard(pool_.get(), stats_.size(), [&](std::size_t s) {
     aggregate_updates_range(rule, updates, weights, options, norms, out,
                             ranges_[s].lo, ranges_[s].hi);
+    stats_[s].range_passes += 1;
   });
 }
 
-std::vector<ShardStats> ShardedAggregator::stats() const {
-  std::vector<ShardStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) out.push_back(shard.stats);
-  return out;
-}
+std::vector<ShardStats> ShardedAggregator::stats() const { return stats_; }
 
 std::vector<std::uint64_t> ShardedAggregator::stats_words() const {
   std::vector<std::uint64_t> words;
-  words.reserve(3 * shards_.size());
-  for (const auto& shard : shards_) {
-    words.push_back(shard.stats.uploads);
-    words.push_back(shard.stats.range_passes);
-    words.push_back(shard.stats.bytes);
+  words.reserve(3 * stats_.size());
+  for (const ShardStats& st : stats_) {
+    words.push_back(st.uploads);
+    words.push_back(st.range_passes);
+    words.push_back(st.bytes);
   }
   return words;
 }
 
 void ShardedAggregator::restore_stats_words(
     std::span<const std::uint64_t> words) {
-  if (words.size() != 3 * shards_.size()) {
+  if (words.size() != 3 * stats_.size()) {
     throw std::invalid_argument(
         "ShardedAggregator: shard stats word count mismatch (" +
         std::to_string(words.size()) + " for " +
-        std::to_string(shards_.size()) + " shards)");
+        std::to_string(stats_.size()) + " shards)");
   }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].stats.uploads = words[3 * s];
-    shards_[s].stats.range_passes = words[3 * s + 1];
-    shards_[s].stats.bytes = words[3 * s + 2];
+  for (std::size_t s = 0; s < stats_.size(); ++s) {
+    stats_[s].uploads = words[3 * s];
+    stats_[s].range_passes = words[3 * s + 1];
+    stats_[s].bytes = words[3 * s + 2];
   }
 }
 

@@ -2,29 +2,25 @@
 // of every round runtime (fl::RoundCommitter drives it).
 //
 // The flat parameter vector is range-partitioned across S aggregator
-// shards, each with a finely-locked MPSC ingest queue, so an upload burst
-// from an over-selected cohort is processed concurrently:
+// shards, and a round's uploads are ingested in two fork-join passes, each
+// one util::WorkStealingPool::run(S, …) over the shards:
 //
-//   * upload-parallel scalar pass — each arriving upload is handed to shard
-//     (index mod S), which decodes it (caller-supplied job) and computes
-//     the structural scalars screening needs: finiteness, the serial
-//     double-accumulation L2 norm, and optionally the CMFL sign-agreement
-//     count against the broadcast estimate;
+//   * upload-parallel scalar pass — screen() hands upload i to shard
+//     (i mod S), which computes the structural scalars screening needs:
+//     finiteness and the serial double-accumulation L2 norm;
 //   * range-parallel apply pass — aggregate() fans the per-coordinate work
 //     of aggregate_updates out as one job per shard over that shard's
 //     [lo, hi) slice of the output vector.
 //
-// Shards 1..S-1 each own a worker thread.  Shard 0 is served by the
-// coordinating thread itself, which drains shard 0's queue inside
-// collect() and aggregate() while the other shards' workers run — so S
-// shards start S − 1 threads, and a one-shard aggregator runs the whole
-// pipeline inline on the caller with no thread hand-off.
+// The pool has S threads, the caller included, so S shards start S − 1
+// threads; a one-shard aggregator has no pool and runs both passes as
+// plain loops on the caller, with no thread hand-off.
 //
 // Determinism contract (DESIGN.md §17): results are bit-identical to the
 // serial reference (aggregate_updates and the span overload of
 // UpdateValidator::screen_round) at any shard count and any thread
 // interleaving.
-//   - Scalar results are stored by upload index and collected in index
+//   - Scalar results are stored by upload index and returned in index
 //     order, so screening sees exactly the sequence the serial path saw;
 //     each scalar is computed by the exact serial helper on the full vector
 //     (full-vector reductions are never range-split — double addition is not
@@ -34,24 +30,16 @@
 //     shard outputs equals the full-vector call byte-for-byte
 //     (aggregate_updates_range; the clipped rule's cross-upload plan runs
 //     once on the coordinator from the scalar-pass norms).
-//   - Sign-agreement counts are exact integers; per-shard partials sum to
-//     the full-vector count with no rounding concerns.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
-#include <functional>
-#include <mutex>
+#include <memory>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "fl/robust_agg.h"
-#include "tensor/kernels.h"
+#include "util/work_pool.h"
 
 namespace cmfl::fl {
 
@@ -91,61 +79,27 @@ struct ShardStats {
   bool operator==(const ShardStats&) const = default;
 };
 
-/// S range-partitioned aggregator shards with MPSC ingest queues: shard 0
-/// served by the coordinating thread, shards 1..S-1 by worker threads.
-/// collect() and aggregate() are driven by the coordinating thread (the
-/// single consumer of shard 0's queue), while submissions may come from any
-/// thread (multiple producers).
+/// S range-partitioned aggregator shards on an S-thread pool (none at
+/// S = 1).  Driven by one coordinating thread at a time.
 class ShardedAggregator {
  public:
-  /// What the scalar pass produces for one upload.
-  struct UploadResult {
-    UpdateValidator::UploadScalars scalars;  ///< finite + full-vector L2 norm
-    std::size_t sign_matches = 0;  ///< vs the estimate pack (0 when none)
-    std::exception_ptr error;      ///< set when the job threw (e.g. decode)
-  };
-
-  /// Job run on a shard worker: decode/score one upload and return its
-  /// scalars.  Anything it throws is captured into UploadResult::error.
-  using UploadJob = std::function<UploadResult()>;
-
-  /// Spawns `options.shards` − 1 worker threads (options.shards >= 1
+  /// Starts `options.shards` − 1 pool threads (options.shards >= 1
   /// required; throws std::invalid_argument on 0) over a dim-sized
   /// parameter vector.
   ShardedAggregator(std::size_t dim, const ShardOptions& options);
-  ~ShardedAggregator();
 
-  ShardedAggregator(const ShardedAggregator&) = delete;
-  ShardedAggregator& operator=(const ShardedAggregator&) = delete;
-
-  std::size_t shards() const noexcept { return shards_.size(); }
+  std::size_t shards() const noexcept { return stats_.size(); }
   std::size_t dim() const noexcept { return dim_; }
 
-  /// Prepares result storage for a round of up to `capacity` uploads and
-  /// resets the completion counters.  Must not be called with jobs in
-  /// flight (call sites sit at round boundaries, which are barriers).
-  void begin_batch(std::size_t capacity);
-
-  /// Enqueues `job` for upload `index` (< the begin_batch capacity) on
-  /// shard (index mod S).  `wire_bytes` feeds that shard's byte counter.
-  void submit(std::size_t index, std::uint64_t wire_bytes, UploadJob job);
-
-  /// Convenience submit for an already-decoded update held in stable
-  /// memory: scalars via the exact serial helpers, plus the sign-agreement
-  /// count against `estimate` when non-null.
-  void submit_update(std::size_t index, std::span<const float> update,
-                     const tensor::SignPack* estimate,
-                     std::uint64_t wire_bytes);
-
-  /// Barrier: runs shard 0's jobs on the calling thread, waits until the
-  /// first `count` submitted jobs of this batch completed and returns their
-  /// results in index order (count must equal the number submitted since
-  /// begin_batch, every one of those submit calls having returned).
-  std::vector<UploadResult> collect(std::size_t count);
+  /// Scalar pass: the screening scalars of every upload, in index order,
+  /// via the exact serial helpers.  Upload i runs on shard (i mod S), which
+  /// counts it and its `wire_bytes[i]`.
+  std::vector<UpdateValidator::UploadScalars> screen(
+      std::span<const std::span<const float>> updates,
+      std::span<const std::uint64_t> wire_bytes);
 
   /// Range-parallel aggregate_updates: each shard applies its slice via
-  /// aggregate_updates_range (shard 0's on the calling thread),
-  /// bit-identical to the serial call.  `norms`
+  /// aggregate_updates_range, bit-identical to the serial call.  `norms`
   /// is required for kNormClippedMean (full-vector norms in update order —
   /// exactly what the scalar pass produced); pass empty otherwise.  Blocks
   /// until all shards finish; rethrows the first shard error.
@@ -165,41 +119,10 @@ class ShardedAggregator {
   void restore_stats_words(std::span<const std::uint64_t> words);
 
  private:
-  struct alignas(64) Shard {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<std::function<void()>> jobs;
-    bool stop = false;
-    ShardStats stats;  // worker-owned; coordinator reads only when quiesced
-  };
-
-  void worker(Shard& shard);
-  void enqueue(std::size_t shard_index, std::function<void()> fn);
-  /// Runs shard 0's queued jobs on the calling thread until its queue is
-  /// empty.
-  void run_shard_zero();
-  /// Runs one job per shard and blocks until all complete; rethrows the
-  /// first error by shard index.
-  void run_on_all_shards(
-      const std::function<void(std::size_t shard_index)>& fn);
-
   std::size_t dim_;
   std::vector<ShardRange> ranges_;
-  // deque: Shard is neither movable nor copyable; deque constructs in place
-  // and never relocates.
-  std::deque<Shard> shards_;
-  std::vector<std::thread> threads_;  // shards 1..S-1
-
-  // Scalar-pass batch state.  results_ is sized by begin_batch before any
-  // submit, so workers store to disjoint, stable slots.
-  std::vector<UploadResult> results_;
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  std::size_t submitted_ = 0;
-  std::size_t completed_ = 0;
-  // Set (under done_mu_) when a job lands in shard 0's queue, so a
-  // coordinator waiting in collect() wakes up to run it.
-  bool shard_zero_pending_ = false;
+  std::vector<ShardStats> stats_;  // entry s written only by shard s's job
+  std::unique_ptr<util::WorkStealingPool> pool_;  // null at S = 1
 };
 
 }  // namespace cmfl::fl

@@ -71,7 +71,7 @@ FederatedSimulation::FederatedSimulation(
   if (clients_.empty()) {
     throw std::invalid_argument("FederatedSimulation: no clients");
   }
-  if (options.participation <= 0.0 || options.participation > 1.0) {
+  if (!(0.0 < options.participation && options.participation <= 1.0)) {
     throw std::invalid_argument(
         "FederatedSimulation: participation must be in (0, 1]");
   }

@@ -97,7 +97,7 @@ struct SimulationOptions {
   sched::ScheduleOptions schedule;
   /// Sharded parameter-server aggregation (fl/shard.h).  Every runtime
   /// screens and aggregates uploads through fl::RoundCommitter on
-  /// max(1, shards) range-partitioned shards; shard 0 runs on the
+  /// max(1, shards) range-partitioned shards on a pool that counts the
   /// coordinating thread, so S shards add S − 1 threads.  Trajectories are
   /// bit-identical at any shard count.  The replicated cluster accepts only
   /// shards <= 1 (DESIGN.md §17).

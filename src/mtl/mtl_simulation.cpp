@@ -6,7 +6,7 @@
 
 #include "core/estimator.h"
 #include "tensor/vector_ops.h"
-#include "util/thread_pool.h"
+#include "util/work_pool.h"
 
 namespace cmfl::mtl {
 
@@ -50,8 +50,10 @@ fl::SimulationResult MtlSimulation::run() {
   std::vector<core::FilterDecision> decisions(m);
   std::vector<double> losses(m, 0.0);
 
-  std::unique_ptr<util::ThreadPool> pool;
-  if (options_.parallel && m > 1) pool = std::make_unique<util::ThreadPool>();
+  std::unique_ptr<util::WorkStealingPool> pool;
+  if (options_.parallel && m > 1) {
+    pool = std::make_unique<util::WorkStealingPool>();
+  }
 
   // Test-set weights for the global accuracy figure.
   std::vector<double> test_weight(m);
@@ -119,7 +121,7 @@ fl::SimulationResult MtlSimulation::run() {
       decisions[k] = filter_->decide(delta, ctx);
     };
     if (pool) {
-      pool->parallel_for(m, train_one);
+      pool->run(m, train_one);
     } else {
       for (std::size_t k = 0; k < m; ++k) train_one(k);
     }

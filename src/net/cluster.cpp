@@ -146,12 +146,19 @@ ClusterResult FlCluster::run_internal(
                                    dim_, resume_from)
           : run_single_master(resume_from);
   // One point per evaluated round, read off the history (which a resumed
-  // run restores with the rest of the committed state).
+  // run restores with the rest of the committed state), and the reply
+  // frames the rounds tallied, read off the per-client counters.
   for (const fl::IterationRecord& rec : result.sim.history) {
     if (rec.evaluated()) {
       result.footprint.push_back(
           {rec.iteration, rec.accuracy, rec.cumulative_upload_bytes});
     }
+  }
+  for (const std::size_t n : result.sim.uploads_per_client) {
+    result.upload_messages += n;
+  }
+  for (const std::size_t n : result.sim.eliminations_per_client) {
+    result.elimination_messages += n;
   }
   return result;
 }
@@ -236,10 +243,6 @@ ClusterResult FlCluster::run_single_master(
     m.downlink_bytes = downlink_meter.total_bytes();
     m.downlink_messages = downlink_meter.messages();
     m.downlink_retransmitted = downlink_meter.retransmitted_bytes();
-    m.upload_messages =
-        worker_stats.upload_frames.load(std::memory_order_relaxed);
-    m.elimination_messages =
-        worker_stats.elimination_frames.load(std::memory_order_relaxed);
     m.simulated_transfer_seconds = ledger.transfer_seconds();
     return ck;
   };
@@ -353,8 +356,6 @@ ClusterResult FlCluster::run_single_master(
   result.uplink_retransmitted_bytes =
       worker_stats.uplink.retransmitted_bytes();
   result.downlink_retransmitted_bytes = downlink_meter.retransmitted_bytes();
-  result.upload_messages = worker_stats.upload_frames.load();
-  result.elimination_messages = worker_stats.elimination_frames.load();
   result.faults.frames_dropped = fault_stats.frames_dropped.load();
   result.faults.frames_corrupted = fault_stats.frames_corrupted.load();
   result.faults.frames_duplicated = fault_stats.frames_duplicated.load();

@@ -175,17 +175,18 @@ struct FootprintPoint {
   bool operator==(const FootprintPoint&) const = default;
 };
 
-/// `sim` and the footprint count the replies the rounds tallied, once each,
-/// so at quorum 1.0 a faulty run's history equals the fault-free run's; the
-/// meters below count physical frames, retransmissions included.
+/// `sim`, the footprint and the two reply-frame counts count the replies
+/// the rounds tallied, once each, so at quorum 1.0 a faulty run's history
+/// equals the fault-free run's; the byte meters count physical frames,
+/// retransmissions included.
 struct ClusterResult {
   fl::SimulationResult sim;
   std::uint64_t uplink_bytes = 0;
   std::uint64_t downlink_bytes = 0;
   std::uint64_t uplink_retransmitted_bytes = 0;
   std::uint64_t downlink_retransmitted_bytes = 0;
-  std::uint64_t upload_messages = 0;       // full update frames
-  std::uint64_t elimination_messages = 0;  // status-only frames
+  std::uint64_t upload_messages = 0;       // tallied full update frames
+  std::uint64_t elimination_messages = 0;  // tallied status-only frames
   /// Replicated runs: bytes of Raft traffic (votes, AppendEntries,
   /// heartbeats, snapshot transfers) between master replicas.  Control
   /// overhead is deliberately metered apart from the data plane so Fig.-7b

@@ -169,7 +169,7 @@ struct Shared {
 // One copy per replica, advanced ONLY by applying committed log entries, so
 // every replica's copy walks through the identical sequence of states.  The
 // open round lives in a net::RoundLedger, as on the single master; the
-// frame counters here are *logical* (exactly once per accepted frame).
+// downlink counters here are *logical* (once per invited worker a round).
 
 struct StateMachine {
   StateMachine(const ClusterOptions& opt, std::size_t n,
@@ -180,11 +180,10 @@ struct StateMachine {
   fl::RoundCommitter committer;
   RoundLedger ledger;
 
-  // Logical frame counters (replicated); the uplink's bytes are Φ's.
+  // Logical downlink counters (replicated); the uplink's bytes are Φ's and
+  // its frames the tallied replies.
   std::uint64_t down_bytes = 0;
   std::uint64_t down_msgs = 0;
-  std::uint64_t upload_frames = 0;
-  std::uint64_t elimination_frames = 0;
 
   std::uint64_t states_round = 0;  // last round whose ClientStates applied
   bool stop = false;               // target accuracy reached
@@ -262,11 +261,8 @@ void StateMachine::apply(std::span<const std::byte> command, Shared& sh,
                             .score = r.f64(),
                             .wire_bytes = r.u64(),
                             .update = r.floats()};
-      const bool upload = a.upload;
       // A stale re-proposal or a duplicate changes nothing.
-      if (ledger.accept(round, worker, std::move(a))) {
-        ++(upload ? upload_frames : elimination_frames);
-      }
+      ledger.accept(round, worker, std::move(a));
       return;
     }
     case Cmd::kRoundCommit: {
@@ -326,11 +322,12 @@ fl::TrainerCheckpoint StateMachine::build_checkpoint(
   // Logical counters, zero retransmissions: a replicated checkpoint records
   // the reproducible footprint, not one process's physical recovery traffic.
   m.uplink_bytes = ck.uploaded_bytes;
-  m.uplink_messages = upload_frames + elimination_frames;
+  for (const std::uint64_t n : ck.uploads_per_client) m.uplink_messages += n;
+  for (const std::uint64_t n : ck.eliminations_per_client) {
+    m.uplink_messages += n;
+  }
   m.downlink_bytes = down_bytes;
   m.downlink_messages = down_msgs;
-  m.upload_messages = upload_frames;
-  m.elimination_messages = elimination_frames;
   m.simulated_transfer_seconds = ledger.transfer_seconds();
   return ck;
 }
@@ -341,8 +338,6 @@ void StateMachine::restore_checkpoint(const fl::TrainerCheckpoint& ck) {
   ledger.resume(ck.iteration, m.simulated_transfer_seconds);
   down_bytes = m.downlink_bytes;
   down_msgs = m.downlink_messages;
-  upload_frames = m.upload_messages;
-  elimination_frames = m.elimination_messages;
   states_round = ck.iteration;
 }
 
@@ -990,8 +985,6 @@ ClusterResult run_replicated_cluster(
   result.uplink_retransmitted_bytes =
       worker_stats.uplink.retransmitted_bytes();
   result.downlink_retransmitted_bytes = downlink_meter.retransmitted_bytes();
-  result.upload_messages = sm.upload_frames;
-  result.elimination_messages = sm.elimination_frames;
   result.control_plane_bytes = control_meter.total_bytes();
   result.simulated_transfer_seconds = sm.ledger.transfer_seconds();
 

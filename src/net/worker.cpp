@@ -194,8 +194,6 @@ void Worker::serve() {
     const Message reply = make_reply(bc, id_, step.decision, update_, codecs);
     auto bytes = encode(reply);
     seal_frame(bytes);
-    (step.decision.upload ? stats.upload_frames : stats.elimination_frames)
-        .fetch_add(1, std::memory_order_relaxed);
     stats.uplink.record(bytes.size());
     cached_reply_ = bytes;
     last_seq_ = bc.seq;
@@ -233,8 +231,6 @@ void WorkerGroup::restore(const fl::TrainerCheckpoint& ck) {
   const fl::ClusterMeterState& m = ck.meters;
   stats_.uplink.restore(m.uplink_bytes, m.uplink_messages,
                         m.uplink_retransmitted);
-  stats_.upload_frames.store(m.upload_messages);
-  stats_.elimination_frames.store(m.elimination_messages);
 }
 
 std::vector<std::vector<std::uint64_t>> WorkerGroup::client_states() const {

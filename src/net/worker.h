@@ -112,8 +112,6 @@ struct WorkerStats {
   std::atomic<std::uint64_t> redundant_frames{0};
   std::atomic<std::uint64_t> retransmits{0};
   std::atomic<std::uint64_t> leader_probes{0};
-  std::atomic<std::uint64_t> upload_frames{0};
-  std::atomic<std::uint64_t> elimination_frames{0};
 };
 
 /// Owns a run's workers: their inboxes, codecs, counters and threads.

@@ -47,17 +47,24 @@ void PopulationSpec::validate() const {
   if (devices == 0) {
     throw std::invalid_argument("PopulationSpec: devices must be positive");
   }
-  if (mean_on_fraction <= 0.0 || mean_on_fraction > 1.0) {
+  if (!(0.0 < mean_on_fraction && mean_on_fraction <= 1.0)) {
     throw std::invalid_argument(
         "PopulationSpec: mean_on_fraction must lie in (0, 1]");
   }
-  if (dropout_mid_round < 0.0 || dropout_mid_round >= 1.0) {
+  if (!(0.0 <= dropout_mid_round && dropout_mid_round < 1.0)) {
     throw std::invalid_argument(
         "PopulationSpec: dropout_mid_round must lie in [0, 1)");
   }
-  if (duty_period_rounds < 0.0 || latency_base_s <= 0.0 ||
-      latency_log_sigma < 0.0 || latency_jitter < 0.0) {
-    throw std::invalid_argument("PopulationSpec: negative model knob");
+  const auto finite_non_negative = [](double x) {
+    return std::isfinite(x) && x >= 0.0;
+  };
+  if (!finite_non_negative(duty_period_rounds) ||
+      !(finite_non_negative(latency_base_s) && latency_base_s > 0.0) ||
+      !finite_non_negative(latency_log_sigma) ||
+      !finite_non_negative(latency_jitter)) {
+    throw std::invalid_argument(
+        "PopulationSpec: model knobs must be finite and non-negative "
+        "(latency_base_s positive)");
   }
 }
 

@@ -9,9 +9,9 @@
 #include "codec/codec.h"
 #include "fl/checkpoint.h"
 #include "fl/round_commit.h"
-#include "sched/work_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/vector_ops.h"
+#include "util/work_pool.h"
 
 namespace cmfl::sched {
 
@@ -49,7 +49,7 @@ struct RoundEngine::Ctx {
   // arenas are then the first the next run's pool threads pick up, which
   // keeps their freed client memory reusable (a shard thread exiting last
   // would hand a pool thread its nearly empty arena and grow peak RSS).
-  std::unique_ptr<WorkStealingPool> pool;
+  std::unique_ptr<util::WorkStealingPool> pool;
   fl::RoundCommitter committer;
   util::Rng engine_rng;
 
@@ -160,7 +160,7 @@ EngineResult RoundEngine::run_internal(
   }
   Ctx ctx(std::move(initial), population_.size(), options_);
   if (options_.parallel) {
-    ctx.pool = std::make_unique<WorkStealingPool>();
+    ctx.pool = std::make_unique<util::WorkStealingPool>();
   }
 
   if (resume_from != nullptr) {

@@ -26,12 +26,13 @@
 //
 // Time is virtual (Population's seeded latency model), so every mode is
 // bit-deterministic for a fixed seed; local training runs on a
-// work-stealing pool when SimulationOptions::parallel is set (clients are
-// materialized inside the jobs and parked back under their invitation
-// sequence, so the warm pool evolves identically to the serial walk —
-// DESIGN.md §17), and every round commits through fl::RoundCommitter, whose
-// upload screening and aggregation fan out across SimulationOptions::
-// sharding aggregator shards, bit-identical at any shard count.  Runs
+// hardware-sized util::WorkStealingPool, one per run, when
+// SimulationOptions::parallel is set (clients are materialized inside the
+// jobs and parked back under their invitation sequence, so the warm pool
+// evolves identically to the serial walk — DESIGN.md §17), and every round
+// commits through fl::RoundCommitter, whose upload screening and
+// aggregation fan out across SimulationOptions::sharding aggregator shards
+// on the aggregator's own pool, bit-identical at any shard count.  Runs
 // checkpoint and resume bit-identically through fl::TrainerCheckpoint
 // (which carries the per-shard ingest counters), including the in-flight
 // report queue of a buffered-async run.  See DESIGN.md §11, §17 and §18.

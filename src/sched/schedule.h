@@ -8,6 +8,7 @@
 // fl::FederatedSimulation runs on the engine.  See DESIGN.md §11.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -87,9 +88,9 @@ struct ScheduleOptions {
           "ScheduleOptions: over-selection and buffered-async modes need an "
           "explicit sample_size");
     }
-    if (over_select_factor < 1.0) {
+    if (!(std::isfinite(over_select_factor) && over_select_factor >= 1.0)) {
       throw std::invalid_argument(
-          "ScheduleOptions: over_select_factor must be >= 1");
+          "ScheduleOptions: over_select_factor must be finite and >= 1");
     }
     if (mode == RoundMode::kOverSelect && target_reports > sample_size) {
       throw std::invalid_argument(
@@ -104,8 +105,11 @@ struct ScheduleOptions {
           "ScheduleOptions: async_buffer exceeds the in-flight sample_size "
           "(the buffer could never fill)");
     }
-    if (round_deadline_s < 0.0 || staleness_exponent < 0.0) {
-      throw std::invalid_argument("ScheduleOptions: negative knob");
+    if (!(std::isfinite(round_deadline_s) && round_deadline_s >= 0.0) ||
+        !(std::isfinite(staleness_exponent) && staleness_exponent >= 0.0)) {
+      throw std::invalid_argument(
+          "ScheduleOptions: deadline and staleness exponent must be finite "
+          "and >= 0");
     }
   }
 

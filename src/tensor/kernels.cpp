@@ -11,7 +11,7 @@
 #include <string>
 
 #include "tensor/kernels_simd.h"
-#include "util/thread_pool.h"
+#include "util/work_pool.h"
 
 namespace cmfl::tensor {
 
@@ -70,12 +70,12 @@ namespace {
 std::atomic<std::size_t> g_max_threads{0};  // 0 = env override / hw conc.
 
 std::mutex g_pool_mutex;
-std::unique_ptr<util::ThreadPool> g_pool;
+std::unique_ptr<util::WorkStealingPool> g_pool;
 std::size_t g_pool_built_for = 0;  // effective setting the pool was built for
 
 /// The worker-count setting dispatches resolve: explicit set_max_threads()
 /// wins, then the CMFL_THREADS environment override, then 0 (hardware
-/// concurrency, resolved inside ThreadPool).
+/// concurrency, resolved inside WorkStealingPool).
 std::size_t effective_threads() noexcept {
   const std::size_t n = g_max_threads.load();
   return n != 0 ? n : env_max_threads();
@@ -108,17 +108,17 @@ std::size_t env_max_threads() noexcept {
   return cached;
 }
 
-util::ThreadPool* pool() {
+util::WorkStealingPool* pool() {
   const std::size_t want = effective_threads();
   if (want == 1) return nullptr;
-  // Rebuilt (pending tasks drain first — the destructor joins) whenever the
+  // Rebuilt (the destructor joins the old threads) whenever the
   // effective setting changed since the last dispatch, so benches can record
   // single- and multi-threaded rows in one process.  Callers must not change
   // the setting concurrently with an in-flight kernel.
   std::lock_guard<std::mutex> lock(g_pool_mutex);
   if (g_pool == nullptr || g_pool_built_for != want) {
     g_pool.reset();
-    g_pool = std::make_unique<util::ThreadPool>(want);
+    g_pool = std::make_unique<util::WorkStealingPool>(want);
     g_pool_built_for = want;
   }
   return g_pool.get();
@@ -126,15 +126,15 @@ util::ThreadPool* pool() {
 
 bool parallel_rows_active(std::size_t rows, std::size_t total_macs) {
   if (rows < 2 || total_macs < kParallelMacThreshold) return false;
-  util::ThreadPool* p = pool();
-  return p != nullptr && p->size() >= 2;
+  util::WorkStealingPool* p = pool();
+  return p != nullptr && p->threads() >= 2;
 }
 
 void parallel_rows_dispatch(
     std::size_t rows, const std::function<void(std::size_t, std::size_t)>& fn) {
-  util::ThreadPool* p = pool();
-  const std::size_t chunks = std::min(rows, p->size());
-  p->parallel_for(chunks, [&](std::size_t c) {
+  util::WorkStealingPool* p = pool();
+  const std::size_t chunks = std::min(rows, p->threads());
+  p->run(chunks, [&](std::size_t c) {
     // Fixed partition: chunk c owns rows [c*rows/chunks, (c+1)*rows/chunks).
     const std::size_t begin = c * rows / chunks;
     const std::size_t end = (c + 1) * rows / chunks;

@@ -8,8 +8,9 @@
 //   * cache-blocked, register-tiled GEMM kernels (gemm_nn / gemm_tn /
 //     gemm_nt) plus the naive seed implementations (*_ref) kept for
 //     equivalence tests and old-vs-new benchmarks,
-//   * an optional ThreadPool-parallel row partition used by the Matrix-level
-//     wrappers and Conv2d when the work exceeds a flop threshold,
+//   * an optional row partition on a util::WorkStealingPool, used by the
+//     Matrix-level wrappers and Conv2d when the work exceeds a flop
+//     threshold,
 //   * SignPack — a bit-packed three-way-sign representation that turns the
 //     branchy O(d) sign-agreement scan into XOR/AND + popcount over 64-bit
 //     words,
@@ -42,7 +43,7 @@
 #include <vector>
 
 namespace cmfl::util {
-class ThreadPool;
+class WorkStealingPool;
 }
 
 namespace cmfl::tensor {
@@ -100,7 +101,10 @@ std::size_t max_threads() noexcept;
 std::size_t env_max_threads() noexcept;
 
 /// Shared lazily-created pool, or nullptr when the effective setting is 1.
-util::ThreadPool* pool();
+/// A dispatch that finds it busy (another thread's kernel, or a nested
+/// dispatch from a row chunk) runs its chunks inline on the caller, with
+/// the same partition.
+util::WorkStealingPool* pool();
 
 /// Minimum multiply-accumulate count before a kernel shards rows across the
 /// pool.  Below this, threading overhead exceeds the win (models in the

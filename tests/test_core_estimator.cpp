@@ -38,6 +38,7 @@ TEST(Estimator, Validation) {
   EXPECT_THROW(GlobalUpdateEstimator(0), std::invalid_argument);
   EXPECT_THROW(GlobalUpdateEstimator(2, 1.0), std::invalid_argument);
   EXPECT_THROW(GlobalUpdateEstimator(2, -0.1), std::invalid_argument);
+  EXPECT_THROW(GlobalUpdateEstimator(2, std::nan("")), std::invalid_argument);
   GlobalUpdateEstimator est(2);
   EXPECT_THROW(est.observe(std::vector<float>{1.0f}), std::invalid_argument);
 }

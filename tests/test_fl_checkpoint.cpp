@@ -62,8 +62,6 @@ TrainerCheckpoint sample_checkpoint() {
   ck.meters.downlink_bytes = 2000;
   ck.meters.downlink_messages = 20;
   ck.meters.downlink_retransmitted = 0;
-  ck.meters.upload_messages = 8;
-  ck.meters.elimination_messages = 2;
   ck.meters.simulated_transfer_seconds = 12.5;
   ck.sched.engaged = 1;
   ck.sched.version = 17;

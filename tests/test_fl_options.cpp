@@ -1,6 +1,8 @@
 // Aggregation / participation / compression options of the FL loop.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/filter.h"
 #include "fl/simulation.h"
 #include "fl/workloads.h"
@@ -52,6 +54,8 @@ TEST(Participation, InvalidValuesRejected) {
   opt.participation = 0.0;
   EXPECT_THROW(run(opt), std::invalid_argument);
   opt.participation = 1.5;
+  EXPECT_THROW(run(opt), std::invalid_argument);
+  opt.participation = std::nan("");
   EXPECT_THROW(run(opt), std::invalid_argument);
 }
 

@@ -85,6 +85,9 @@ TEST(Aggregation, TrimmedMeanAlwaysKeepsASurvivor) {
   EXPECT_THROW(aggregate(Aggregation::kTrimmedMean, {{1.0f}}, {},
                          RobustAggOptions{.trim_fraction = 0.6}),
                std::invalid_argument);
+  EXPECT_THROW(aggregate(Aggregation::kTrimmedMean, {{1.0f}}, {},
+                         RobustAggOptions{.trim_fraction = std::nan("")}),
+               std::invalid_argument);
 }
 
 TEST(Aggregation, NormClippedBoundsTheOutliersInfluence) {
@@ -141,6 +144,16 @@ TEST(UpdateValidator, AbsoluteNormBound) {
   EXPECT_EQ(verdicts[0], Verdict::kAccept);
   EXPECT_EQ(verdicts[1], Verdict::kNormExploded);
   EXPECT_EQ(v.report().rejected_norm, 1u);
+  // Non-finite bounds are rejected: NaN would disable the check silently.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    ValidationPolicy p;
+    p.max_norm = bad;
+    EXPECT_THROW(UpdateValidator(2, p), std::invalid_argument);
+    p = ValidationPolicy{};
+    p.norm_multiple = bad;
+    EXPECT_THROW(UpdateValidator(2, p), std::invalid_argument);
+  }
 }
 
 TEST(UpdateValidator, RelativeNormBoundUsesRoundMedian) {

@@ -1,10 +1,9 @@
 // fl::ShardedAggregator: the bit-identity contract of the sharded
 // parameter-server pipeline (DESIGN.md §17) — partition alignment, the
-// index-order collect barrier, exact scalar-pass parity with the serial
-// helpers, range-fan-out aggregation equal to aggregate_updates for every
-// rule at every shard count, checkpointable per-shard counters, and the
-// threading model (shard 0 runs on the collecting thread, S shards start
-// S − 1 workers, submit is safe from any thread).
+// index-order scalar pass with exact parity to the serial helpers,
+// range-fan-out aggregation equal to aggregate_updates for every rule at
+// every shard count, checkpointable per-shard counters, and the threading
+// model (S shards start S − 1 threads).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,7 +19,6 @@
 
 #include "fl/robust_agg.h"
 #include "fl/shard.h"
-#include "tensor/kernels.h"
 #include "util/rng.h"
 
 namespace cmfl::fl {
@@ -78,33 +76,26 @@ TEST(ShardPartition, CoversDimWithAlignedBoundaries) {
   EXPECT_THROW(shard_partition(128, 0), std::invalid_argument);
 }
 
+std::vector<std::uint64_t> wire_sizes(std::size_t count, std::uint64_t base,
+                                      std::uint64_t step) {
+  std::vector<std::uint64_t> sizes(count);
+  for (std::size_t i = 0; i < count; ++i) sizes[i] = base + step * i;
+  return sizes;
+}
+
 TEST(ShardedAggregator, ScalarPassMatchesSerialHelpers) {
   const std::size_t dim = 777;
   const auto updates = make_updates(9, dim);
-  tensor::SignPack estimate;
-  {
-    util::Rng rng(5);
-    std::vector<float> est(dim);
-    for (auto& x : est) x = rng.uniform_f(-1.0f, 1.0f);
-    estimate.assign(est);
-  }
+  const auto views = views_of(updates);
 
   for (const std::size_t s : {1u, 2u, 4u, 8u}) {
     ShardedAggregator agg(dim, shard_opts(s));
-    agg.begin_batch(updates.size());
-    // Submit in reverse order: collect must still return index order.
-    for (std::size_t i = updates.size(); i-- > 0;) {
-      agg.submit_update(i, updates[i], &estimate, 100 + i);
-    }
-    const auto results = agg.collect(updates.size());
+    const auto results = agg.screen(views, wire_sizes(updates.size(), 100, 1));
     ASSERT_EQ(results.size(), updates.size());
     for (std::size_t i = 0; i < updates.size(); ++i) {
-      EXPECT_FALSE(results[i].error);
-      EXPECT_EQ(results[i].scalars.finite, update_all_finite(updates[i]));
-      // Bit-exact: the shard worker runs the same serial reduction.
-      EXPECT_EQ(results[i].scalars.norm, update_l2_norm(updates[i]));
-      EXPECT_EQ(results[i].sign_matches,
-                tensor::count_sign_matches(updates[i], estimate));
+      EXPECT_EQ(results[i].finite, update_all_finite(updates[i]));
+      // Bit-exact: the shard job runs the same serial reduction.
+      EXPECT_EQ(results[i].norm, update_l2_norm(updates[i]));
     }
   }
 }
@@ -115,39 +106,10 @@ TEST(ShardedAggregator, ScalarPassFlagsNonFiniteUploads) {
   updates[2][100] = std::numeric_limits<float>::quiet_NaN();
 
   ShardedAggregator agg(dim, shard_opts(2));
-  agg.begin_batch(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    agg.submit_update(i, updates[i], nullptr, 0);
-  }
-  const auto results = agg.collect(updates.size());
-  EXPECT_TRUE(results[0].scalars.finite);
-  EXPECT_FALSE(results[2].scalars.finite);
-}
-
-TEST(ShardedAggregator, JobErrorsAreCapturedPerUpload) {
-  ShardedAggregator agg(128, shard_opts(4));
-  agg.begin_batch(3);
-  agg.submit(0, 0, [] {
-    ShardedAggregator::UploadResult r;
-    r.scalars.norm = 1.0;
-    return r;
-  });
-  agg.submit(1, 0, []() -> ShardedAggregator::UploadResult {
-    throw std::runtime_error("decode failed");
-  });
-  agg.submit(2, 0, [] {
-    ShardedAggregator::UploadResult r;
-    r.scalars.norm = 3.0;
-    return r;
-  });
-  const auto results = agg.collect(3);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_FALSE(results[0].error);
-  EXPECT_EQ(results[0].scalars.norm, 1.0);
-  ASSERT_TRUE(results[1].error);
-  EXPECT_THROW(std::rethrow_exception(results[1].error), std::runtime_error);
-  EXPECT_FALSE(results[2].error);
-  EXPECT_EQ(results[2].scalars.norm, 3.0);
+  const auto results =
+      agg.screen(views_of(updates), wire_sizes(updates.size(), 0, 0));
+  EXPECT_TRUE(results[0].finite);
+  EXPECT_FALSE(results[2].finite);
 }
 
 TEST(ShardedAggregator, AggregateBitIdenticalToSerialForEveryRule) {
@@ -197,11 +159,7 @@ TEST(ShardedAggregator, StatsAccumulateDeterministicallyAndRoundTrip) {
   const std::size_t dim = 512;
   const auto updates = make_updates(6, dim);
   ShardedAggregator agg(dim, shard_opts(3));
-  agg.begin_batch(updates.size());
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    agg.submit_update(i, updates[i], nullptr, 10 * (i + 1));
-  }
-  agg.collect(updates.size());
+  agg.screen(views_of(updates), wire_sizes(updates.size(), 10, 10));
 
   const auto stats = agg.stats();
   ASSERT_EQ(stats.size(), 3u);
@@ -232,31 +190,6 @@ std::size_t live_threads() {
   return n;
 }
 
-TEST(ShardedAggregator, ShardZeroRunsOnTheCollectingThread) {
-  // The coordinating thread serves shard 0: its jobs run inside collect(),
-  // on the caller; every other shard's jobs run on that shard's worker.
-  for (const std::size_t s : {1u, 3u}) {
-    SCOPED_TRACE("shards " + std::to_string(s));
-    ShardedAggregator agg(256, shard_opts(s));
-    std::vector<std::thread::id> ran_on(3 * s);
-    agg.begin_batch(ran_on.size());
-    for (std::size_t i = 0; i < ran_on.size(); ++i) {
-      agg.submit(i, 0, [&ran_on, i] {
-        ran_on[i] = std::this_thread::get_id();
-        return ShardedAggregator::UploadResult{};
-      });
-    }
-    agg.collect(ran_on.size());
-    for (std::size_t i = 0; i < ran_on.size(); ++i) {
-      if (i % s == 0) {
-        EXPECT_EQ(ran_on[i], std::this_thread::get_id()) << "upload " << i;
-      } else {
-        EXPECT_NE(ran_on[i], std::this_thread::get_id()) << "upload " << i;
-      }
-    }
-  }
-}
-
 TEST(ShardedAggregator, StartsOneThreadPerShardBeyondTheFirst) {
   if (!std::filesystem::exists("/proc/self/task")) {
     GTEST_SKIP() << "needs /proc/self/task to count threads";
@@ -268,33 +201,6 @@ TEST(ShardedAggregator, StartsOneThreadPerShardBeyondTheFirst) {
   for (const std::size_t s : {1u, 2u, 4u}) {
     ShardedAggregator agg(256, shard_opts(s));
     EXPECT_EQ(live_threads(), before + s - 1) << "shards " << s;
-  }
-}
-
-TEST(ShardedAggregator, SubmitIsSafeFromProducerThreads) {
-  // Uploads arrive from several producer threads — shard 0's included —
-  // and collect() on the coordinating thread still returns every result in
-  // index order.
-  const std::size_t dim = 512;
-  const auto updates = make_updates(24, dim);
-  for (const std::size_t s : {1u, 3u}) {
-    SCOPED_TRACE("shards " + std::to_string(s));
-    ShardedAggregator agg(dim, shard_opts(s));
-    agg.begin_batch(updates.size());
-    std::vector<std::thread> producers;
-    for (std::size_t p = 0; p < 4; ++p) {
-      producers.emplace_back([&, p] {
-        for (std::size_t i = p; i < updates.size(); i += 4) {
-          agg.submit_update(i, updates[i], nullptr, i);
-        }
-      });
-    }
-    for (auto& t : producers) t.join();
-    const auto results = agg.collect(updates.size());
-    ASSERT_EQ(results.size(), updates.size());
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      EXPECT_EQ(results[i].scalars.norm, update_l2_norm(updates[i]));
-    }
   }
 }
 

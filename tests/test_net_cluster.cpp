@@ -1015,7 +1015,7 @@ TEST(Worker, AnswersEachRoundOnceAndResendsItsCachedReply) {
   const Message answered = decode(open_frame(*reply));
   ASSERT_TRUE(std::holds_alternative<UpdateUploadMsg>(answered));
   EXPECT_EQ(std::get<UpdateUploadMsg>(answered).seq, 1u);
-  EXPECT_EQ(stats.upload_frames.load(), 1u);
+  EXPECT_EQ(stats.uplink.messages(), 1u);
   EXPECT_EQ(stats.uplink.total_bytes(), reply->size());
 
   // 2. The same broadcast again: the cached bytes, without training.
@@ -1073,7 +1073,7 @@ TEST(Worker, AnswersEachRoundOnceAndResendsItsCachedReply) {
   inbox.send(sealed(ShutdownMsg{}));
   worker.serve();
   EXPECT_FALSE(inbox.recv_for(Clock::duration::zero()).has_value());
-  EXPECT_EQ(stats.upload_frames.load(), 1u);
+  EXPECT_EQ(stats.uplink.messages() - stats.retransmits.load(), 1u);
 }
 
 TEST(WorkerGroup, MalformedBroadcastErrorReachesTheWaitingMaster) {

@@ -44,6 +44,24 @@ TEST(Population, ValidatesSpec) {
   PopulationSpec bad = churn_spec();
   bad.mean_on_fraction = 1.5;
   EXPECT_THROW(Population(bad, convex_factory()), std::invalid_argument);
+  // Non-finite knobs: NaN fails every range, and no knob may be infinite.
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  for (double PopulationSpec::*knob :
+       {&PopulationSpec::mean_on_fraction, &PopulationSpec::dropout_mid_round,
+        &PopulationSpec::duty_period_rounds, &PopulationSpec::latency_base_s,
+        &PopulationSpec::latency_log_sigma, &PopulationSpec::latency_jitter}) {
+    for (const double value : {nan, inf}) {
+      if (value == inf && (knob == &PopulationSpec::mean_on_fraction ||
+                           knob == &PopulationSpec::dropout_mid_round)) {
+        continue;  // above their upper bounds, rejected already
+      }
+      PopulationSpec spec = churn_spec();
+      spec.*knob = value;
+      EXPECT_THROW(Population(spec, convex_factory()), std::invalid_argument)
+          << value;
+    }
+  }
   EXPECT_THROW(Population(churn_spec(), nullptr), std::invalid_argument);
 }
 

@@ -3,6 +3,7 @@
 // bit-identity invariant in both production round modes.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -681,6 +682,23 @@ TEST(RoundEngine, RejectsUnsupportedOptionsAndForeignCheckpoints) {
                            std::make_unique<core::AcceptAllFilter>(),
                            evaluator_for(testbed), capture),
                std::invalid_argument);
+
+  // Non-finite schedule knobs: NaN passed the old `x < lo` checks and
+  // resolved K through an undefined float-to-integer cast.
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    for (double ScheduleOptions::*knob :
+         {&ScheduleOptions::over_select_factor,
+          &ScheduleOptions::round_deadline_s,
+          &ScheduleOptions::staleness_exponent}) {
+      auto opt = base_options();
+      opt.schedule.*knob = bad;
+      EXPECT_THROW(RoundEngine(population,
+                               std::make_unique<core::AcceptAllFilter>(),
+                               evaluator_for(testbed), opt),
+                   std::invalid_argument)
+          << bad;
+    }
+  }
 
   RoundEngine engine(population, std::make_unique<core::AcceptAllFilter>(),
                      evaluator_for(testbed), base_options());

@@ -3,9 +3,10 @@
 // GEMM benchmarks report GFLOP/s (2·m·n·k flops per product); sign-match
 // benchmarks report GB/s over the two float vectors scanned per check.  The
 // *_Ref variants run the naive seed kernels kept in kernels.cpp, so a single
-// run shows the old-vs-new ratio directly.  `bench/run_kernels.sh` (or the
-// `bench_baseline` CMake target) records the JSON baseline BENCH_kernels.json
-// at the repo root; later PRs compare against it before touching a kernel.
+// run shows the old-vs-new ratio directly.  `bench/run_kernels.sh` records
+// BENCH_kernels.json in its build directory and prints the `cp` that updates
+// the tracked baseline at the repo root; later changes compare against it
+// before touching a kernel.
 //
 // Tier rows (DESIGN.md §13): un-suffixed benchmarks pin Tier::kExact and one
 // worker, so the tracked baseline stays the bit-exact single-threaded

@@ -228,4 +228,34 @@ std::unique_ptr<UpdateCodec> make_update_codec(const std::string& spec,
                               "'");
 }
 
+CodecPlane::CodecPlane(const CodecOptions& options)
+    : options_(options), enabled_(!is_dense_spec(options.spec)) {
+  // Validates the spec up front, so a typo never fails mid-run.
+  const auto probe = make_update_codec(options.spec, options.seed_salt);
+  id_ = probe->id();
+  version_ = probe->version();
+  stateful_decode_ = probe->stateful_decode();
+}
+
+UpdateCodec& CodecPlane::at(std::uint64_t k) {
+  auto& slot = codecs_[k];
+  if (!slot) slot = make_update_codec(options_.spec, options_.seed_salt + k);
+  return *slot;
+}
+
+util::StateMap CodecPlane::states() const {
+  util::StateMap states;
+  for (const auto& [k, codec] : codecs_) {
+    states.emplace_hint(states.end(), k, codec->mutable_state());
+  }
+  return states;
+}
+
+void CodecPlane::restore(const util::StateMap& states) {
+  if (!enabled_ && !states.empty()) {
+    throw std::invalid_argument("CodecPlane: codec state for the dense spec");
+  }
+  for (const auto& [k, words] : states) at(k).restore_mutable_state(words);
+}
+
 }  // namespace cmfl::codec

@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -128,6 +129,41 @@ bool is_dense_spec(const std::string& spec);
 /// Factory; throws std::invalid_argument on an unknown or malformed spec.
 std::unique_ptr<UpdateCodec> make_update_codec(const std::string& spec,
                                                std::uint64_t seed);
+
+/// Every client's codec, for every runtime: client k's is seeded
+/// seed_salt + k and made on first use, and the id and version each upload
+/// negotiates.  Holds no codec for the dense spec (id 0, version 1), whose
+/// uploads skip codec objects entirely.
+class CodecPlane {
+ public:
+  /// Throws std::invalid_argument on an unknown or malformed spec.
+  explicit CodecPlane(const CodecOptions& options);
+
+  bool enabled() const { return enabled_; }
+  std::uint8_t id() const { return id_; }
+  std::uint8_t version() const { return version_; }
+  bool stateful_decode() const { return stateful_decode_; }
+
+  /// Client k's codec, made on first use; call only when enabled().  Not a
+  /// const operation for data-race purposes: only the owning thread calls
+  /// it, and other threads use the codec through the reference.
+  UpdateCodec& at(std::uint64_t k);
+
+  /// Each made codec's mutable_state(), by client id.
+  util::StateMap states() const;
+  /// Restores each listed client's codec, making it first.  Throws
+  /// std::invalid_argument on a malformed state and on any state under the
+  /// dense spec.
+  void restore(const util::StateMap& states);
+
+ private:
+  CodecOptions options_;
+  bool enabled_ = false;
+  std::uint8_t id_ = kCodecDense;
+  std::uint8_t version_ = 1;
+  bool stateful_decode_ = false;
+  std::map<std::uint64_t, std::unique_ptr<UpdateCodec>> codecs_;
+};
 
 // --------------------------------------------------------------- the codecs
 

@@ -24,7 +24,10 @@ constexpr std::array<char, 4> kMagic = {'C', 'M', 'C', 'K'};
 // derives from the history.
 // v7: ClusterMeterState lost the upload/elimination frame counts, which a
 // cluster run derives from the per-client tallies.
-constexpr std::uint32_t kVersion = 7;
+// v8: every runtime writes its client and codec words as the two id-keyed
+// state maps, and the shard counters, in the common block; the scheduler
+// and cluster blocks lost their own forms of both.
+constexpr std::uint32_t kVersion = 8;
 
 void put_u64_vec(net::WireWriter& w, std::span<const std::uint64_t> v) {
   w.u64(v.size());
@@ -34,7 +37,7 @@ void put_u64_vec(net::WireWriter& w, std::span<const std::uint64_t> v) {
 std::vector<std::uint64_t> get_u64_vec(net::WireReader& r) {
   const std::uint64_t n = r.u64();
   if (n > r.remaining() / sizeof(std::uint64_t)) {
-    throw std::runtime_error("decode_checkpoint: u64 array exceeds payload");
+    throw std::runtime_error("checkpoint: u64 array exceeds payload");
   }
   std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = r.u64();
@@ -81,6 +84,31 @@ bool same_bits(double a, double b) {
 
 }  // namespace
 
+void write_state_map(net::WireWriter& w, const util::StateMap& states) {
+  w.u64(states.size());
+  for (const auto& [id, words] : states) {
+    w.u64(id);
+    put_u64_vec(w, words);
+  }
+}
+
+util::StateMap read_state_map(net::WireReader& r) {
+  const std::uint64_t n = r.u64();
+  // An entry needs at least its id and its word count.
+  if (n > r.remaining() / (2 * sizeof(std::uint64_t))) {
+    throw std::runtime_error("checkpoint: state map exceeds payload");
+  }
+  util::StateMap states;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t id = r.u64();
+    if (!states.empty() && id <= states.rbegin()->first) {
+      throw std::runtime_error("checkpoint: state map ids not increasing");
+    }
+    states.emplace_hint(states.end(), id, get_u64_vec(r));
+  }
+  return states;
+}
+
 std::vector<std::byte> encode_checkpoint(const TrainerCheckpoint& ck) {
   net::WireWriter w;
   w.u64(ck.iteration);
@@ -104,10 +132,9 @@ std::vector<std::byte> encode_checkpoint(const TrainerCheckpoint& ck) {
   w.u64(ck.validation.quarantined.size());
   for (const std::uint8_t q : ck.validation.quarantined) w.u8(q);
 
-  w.u64(ck.client_state.size());
-  for (const auto& blob : ck.client_state) put_u64_vec(w, blob);
-  w.u64(ck.compressor_state.size());
-  for (const auto& blob : ck.compressor_state) put_u64_vec(w, blob);
+  put_u64_vec(w, ck.shard_stats);
+  write_state_map(w, ck.client_state);
+  write_state_map(w, ck.codec_state);
 
   const ClusterMeterState& m = ck.meters;
   w.u64(m.uplink_bytes);
@@ -136,17 +163,12 @@ std::vector<std::byte> encode_checkpoint(const TrainerCheckpoint& ck) {
     w.u64(f.wire_bytes);
     w.floats(f.update);
   }
-  put_u64_vec(w, s.population_state);
   w.u64(s.invited);
   w.u64(s.reported);
   w.u64(s.unavailable_invited);
   w.u64(s.mid_round_dropouts);
   w.u64(s.discarded_stragglers);
   w.u64(s.stale_discarded);
-  put_u64_vec(w, s.codec_devices);
-  w.u64(s.codec_state.size());
-  for (const auto& blob : s.codec_state) put_u64_vec(w, blob);
-  put_u64_vec(w, s.shard_stats);
   return w.take();
 }
 
@@ -188,23 +210,13 @@ TrainerCheckpoint decode_checkpoint(std::span<const std::byte> payload) {
   ck.validation.quarantined.resize(static_cast<std::size_t>(quarantined));
   for (auto& q : ck.validation.quarantined) q = r.u8();
 
-  const std::uint64_t clients = r.u64();
-  if (clients > r.remaining() / sizeof(std::uint64_t)) {
-    throw std::runtime_error("decode_checkpoint: client states exceed payload");
-  }
-  ck.client_state.reserve(static_cast<std::size_t>(clients));
-  for (std::uint64_t i = 0; i < clients; ++i) {
-    ck.client_state.push_back(get_u64_vec(r));
-  }
-  const std::uint64_t compressors = r.u64();
-  if (compressors > r.remaining() / sizeof(std::uint64_t)) {
+  ck.shard_stats = get_u64_vec(r);
+  if (ck.shard_stats.size() % 3 != 0) {
     throw std::runtime_error(
-        "decode_checkpoint: compressor states exceed payload");
+        "decode_checkpoint: shard stats not a multiple of 3 words");
   }
-  ck.compressor_state.reserve(static_cast<std::size_t>(compressors));
-  for (std::uint64_t i = 0; i < compressors; ++i) {
-    ck.compressor_state.push_back(get_u64_vec(r));
-  }
+  ck.client_state = read_state_map(r);
+  ck.codec_state = read_state_map(r);
 
   ClusterMeterState& m = ck.meters;
   m.uplink_bytes = r.u64();
@@ -239,31 +251,12 @@ TrainerCheckpoint decode_checkpoint(std::span<const std::byte> payload) {
     f.update = r.floats();
     s.in_flight.push_back(std::move(f));
   }
-  s.population_state = get_u64_vec(r);
   s.invited = r.u64();
   s.reported = r.u64();
   s.unavailable_invited = r.u64();
   s.mid_round_dropouts = r.u64();
   s.discarded_stragglers = r.u64();
   s.stale_discarded = r.u64();
-  s.codec_devices = get_u64_vec(r);
-  const std::uint64_t codec_blobs = r.u64();
-  if (codec_blobs > r.remaining() / sizeof(std::uint64_t)) {
-    throw std::runtime_error("decode_checkpoint: codec states exceed payload");
-  }
-  if (codec_blobs != s.codec_devices.size()) {
-    throw std::runtime_error(
-        "decode_checkpoint: codec state/device count mismatch");
-  }
-  s.codec_state.reserve(static_cast<std::size_t>(codec_blobs));
-  for (std::uint64_t i = 0; i < codec_blobs; ++i) {
-    s.codec_state.push_back(get_u64_vec(r));
-  }
-  s.shard_stats = get_u64_vec(r);
-  if (s.shard_stats.size() % 3 != 0) {
-    throw std::runtime_error(
-        "decode_checkpoint: shard stats not a multiple of 3 words");
-  }
   if (!r.done()) {
     throw std::runtime_error("decode_checkpoint: trailing bytes in payload");
   }

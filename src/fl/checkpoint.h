@@ -4,14 +4,14 @@
 // continue as if it had never stopped: global model parameters, the
 // estimator feedback loop (ū and its observed flag), the previous global
 // update (ΔUpdate bookkeeping), progress counters, the full per-iteration
-// history recorded so far, validation/quarantine state, every client's
-// stochastic state (batch-shuffle / noise / attack RNGs), per-client codec
-// state (quantization RNG streams, error-feedback residuals, codebook
-// caches), and — for cluster runs — the ByteMeter/message counters and
-// simulated transfer time (the footprint derives from the history).  The
-// threshold and learning-rate schedules are pure
-// functions of the iteration index, so saving `iteration` captures their
-// state exactly.
+// history recorded so far, validation/quarantine state, the per-shard
+// ingest counters, every client's stochastic state (batch-shuffle / noise /
+// attack RNGs) and codec state (quantization RNG streams, error-feedback
+// residuals, codebook caches) as one id-keyed util::StateMap each, and — for
+// cluster runs — the ByteMeter/message counters and simulated transfer time
+// (the footprint derives from the history).  The threshold and
+// learning-rate schedules are pure functions of the iteration index, so
+// saving `iteration` captures their state exactly.
 //
 // The tested invariant (see tests/test_fl_checkpoint.cpp): checkpoint at
 // iteration k, destroy the trainer, rebuild the workload from its spec,
@@ -30,6 +30,12 @@
 
 #include "fl/robust_agg.h"
 #include "fl/simulation.h"
+#include "util/rng.h"
+
+namespace cmfl::net {
+class WireReader;
+class WireWriter;
+}  // namespace cmfl::net
 
 namespace cmfl::fl {
 
@@ -56,8 +62,7 @@ struct SchedInFlightReport {
   std::uint64_t device = 0;
   std::uint64_t version = 0;
   double arrival = 0.0;
-  /// 0 = elimination, 1 = upload, 2 = dropped mid-round,
-  /// 3 = invited while unavailable (never trained).
+  /// 0 = elimination, 1 = upload, 2 = dropped mid-round.
   std::uint8_t kind = 0;
   double score = 0.0;
   double train_loss = 0.0;
@@ -73,8 +78,7 @@ struct SchedInFlightReport {
 };
 
 /// Everything sched::RoundEngine needs beyond the common trainer state:
-/// the engine RNG and virtual clock, the sparse population device-state
-/// map (sched::Population::state_words), the in-flight report queue of a
+/// the engine RNG and virtual clock, the in-flight report queue of a
 /// buffered-async run, and the schedule counters the final report
 /// accumulates.  `engaged == 1` for every in-process checkpoint — the
 /// engine's and FederatedSimulation's, which runs on the engine — and 0 for
@@ -86,7 +90,6 @@ struct SchedulerCheckpoint {
   std::uint64_t invite_counter = 0;
   std::vector<std::uint64_t> engine_rng;
   std::vector<SchedInFlightReport> in_flight;
-  std::vector<std::uint64_t> population_state;
   // ScheduleReport counters (materializations/peak-resident are process-
   // lifetime observations and deliberately excluded).
   std::uint64_t invited = 0;
@@ -95,16 +98,6 @@ struct SchedulerCheckpoint {
   std::uint64_t mid_round_dropouts = 0;
   std::uint64_t discarded_stragglers = 0;
   std::uint64_t stale_discarded = 0;
-  /// Sparse per-device codec state (RoundEngine materializes codecs only
-  /// for devices that actually encoded): parallel arrays, sorted by device
-  /// id.  Empty for dense runs.
-  std::vector<std::uint64_t> codec_devices;
-  std::vector<std::vector<std::uint64_t>> codec_state;
-  /// Sharded-aggregator ingest counters ([uploads, range_passes, bytes] per
-  /// shard — fl::ShardedAggregator::stats_words).  Empty when sharding is
-  /// off; the shard count is implied (words / 3) and must match the resumed
-  /// run's ShardOptions.
-  std::vector<std::uint64_t> shard_stats;
 
   bool operator==(const SchedulerCheckpoint&) const = default;
 };
@@ -129,11 +122,17 @@ struct TrainerCheckpoint {
   // Validation counters and quarantine state.
   ValidationReport validation;
 
-  // Cluster runs: per-worker FlClient::mutable_state and codec state
-  // (codec::UpdateCodec::mutable_state), filled at quiesced checkpoint
-  // points.  In-process runs keep both in `sched` instead.
-  std::vector<std::vector<std::uint64_t>> client_state;
-  std::vector<std::vector<std::uint64_t>> compressor_state;
+  /// Sharded-aggregator ingest counters ([uploads, range_passes, bytes] per
+  /// shard — fl::ShardedAggregator::stats_words).  The shard count is
+  /// implied (words / 3) and must match the resumed run's.
+  std::vector<std::uint64_t> shard_stats;
+
+  /// Every runtime, read at quiesced checkpoint points: each client's
+  /// FlClient::mutable_state (the engine's sparse device map, or one entry
+  /// per cluster worker) and each made codec's state
+  /// (codec::CodecPlane::states; none when dense), by client id.
+  util::StateMap client_state;
+  util::StateMap codec_state;
 
   // Cluster byte/message accounting.
   ClusterMeterState meters;
@@ -141,6 +140,15 @@ struct TrainerCheckpoint {
   // Device-population scheduler state (sched::RoundEngine runs only).
   SchedulerCheckpoint sched;
 };
+
+/// The one encoding of per-client words (TrainerCheckpoint::client_state
+/// and codec_state, and the replicated master's ClientStates command): a
+/// u64 count, then per entry the u64 id, a u64 word count and the words.
+/// The reader bounds every count by the bytes left and throws
+/// std::runtime_error on a count that overruns or on ids that are not
+/// strictly increasing.
+void write_state_map(net::WireWriter& w, const util::StateMap& states);
+util::StateMap read_state_map(net::WireReader& r);
 
 /// Serializes to / parses from the sealed-blob payload encoding.
 /// load throws std::runtime_error on a malformed payload.

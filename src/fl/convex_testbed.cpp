@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/estimator.h"
 #include "tensor/vector_ops.h"
 
 namespace cmfl::fl {
@@ -44,69 +43,6 @@ double ConvexTestbed::global_loss(std::span<const float> x) const {
     acc += 0.5 * sq;
   }
   return acc / static_cast<double>(spec_.clients);
-}
-
-ConvexRunResult ConvexTestbed::run(std::size_t iterations,
-                                   const core::Schedule& learning_rate,
-                                   core::UpdateFilter& filter) {
-  const std::size_t d = spec_.dim;
-  const std::size_t m = spec_.clients;
-  std::vector<float> x(d, static_cast<float>(spec_.start_offset));
-  core::GlobalUpdateEstimator estimator(d);
-  util::Rng noise_rng(spec_.seed ^ 0xC0FFEEULL);
-
-  ConvexRunResult result;
-  result.regret.reserve(iterations);
-  result.time_averaged_regret.reserve(iterations);
-  double regret_sum = 0.0;
-
-  std::vector<std::vector<float>> updates(m, std::vector<float>(d));
-  for (std::size_t t = 1; t <= iterations; ++t) {
-    const auto lr = static_cast<float>(learning_rate.at(t));
-    core::FilterContext ctx;
-    ctx.global_model = x;
-    ctx.estimated_global_update = estimator.estimate();
-    ctx.iteration = t;
-
-    std::vector<std::size_t> uploaded;
-    for (std::size_t k = 0; k < m; ++k) {
-      // local_steps of noisy gradient descent on f_k from x:
-      //   ∇f_k(y) = y − c_k.
-      std::vector<float> y(x.begin(), x.end());
-      for (int s = 0; s < spec_.local_steps; ++s) {
-        for (std::size_t j = 0; j < d; ++j) {
-          const float grad =
-              (y[j] - centers_[k][j]) +
-              noise_rng.normal_f(0.0f,
-                                 static_cast<float>(spec_.gradient_noise));
-          y[j] -= lr * grad;
-        }
-      }
-      auto& u = updates[k];
-      for (std::size_t j = 0; j < d; ++j) u[j] = y[j] - x[j];
-      if (filter.decide(u, ctx).upload) uploaded.push_back(k);
-    }
-
-    if (!uploaded.empty()) {
-      std::vector<float> global_update(d, 0.0f);
-      for (std::size_t k : uploaded) {
-        tensor::axpy(1.0f, updates[k], global_update);
-      }
-      tensor::scale(global_update,
-                    1.0f / static_cast<float>(uploaded.size()));
-      tensor::add(x, global_update, x);
-      estimator.observe(global_update);
-    }
-    result.total_rounds += uploaded.size();
-
-    const double gap = std::fabs(global_loss(x) - optimum_loss_);
-    regret_sum += gap;
-    result.regret.push_back(gap);
-    result.time_averaged_regret.push_back(regret_sum /
-                                          static_cast<double>(t));
-  }
-  result.final_loss_gap = result.regret.empty() ? 0.0 : result.regret.back();
-  return result;
 }
 
 ConvexClient::ConvexClient(std::vector<float> center, int local_steps,

@@ -11,7 +11,10 @@
 // so the global optimum x* = mean(c_k) and f(x*) are closed-form and the
 // regret can be measured without approximation.  Client centers c_k are
 // spread out (non-IID) with a configurable fraction of far-away outliers —
-// the same population structure as the learning workloads.
+// the same population structure as the learning workloads.  Runs go through
+// the shipped runtimes (FederatedSimulation over make_convex_workload, whose
+// evaluator's loss is the exact f(x)), so Theorem 1 is checked on the
+// program itself.
 #pragma once
 
 #include <cstddef>
@@ -20,8 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/filter.h"
-#include "core/threshold.h"
 #include "fl/client.h"
 #include "fl/simulation.h"
 #include "util/rng.h"
@@ -45,22 +46,8 @@ struct ConvexTestbedSpec {
   std::uint64_t seed = 42;
 };
 
-struct ConvexRunResult {
-  /// |f(x_t) − f(x*)| per iteration.
-  std::vector<double> regret;
-  /// (1/T)·Σ_{t≤T} regret_t, per T (the quantity Theorem 1 bounds).
-  std::vector<double> time_averaged_regret;
-  std::size_t total_rounds = 0;  // accumulated uploads (Eq. 4)
-  double final_loss_gap = 0.0;
-
-  double final_time_averaged_regret() const {
-    return time_averaged_regret.empty() ? 0.0
-                                        : time_averaged_regret.back();
-  }
-};
-
-/// Runs T iterations of Algorithm 1 on the quadratic testbed with the given
-/// filter and schedules, measuring the exact regret trajectory.
+/// The quadratic testbed: client centers, the exact optimum and the exact
+/// global loss.
 class ConvexTestbed {
  public:
   explicit ConvexTestbed(const ConvexTestbedSpec& spec);
@@ -78,10 +65,6 @@ class ConvexTestbed {
   const std::vector<std::vector<float>>& centers() const noexcept {
     return centers_;
   }
-
-  ConvexRunResult run(std::size_t iterations,
-                      const core::Schedule& learning_rate,
-                      core::UpdateFilter& filter);
 
  private:
   ConvexTestbedSpec spec_;

@@ -190,6 +190,9 @@ TrainerCheckpoint RoundCommitter::checkpoint(std::uint64_t iteration) const {
   ck.uploads_per_client.assign(result_.uploads_per_client.begin(),
                                result_.uploads_per_client.end());
   ck.validation = validator_.report();
+  // Deterministic (index-mod-S routing), so a resumed run reports the same
+  // ingest totals as an uninterrupted one.
+  ck.shard_stats = aggregator_->stats_words();
   return ck;
 }
 
@@ -204,6 +207,8 @@ void RoundCommitter::restore(const TrainerCheckpoint& ck) {
     throw std::invalid_argument(
         "RoundCommitter: checkpoint client count mismatch");
   }
+  // Throws on another shard count before anything changes.
+  aggregator_->restore_stats_words(ck.shard_stats);
   global_ = ck.global_params;
   estimator_.restore(ck.estimator_estimate, ck.estimator_observed);
   validator_.restore(ck.validation);

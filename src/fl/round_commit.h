@@ -17,11 +17,12 @@
 // as they arrive and calls commit directly.
 //
 // Each round loop keeps what is its own: cohort choice, min_uploads
-// forcing (only the engine holds an eliminated update), codecs, its wire
-// protocol and open-round bookkeeping (net::RoundLedger on both cluster
-// masters), and its own checkpoint blocks.  Training and the filter call
-// are the shared client step, fl::local_update (fl/client.h).  See
-// DESIGN.md §18 and §19.
+// forcing (only the engine holds an eliminated update), its wire protocol
+// and open-round bookkeeping (net::RoundLedger on both cluster masters).
+// Codecs are codec::CodecPlane's, and every runtime checkpoints its clients'
+// and codecs' words as the TrainerCheckpoint's two state maps.  Training and
+// the filter call are the shared client step, fl::local_update
+// (fl/client.h).  See DESIGN.md §18 and §19.
 #pragma once
 
 #include <cstddef>
@@ -129,11 +130,11 @@ class RoundCommitter {
   bool checkpoint_due(std::size_t t, bool stop) const;
 
   /// The TrainerCheckpoint fields every runtime shares (model, estimator,
-  /// ΔUpdate reference, counters, history, validation); the runtime adds
-  /// its own blocks.
+  /// ΔUpdate reference, counters, history, validation, shard counters);
+  /// the runtime adds its client and codec state maps and its own blocks.
   TrainerCheckpoint checkpoint(std::uint64_t iteration) const;
   /// Restores what checkpoint() wrote.  Throws std::invalid_argument when
-  /// the checkpoint's dimension or client count does not fit.
+  /// the checkpoint's dimension, client count or shard count does not fit.
   void restore(const TrainerCheckpoint& ck);
 
   /// The run summary: history, counters, total_rounds, final_params,

@@ -11,7 +11,7 @@ namespace cmfl::fl {
 namespace {
 
 /// A non-owning view of a client the simulation owns.  The population's
-/// factory hands these out: Population::restore_state_words drops its
+/// factory hands these out: Population::restore_states drops its
 /// residents on resume, which destroys a handle but not the client.
 class ClientHandle final : public FlClient {
  public:

@@ -70,11 +70,10 @@ FlCluster::FlCluster(std::vector<std::unique_ptr<fl::FlClient>> clients,
         "FlCluster: fault injection requires a positive recovery "
         "round_timeout_s (a dropped frame would hang the round forever)");
   }
-  // Validate the codec spec eagerly, before any thread exists.
-  const auto codec_probe = codec::make_update_codec(
-      options_.fl.codec.spec, options_.fl.codec.seed_salt);
+  // Validates the codec spec eagerly, before any thread exists.
+  const codec::CodecPlane codecs(options_.fl.codec);
   const ReplicationOptions& rep = options_.replication;
-  if (rep.replicas > 0 && codec_probe->stateful_decode()) {
+  if (rep.replicas > 0 && codecs.stateful_decode()) {
     throw std::invalid_argument(
         "FlCluster: replicated mode requires a stateless-decode codec — "
         "after a failover any replica must be able to decode any payload, "
@@ -140,6 +139,10 @@ ClusterResult FlCluster::resume(const fl::TrainerCheckpoint& checkpoint) {
 
 ClusterResult FlCluster::run_internal(
     const fl::TrainerCheckpoint* resume_from) {
+  if (resume_from != nullptr && resume_from->sched.engaged != 0) {
+    throw std::invalid_argument(
+        "FlCluster: checkpoint was written by an in-process run");
+  }
   ClusterResult result =
       options_.replication.replicas > 0
           ? run_replicated_cluster(clients_, *filter_, evaluator_, options_,
@@ -172,7 +175,6 @@ ClusterResult FlCluster::run_single_master(
   // it shuts the workers down and joins them first.
   WorkerGroup workers(clients_, *filter_, options_);
   const WorkerStats& worker_stats = workers.stats();
-  const CodecPlane& codecs = workers.codecs();
   ByteMeter downlink_meter;
 
   ClusterResult result;
@@ -233,8 +235,7 @@ ClusterResult FlCluster::run_single_master(
     // round, so reading its client and codec is ordered after its last
     // training and encode.
     ck.client_state = workers.client_states();
-    ck.compressor_state = workers.codec_states();
-    ck.compressor_state.resize(num_workers);  // dense: one empty state each
+    ck.codec_state = workers.codecs().states();
     fl::ClusterMeterState& m = ck.meters;
     const ByteMeter& uplink_meter = worker_stats.uplink;
     m.uplink_bytes = uplink_meter.total_bytes();
@@ -249,7 +250,8 @@ ClusterResult FlCluster::run_single_master(
 
   for (std::size_t t = start_t; t <= options_.fl.max_iterations; ++t) {
     const std::vector<std::byte> frame =
-        make_broadcast(t, /*leader_id=*/0, committer, options_.fl, codecs);
+        make_broadcast(t, /*leader_id=*/0, committer, options_.fl,
+                       workers.codecs());
     // Invited = alive and not quarantined: the master no longer broadcasts
     // to quarantined workers, so they stop training (and stop costing
     // downlink bytes) the moment they are tripped.
@@ -307,7 +309,7 @@ ClusterResult FlCluster::run_single_master(
       if (answer.upload) {
         // Decoded through worker k's own codec (stateful decoders, such
         // as the codebook cache, are allowed on a single master).
-        answer.update = reply_update(*reply, codecs.at(k), dim_);
+        answer.update = reply_update(*reply, workers.codec(k), dim_);
       }
       ledger.accept(t, k, std::move(answer));
       apply(driver.on_reply(k));

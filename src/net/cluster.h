@@ -229,7 +229,10 @@ class FlCluster {
 
   /// Continues a checkpointed cluster run from ck.iteration + 1 (same
   /// workload spec and options as the original run).  Throws
-  /// std::invalid_argument when the checkpoint does not fit this cluster.
+  /// std::invalid_argument when the checkpoint does not fit this cluster:
+  /// an in-process checkpoint (sched.engaged), a dimension or shard count
+  /// mismatch, client states not keyed 0…n−1, or codec states not keyed
+  /// 0…n−1 (none when dense).
   ClusterResult resume(const fl::TrainerCheckpoint& checkpoint);
 
  private:

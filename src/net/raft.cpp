@@ -24,22 +24,6 @@ enum class RaftFrame : std::uint8_t {
   kPreVoteReply = 23,
 };
 
-void write_bytes(WireWriter& w, std::span<const std::byte> data) {
-  w.u64(data.size());
-  for (const std::byte b : data) w.u8(static_cast<std::uint8_t>(b));
-}
-
-std::vector<std::byte> read_bytes(WireReader& r) {
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining()) {
-    throw std::runtime_error("decode_raft: byte array length " +
-                             std::to_string(n) + " exceeds frame");
-  }
-  std::vector<std::byte> out(n);
-  for (auto& b : out) b = static_cast<std::byte>(r.u8());
-  return out;
-}
-
 }  // namespace
 
 std::vector<std::byte> encode_raft(const RaftMessage& msg) {
@@ -65,7 +49,7 @@ std::vector<std::byte> encode_raft(const RaftMessage& msg) {
     w.u64(ae->entries.size());
     for (const RaftEntry& e : ae->entries) {
       w.u64(e.term);
-      write_bytes(w, e.command);
+      w.bytes(e.command);
     }
   } else if (const auto* ar = std::get_if<AppendReplyMsg>(&msg)) {
     w.u8(static_cast<std::uint8_t>(RaftFrame::kAppendReply));
@@ -79,7 +63,7 @@ std::vector<std::byte> encode_raft(const RaftMessage& msg) {
     w.u32(is->leader);
     w.u64(is->last_index);
     w.u64(is->last_term);
-    write_bytes(w, is->data);
+    w.bytes(is->data);
   } else if (const auto* sr = std::get_if<SnapshotReplyMsg>(&msg)) {
     w.u8(static_cast<std::uint8_t>(RaftFrame::kSnapshotReply));
     w.u64(sr->term);
@@ -137,7 +121,7 @@ RaftMessage decode_raft(std::span<const std::byte> frame) {
       for (std::uint64_t i = 0; i < n; ++i) {
         RaftEntry e;
         e.term = r.u64();
-        e.command = read_bytes(r);
+        e.command = r.bytes();
         m.entries.push_back(std::move(e));
       }
       if (!r.done()) throw std::runtime_error("decode_raft: trailing bytes");
@@ -158,7 +142,7 @@ RaftMessage decode_raft(std::span<const std::byte> frame) {
       m.leader = r.u32();
       m.last_index = r.u64();
       m.last_term = r.u64();
-      m.data = read_bytes(r);
+      m.data = r.bytes();
       if (!r.done()) throw std::runtime_error("decode_raft: trailing bytes");
       return m;
     }
@@ -236,7 +220,7 @@ std::vector<std::byte> entry_record(std::uint64_t index,
   w.u8(kRecEntry);
   w.u64(index);
   w.u64(entry.term);
-  write_bytes(w, entry.command);
+  w.bytes(entry.command);
   return w.take();
 }
 
@@ -258,7 +242,7 @@ RaftStorage::RaftStorage(std::string dir, bool sync)
     WireReader r(payload);
     state_.snapshot_index = r.u64();
     state_.snapshot_term = r.u64();
-    state_.snapshot = read_bytes(r);
+    state_.snapshot = r.bytes();
     if (!r.done()) {
       throw std::runtime_error("RaftStorage: trailing bytes in snapshot " +
                                snapshot_path());
@@ -296,7 +280,7 @@ void RaftStorage::replay_record(std::span<const std::byte> record) {
       const std::uint64_t index = r.u64();
       RaftEntry e;
       e.term = r.u64();
-      e.command = read_bytes(r);
+      e.command = r.bytes();
       // Entries at or below the snapshot horizon are superseded (the WAL
       // rotation that would have dropped them raced a crash).
       if (index <= state_.snapshot_index) break;
@@ -378,7 +362,7 @@ void RaftStorage::install_snapshot(std::uint64_t index, std::uint64_t term,
   WireWriter w;
   w.u64(index);
   w.u64(term);
-  write_bytes(w, data);
+  w.bytes(data);
   const std::vector<std::byte> payload = w.take();
   util::save_sealed_file(snapshot_path(), kSnapshotMagic, kSnapshotVersion,
                          payload);

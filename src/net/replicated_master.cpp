@@ -37,11 +37,6 @@ enum class Cmd : std::uint8_t {
   kFinish = 6,        // the run is over
 };
 
-void write_bytes(WireWriter& w, std::span<const std::byte> data) {
-  w.u64(data.size());
-  for (const std::byte b : data) w.u8(static_cast<std::uint8_t>(b));
-}
-
 std::vector<std::byte> encode_round_start(std::uint64_t t,
                                           std::uint64_t broadcast_bytes) {
   WireWriter w;
@@ -76,24 +71,16 @@ std::vector<std::byte> encode_round_commit(std::uint64_t t, RoundClose how) {
 }
 
 std::vector<std::byte> encode_client_states(
-    std::uint64_t t, const std::vector<std::vector<std::uint64_t>>& states,
-    const std::vector<std::vector<std::uint64_t>>& codec_states) {
+    std::uint64_t t, const util::StateMap& states,
+    const util::StateMap& codec_states) {
   WireWriter w;
   w.u8(static_cast<std::uint8_t>(Cmd::kClientStates));
   w.u64(t);
-  w.u32(static_cast<std::uint32_t>(states.size()));
-  for (const auto& s : states) {
-    w.u64(s.size());
-    for (const std::uint64_t word : s) w.u64(word);
-  }
+  fl::write_state_map(w, states);
   // Worker codec state rides the same quiesced proposal: both are read
   // under the identical happens-before argument (every round-t reply
   // applied), so they describe the same logical instant.
-  w.u32(static_cast<std::uint32_t>(codec_states.size()));
-  for (const auto& s : codec_states) {
-    w.u64(s.size());
-    for (const std::uint64_t word : s) w.u64(word);
-  }
+  fl::write_state_map(w, codec_states);
   return w.take();
 }
 
@@ -194,16 +181,14 @@ struct StateMachine {
   std::vector<std::byte> snapshot_blob() const;
   void restore_snapshot(std::span<const std::byte> blob);
   void restore_checkpoint(const fl::TrainerCheckpoint& ck);
-  fl::TrainerCheckpoint build_checkpoint(
-      std::vector<std::vector<std::uint64_t>> client_states,
-      std::vector<std::vector<std::uint64_t>> codec_states) const;
+  fl::TrainerCheckpoint build_checkpoint(util::StateMap client_states,
+                                         util::StateMap codec_states) const;
 
  private:
   void apply_round_commit(std::uint64_t t, RoundClose how, Shared& sh);
-  void apply_client_states(std::uint64_t t,
-                           std::vector<std::vector<std::uint64_t>> states,
-                           std::vector<std::vector<std::uint64_t>> codec_states,
-                           Shared& sh, std::uint32_t replica_id);
+  void apply_client_states(std::uint64_t t, util::StateMap states,
+                           util::StateMap codec_states, Shared& sh,
+                           std::uint32_t replica_id);
 };
 
 void StateMachine::apply_round_commit(std::uint64_t t, RoundClose how,
@@ -226,10 +211,10 @@ void StateMachine::apply_round_commit(std::uint64_t t, RoundClose how,
   if (outcome.stop) stop = true;
 }
 
-void StateMachine::apply_client_states(
-    std::uint64_t t, std::vector<std::vector<std::uint64_t>> states,
-    std::vector<std::vector<std::uint64_t>> codec_states, Shared& sh,
-    std::uint32_t replica_id) {
+void StateMachine::apply_client_states(std::uint64_t t,
+                                       util::StateMap states,
+                                       util::StateMap codec_states, Shared& sh,
+                                       std::uint32_t replica_id) {
   if (ledger.is_open() || t != ledger.round() || states_round >= t) return;
   states_round = t;
   const std::string& path = sh.options->fl.checkpoint_path;
@@ -275,25 +260,8 @@ void StateMachine::apply(std::span<const std::byte> command, Shared& sh,
     }
     case Cmd::kClientStates: {
       const std::uint64_t t = r.u64();
-      const auto read_blobs = [&r](std::uint32_t n) {
-        // Each blob needs at least its 8-byte length: bound n before
-        // allocating.
-        if (n > r.remaining() / sizeof(std::uint64_t)) {
-          throw std::runtime_error("ClientStates: blob count exceeds command");
-        }
-        std::vector<std::vector<std::uint64_t>> blobs(n);
-        for (auto& s : blobs) {
-          const std::uint64_t words = r.u64();
-          if (words > r.remaining() / sizeof(std::uint64_t)) {
-            throw std::runtime_error("ClientStates: blob exceeds command");
-          }
-          s.resize(words);
-          for (auto& word : s) word = r.u64();
-        }
-        return blobs;
-      };
-      auto states = read_blobs(r.u32());
-      auto codec_states = read_blobs(r.u32());
+      util::StateMap states = fl::read_state_map(r);
+      util::StateMap codec_states = fl::read_state_map(r);
       apply_client_states(t, std::move(states), std::move(codec_states), sh,
                           replica_id);
       return;
@@ -313,11 +281,10 @@ void StateMachine::apply(std::span<const std::byte> command, Shared& sh,
 }
 
 fl::TrainerCheckpoint StateMachine::build_checkpoint(
-    std::vector<std::vector<std::uint64_t>> client_states,
-    std::vector<std::vector<std::uint64_t>> codec_states) const {
+    util::StateMap client_states, util::StateMap codec_states) const {
   fl::TrainerCheckpoint ck = committer.checkpoint(ledger.round());
   ck.client_state = std::move(client_states);
-  ck.compressor_state = std::move(codec_states);
+  ck.codec_state = std::move(codec_states);
   fl::ClusterMeterState& m = ck.meters;
   // Logical counters, zero retransmissions: a replicated checkpoint records
   // the reproducible footprint, not one process's physical recovery traffic.
@@ -351,7 +318,7 @@ std::vector<std::byte> StateMachine::snapshot_blob() const {
   const std::vector<std::uint64_t> words = ledger.state_words();
   w.u64(words.size());
   for (const std::uint64_t word : words) w.u64(word);
-  write_bytes(w, fl::encode_checkpoint(build_checkpoint({}, {})));
+  w.bytes(fl::encode_checkpoint(build_checkpoint({}, {})));
   return w.take();
 }
 
@@ -366,12 +333,7 @@ void StateMachine::restore_snapshot(std::span<const std::byte> blob) {
   }
   std::vector<std::uint64_t> words(static_cast<std::size_t>(word_count));
   for (auto& word : words) word = r.u64();
-  const std::uint64_t ck_size = r.u64();
-  if (ck_size > r.remaining()) {
-    throw std::runtime_error("snapshot: truncated checkpoint payload");
-  }
-  std::vector<std::byte> payload(ck_size);
-  for (auto& b : payload) b = static_cast<std::byte>(r.u8());
+  const std::vector<std::byte> payload = r.bytes();
 
   restore_checkpoint(fl::decode_checkpoint(payload));
   ledger.restore_state_words(words);
@@ -654,8 +616,8 @@ DriveResult drive(Replica& self, Shared& sh, Driver& drv,
       // reply is *applied*, and application happens-after the worker's
       // uplink send (two channel hops), so the training writes are visible
       // here even if a different replica physically received the frame.
-      self.node.propose(encode_client_states(t, sh.workers->client_states(),
-                                             sh.workers->codec_states()));
+      self.node.propose(encode_client_states(
+          t, sh.workers->client_states(), sh.workers->codecs().states()));
       drv.proposed_states = t;
     }
     return DriveResult::kOk;  // wait for the entry to commit and apply

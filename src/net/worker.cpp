@@ -21,11 +21,10 @@ std::optional<Message> try_decode(std::span<const std::byte> payload) {
 
 /// Worker `client_id`'s reply to `bc` — the one place a reply is made: an
 /// Elimination frame when the filter dropped the update, else a CodecUpload
-/// through the worker's codec (a dense UpdateUpload when there is none).
+/// through the worker's `codec` (a dense UpdateUpload when there is none).
 Message make_reply(const BroadcastMsg& bc, std::uint32_t client_id,
                    const core::FilterDecision& decision,
-                   std::span<const float> update, const CodecPlane& codecs) {
-  codec::UpdateCodec* codec = codecs.at(client_id);
+                   std::span<const float> update, codec::UpdateCodec* codec) {
   const auto stamped = [&](auto msg) {
     msg.seq = bc.seq;
     msg.iteration = bc.iteration;
@@ -36,8 +35,8 @@ Message make_reply(const BroadcastMsg& bc, std::uint32_t client_id,
   if (!decision.upload) return stamped(EliminationMsg{});
   if (codec != nullptr) {
     CodecUploadMsg up;
-    up.codec_id = codecs.id();
-    up.codec_version = codecs.version();
+    up.codec_id = codec->id();
+    up.codec_version = codec->version();
     up.payload = codec->encode(update).payload;
     return stamped(std::move(up));
   }
@@ -70,22 +69,10 @@ void LeaderProbe::on_broadcast(std::uint32_t leader) {
   backoff_ms = 1.0;
 }
 
-CodecPlane::CodecPlane(const codec::CodecOptions& options,
-                       std::size_t workers) {
-  if (codec::is_dense_spec(options.spec)) return;
-  codecs_.reserve(workers);
-  for (std::size_t k = 0; k < workers; ++k) {
-    codecs_.push_back(
-        codec::make_update_codec(options.spec, options.seed_salt + k));
-  }
-  id_ = codecs_.front()->id();
-  version_ = codecs_.front()->version();
-}
-
 std::vector<std::byte> make_broadcast(std::uint64_t t, std::uint32_t leader_id,
                                       const fl::RoundCommitter& committer,
                                       const fl::SimulationOptions& options,
-                                      const CodecPlane& codecs) {
+                                      const codec::CodecPlane& codecs) {
   BroadcastMsg bc;
   bc.seq = static_cast<std::uint32_t>(t);
   bc.iteration = t;
@@ -104,10 +91,11 @@ std::vector<std::byte> make_broadcast(std::uint64_t t, std::uint32_t leader_id,
 
 // ------------------------------------------------------------------ worker
 
-Worker::Worker(WorkerGroup& group, std::size_t k,
+Worker::Worker(WorkerGroup& group, std::size_t k, codec::UpdateCodec* codec,
                std::vector<FaultyChannel> uplinks)
     : group_(group),
       id_(static_cast<std::uint32_t>(k)),
+      codec_(codec),
       uplinks_(std::move(uplinks)),
       update_(group.clients_[k]->param_count()),
       probe_(static_cast<std::uint32_t>(uplinks_.size())) {}
@@ -120,7 +108,7 @@ void Worker::resend(std::uint32_t replica) {
 
 void Worker::serve() {
   const ClusterOptions& options = group_.options_;
-  const CodecPlane& codecs = group_.codecs_;
+  const codec::CodecPlane& codecs = group_.codecs_;
   WorkerStats& stats = group_.stats_;
   const auto crash_at = options.fault.crash_iteration_for(id_);
   const double straggle_s = options.fault.straggler_delay_for(id_);
@@ -191,7 +179,7 @@ void Worker::serve() {
         options.fl.batch_size, bc.learning_rate, update_);
     // Encoded once per trained round: re-sends reuse the cached frame, so
     // the codec stream advances once however many replicas see it.
-    const Message reply = make_reply(bc, id_, step.decision, update_, codecs);
+    const Message reply = make_reply(bc, id_, step.decision, update_, codec_);
     auto bytes = encode(reply);
     seal_frame(bytes);
     stats.uplink.record(bytes.size());
@@ -210,39 +198,37 @@ WorkerGroup::WorkerGroup(std::vector<std::unique_ptr<fl::FlClient>>& clients,
       filter_(filter),
       options_(options),
       inboxes_(clients.size()),
-      codecs_(options.fl.codec, clients.size()) {
+      codecs_(options.fl.codec) {
   local_samples_.resize(size());
   for (std::size_t k = 0; k < size(); ++k) {
     local_samples_[k] = clients_[k]->local_samples();
+    codec(k);  // made before any thread starts
   }
 }
 
 void WorkerGroup::restore(const fl::TrainerCheckpoint& ck) {
-  if (ck.client_state.size() != size() ||
-      (codecs_.enabled() && ck.compressor_state.size() != size())) {
+  // Keys 0…n−1: n distinct ids whose largest is n − 1 (n ≥ 1).
+  const auto one_per_worker = [this](const util::StateMap& states) {
+    return states.size() == size() && states.rbegin()->first == size() - 1;
+  };
+  if (!one_per_worker(ck.client_state) ||
+      (codecs_.enabled() ? !one_per_worker(ck.codec_state)
+                         : !ck.codec_state.empty())) {
     throw std::invalid_argument("FlCluster: checkpoint worker count mismatch");
   }
-  for (std::size_t k = 0; k < size(); ++k) {
-    clients_[k]->restore_mutable_state(ck.client_state[k]);
-    if (codecs_.enabled()) {
-      codecs_.at(k)->restore_mutable_state(ck.compressor_state[k]);
-    }
+  codecs_.restore(ck.codec_state);
+  for (const auto& [k, words] : ck.client_state) {
+    clients_[k]->restore_mutable_state(words);
   }
   const fl::ClusterMeterState& m = ck.meters;
   stats_.uplink.restore(m.uplink_bytes, m.uplink_messages,
                         m.uplink_retransmitted);
 }
 
-std::vector<std::vector<std::uint64_t>> WorkerGroup::client_states() const {
-  std::vector<std::vector<std::uint64_t>> states;
-  for (const auto& client : clients_) states.push_back(client->mutable_state());
-  return states;
-}
-
-std::vector<std::vector<std::uint64_t>> WorkerGroup::codec_states() const {
-  std::vector<std::vector<std::uint64_t>> states;
-  for (std::size_t k = 0; codecs_.enabled() && k < size(); ++k) {
-    states.push_back(codecs_.at(k)->mutable_state());
+util::StateMap WorkerGroup::client_states() const {
+  util::StateMap states;
+  for (std::size_t k = 0; k < size(); ++k) {
+    states.emplace_hint(states.end(), k, clients_[k]->mutable_state());
   }
   return states;
 }
@@ -255,7 +241,7 @@ void WorkerGroup::start(
   replicas_ = replicas;
   threads_.reserve(size());
   for (std::size_t k = 0; k < size(); ++k) {
-    threads_.emplace_back([this, k, wake] {
+    threads_.emplace_back([this, k, mine = codec(k), wake] {
       // A worker allocates its uplinks and buffers on its own thread: which
       // thread allocates what moves glibc's arena layout, and with it the
       // round time of MB-sized frames (DESIGN.md §19).
@@ -264,7 +250,7 @@ void WorkerGroup::start(
         for (std::uint32_t r = 0; r < replicas_; ++r) {
           links.push_back(uplink_(k, r));
         }
-        Worker(*this, k, std::move(links)).serve();
+        Worker(*this, k, mine, std::move(links)).serve();
       } catch (...) {  // a protocol error ends the run, not the process
         {
           const std::lock_guard<std::mutex> lock(error_mutex_);
@@ -312,7 +298,7 @@ std::optional<Reply> read_reply(std::span<const std::byte> payload,
   if (reply.client_id >= workers.size()) {
     throw std::runtime_error("master: reply from an unknown worker");
   }
-  const CodecPlane& codecs = workers.codecs();
+  const codec::CodecPlane& codecs = workers.codecs();
   const auto* cu = std::get_if<CodecUploadMsg>(&reply.msg);
   if (cu && (!codecs.enabled() || cu->codec_id != codecs.id() ||
              cu->codec_version != codecs.version())) {

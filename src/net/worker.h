@@ -71,29 +71,6 @@ struct LeaderProbe {
   void on_broadcast(std::uint32_t leader);
 };
 
-/// The workers' codecs — worker k's seeded `seed_salt + k`, as in every
-/// runtime — and the codec id/version each broadcast negotiates.  Holds no
-/// codec for the dense spec (id 0, version 1).
-class CodecPlane {
- public:
-  CodecPlane(const codec::CodecOptions& options, std::size_t workers);
-
-  bool enabled() const { return !codecs_.empty(); }
-  std::uint8_t id() const { return id_; }
-  std::uint8_t version() const { return version_; }
-  /// Worker k's codec (nullptr when dense).  Worker k encodes between
-  /// receiving a broadcast and sending its reply; a master may use it only
-  /// after receiving that reply, which orders the two.
-  codec::UpdateCodec* at(std::size_t k) const {
-    return enabled() ? codecs_[k].get() : nullptr;
-  }
-
- private:
-  std::vector<std::unique_ptr<codec::UpdateCodec>> codecs_;
-  std::uint8_t id_ = 0;
-  std::uint8_t version_ = 1;
-};
-
 /// Round t's broadcast, sealed, from master replica `leader_id` (0 on a
 /// single master): x_{t-1} and ū_{t-1} from `committer`, η_t from
 /// `options`, and the negotiated codec.  Its seq is t.  Both masters build
@@ -103,7 +80,7 @@ class CodecPlane {
 std::vector<std::byte> make_broadcast(std::uint64_t t, std::uint32_t leader_id,
                                       const fl::RoundCommitter& committer,
                                       const fl::SimulationOptions& options,
-                                      const CodecPlane& codecs);
+                                      const codec::CodecPlane& codecs);
 
 /// Counters all workers of a run add to (relaxed atomics).
 struct WorkerStats {
@@ -127,7 +104,16 @@ class WorkerGroup {
 
   std::size_t size() const { return clients_.size(); }
   Channel& inbox(std::size_t k) { return inboxes_[k]; }
-  const CodecPlane& codecs() const { return codecs_; }
+  /// The workers' codecs, every one made in the constructor, before any
+  /// thread starts; worker threads never call into the plane.
+  const codec::CodecPlane& codecs() const { return codecs_; }
+  /// Worker k's codec (nullptr when dense), for the master's thread only.
+  /// Worker k encodes between receiving a broadcast and sending its reply;
+  /// a master may use it only after receiving that reply, which orders the
+  /// two.
+  codec::UpdateCodec* codec(std::size_t k) {
+    return codecs_.enabled() ? &codecs_.at(k) : nullptr;
+  }
   const WorkerStats& stats() const { return stats_; }
   /// Each client's sample count |P_k|, read before the threads start.
   const std::vector<std::size_t>& local_samples() const {
@@ -136,14 +122,13 @@ class WorkerGroup {
 
   /// Before start(): restores each worker's client and codec state, and
   /// resumes the uplink meter and frame counts from ck.meters.  Throws
-  /// std::invalid_argument on a worker count mismatch.
+  /// std::invalid_argument, before any state changes, unless the client
+  /// states are keyed 0…n−1 and so are the codec states (none when dense).
   void restore(const fl::TrainerCheckpoint& ck);
 
   /// Checkpoint material, read only while quiesced (every worker's last
-  /// reply received): one state per client, and one per codec (none when
-  /// dense).
-  std::vector<std::vector<std::uint64_t>> client_states() const;
-  std::vector<std::vector<std::uint64_t>> codec_states() const;
+  /// reply received), as are codecs().states(): one state per client.
+  util::StateMap client_states() const;
 
   /// Starts one thread per worker k, whose uplink to master replica
   /// r < `replicas` is `uplink(k, r)`.  A worker thread that throws keeps
@@ -170,7 +155,7 @@ class WorkerGroup {
   const ClusterOptions& options_;
   std::vector<std::size_t> local_samples_;
   std::vector<Channel> inboxes_;
-  CodecPlane codecs_;
+  codec::CodecPlane codecs_;
   WorkerStats stats_;
   std::function<FaultyChannel(std::size_t, std::uint32_t)> uplink_;
   std::uint32_t replicas_ = 0;
@@ -182,8 +167,9 @@ class WorkerGroup {
 /// Worker k of a group: its one update buffer and its cached reply.
 class Worker {
  public:
-  /// `uplinks[r]` reaches master replica r.
-  Worker(WorkerGroup& group, std::size_t k,
+  /// `uplinks[r]` reaches master replica r; `codec` is worker k's (nullptr
+  /// when dense).
+  Worker(WorkerGroup& group, std::size_t k, codec::UpdateCodec* codec,
          std::vector<FaultyChannel> uplinks);
 
   /// Serves the worker's inbox until a Shutdown frame, a closed inbox, or
@@ -196,6 +182,7 @@ class Worker {
 
   WorkerGroup& group_;
   std::uint32_t id_;
+  codec::UpdateCodec* codec_;
   std::vector<FaultyChannel> uplinks_;
   std::vector<float> update_;
   std::uint32_t last_seq_ = 0;  // broadcast seq numbers start at 1

@@ -295,67 +295,30 @@ std::uint64_t Population::evictions() const {
   return evictions_;
 }
 
-std::vector<std::uint64_t> Population::state_words() const {
+util::StateMap Population::states() const {
   std::lock_guard lock(mu_);
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>> entries;
-  entries.reserve(saved_state_.size() + resident_.size());
-  for (const auto& [id, words] : saved_state_) entries.emplace_back(id, words);
+  util::StateMap states(saved_state_.begin(), saved_state_.end());
   for (const auto& [id, r] : resident_) {
     if (r.in_use) {
-      throw std::logic_error(
-          "Population::state_words: a client is still acquired");
+      throw std::logic_error("Population::states: a client is still acquired");
     }
-    entries.emplace_back(id, r.client->mutable_state());
+    states[id] = r.client->mutable_state();
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::uint64_t> words;
-  words.push_back(entries.size());
-  for (const auto& [id, state] : entries) {
-    words.push_back(id);
-    words.push_back(state.size());
-    words.insert(words.end(), state.begin(), state.end());
-  }
-  return words;
+  return states;
 }
 
-void Population::restore_state_words(std::span<const std::uint64_t> words) {
+void Population::restore_states(const util::StateMap& states) {
   std::lock_guard lock(mu_);
   for (const auto& [id, r] : resident_) {
     (void)id;
     if (r.in_use) {
       throw std::logic_error(
-          "Population::restore_state_words: a client is still acquired");
+          "Population::restore_states: a client is still acquired");
     }
-  }
-  std::size_t pos = 0;
-  const auto take = [&]() {
-    if (pos >= words.size()) {
-      throw std::invalid_argument(
-          "Population::restore_state_words: truncated blob");
-    }
-    return words[pos++];
-  };
-  const std::uint64_t count = take();
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> restored;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t id = take();
-    const std::uint64_t n = take();
-    if (n > words.size() - pos) {
-      throw std::invalid_argument(
-          "Population::restore_state_words: state exceeds blob");
-    }
-    restored[id].assign(words.begin() + static_cast<std::ptrdiff_t>(pos),
-                        words.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    pos += n;
-  }
-  if (pos != words.size()) {
-    throw std::invalid_argument(
-        "Population::restore_state_words: trailing words");
   }
   resident_.clear();
   warm_.clear();
-  saved_state_ = std::move(restored);
+  saved_state_ = {states.begin(), states.end()};
 }
 
 }  // namespace cmfl::sched

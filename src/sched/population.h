@@ -17,7 +17,7 @@
 //     cohort, not the population.
 //   * Everything observable is reproducible from PopulationSpec::seed; the
 //     sparse device-state map plus the caller's RNG is all a checkpoint
-//     needs (state_words()/restore_state_words()).
+//     needs (states()/restore_states()).
 //
 // The factory must be deterministic: client(id) must construct an identical
 // client (same shard, same initial weights, same RNG seed) every time it is
@@ -149,14 +149,13 @@ class Population {
   std::uint64_t evictions() const;
 
   // --- Checkpointing ---
-  /// Flattens the sparse device-state map (saved states of evicted devices
-  /// plus the live states of resident ones) into opaque u64 words, sorted
-  /// by device id.  Throws std::logic_error while any client is acquired.
-  std::vector<std::uint64_t> state_words() const;
-  /// Restores a map captured by state_words(), dropping all resident
-  /// clients first.  Throws std::invalid_argument on a malformed blob and
-  /// std::logic_error while any client is acquired.
-  void restore_state_words(std::span<const std::uint64_t> words);
+  /// The sparse device-state map: saved states of evicted devices plus the
+  /// live states of resident ones.  Throws std::logic_error while any
+  /// client is acquired.
+  util::StateMap states() const;
+  /// Replaces the map with `states`, dropping all resident clients first.
+  /// Throws std::logic_error while any client is acquired.
+  void restore_states(const util::StateMap& states);
 
  private:
   struct Resident {

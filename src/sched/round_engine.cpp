@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -65,12 +64,11 @@ struct RoundEngine::Ctx {
   // Sync-mode resume point; async resumes from `version` instead.
   std::uint64_t start_round = 1;
 
-  // Per-device codecs, materialized on a device's first upload (an ordered
-  // map so snapshots serialize the sparse state sorted by device id).
-  // Every encode/decode runs on the engine thread — never inside the
-  // parallel train_cohort — so byte counts and codec streams are
-  // independent of the thread count.
-  std::map<std::uint64_t, std::unique_ptr<codec::UpdateCodec>> codecs;
+  // Per-device codecs, made on a device's first upload.  Every encode and
+  // decode runs on the engine thread — never inside the parallel
+  // train_cohort — so byte counts and codec streams are independent of the
+  // thread count.
+  codec::CodecPlane codecs;
 
   // Shared read-only by every client's relevance check within a broadcast.
   tensor::SignPack estimate_pack;
@@ -79,7 +77,8 @@ struct RoundEngine::Ctx {
       const fl::SimulationOptions& options)
       : committer(options, static_cast<std::size_t>(devices),
                   std::move(initial_global)),
-        engine_rng(options.seed) {}
+        engine_rng(options.seed),
+        codecs(options.codec) {}
 };
 
 RoundEngine::RoundEngine(Population& population,
@@ -104,10 +103,7 @@ RoundEngine::RoundEngine(Population& population,
     throw std::invalid_argument(
         "RoundEngine: schedule.sample_size exceeds the population");
   }
-  // Validate the codec spec eagerly (typos must not fail mid-run); codec
-  // objects themselves are materialized per device on first upload.
-  codec::make_update_codec(options_.codec.spec, options_.codec.seed_salt);
-  use_codec_ = !codec::is_dense_spec(options_.codec.spec);
+  codec::CodecPlane{options_.codec};  // rejects a bad spec before any run
   if (options_.capture_client_params) {
     throw std::invalid_argument(
         "RoundEngine: capture_client_params needs the in-process "
@@ -124,19 +120,10 @@ RoundEngine::RoundEngine(Population& population,
   upload_wire_bytes_ = dense.encode(std::vector<float>(dim_)).wire_bytes();
 }
 
-codec::UpdateCodec& RoundEngine::codec_for(Ctx& ctx, std::uint64_t device) {
-  auto& slot = ctx.codecs[device];
-  if (!slot) {
-    slot = codec::make_update_codec(options_.codec.spec,
-                                    options_.codec.seed_salt + device);
-  }
-  return *slot;
-}
-
 std::uint64_t RoundEngine::encode_upload(Ctx& ctx, std::uint64_t device,
                                          std::vector<float>& update) {
-  if (!use_codec_) return upload_wire_bytes_;
-  codec::UpdateCodec& codec = codec_for(ctx, device);
+  if (!ctx.codecs.enabled()) return upload_wire_bytes_;
+  codec::UpdateCodec& codec = ctx.codecs.at(device);
   const codec::EncodedUpdate enc = codec.encode(update);
   // The server aggregates the reconstruction — exactly what a real wire
   // transfer would deliver.
@@ -169,32 +156,43 @@ EngineResult RoundEngine::run_internal(
       throw std::invalid_argument(
           "RoundEngine: checkpoint was not written by a scheduler run");
     }
+    // Check what comes from outside before anything trusts it.
+    const auto in_population = [&](const util::StateMap& states) {
+      return states.empty() || states.rbegin()->first < population_.size();
+    };
+    if (!in_population(ck.client_state) || !in_population(ck.codec_state)) {
+      throw std::invalid_argument(
+          "RoundEngine: checkpoint state for a device outside the population");
+    }
+    for (const fl::SchedInFlightReport& f : ck.sched.in_flight) {
+      if (f.device >= population_.size() || f.kind > kKindDropout ||
+          (f.kind == kKindUpload && f.update.size() != dim_) ||
+          f.version > ck.sched.version || !std::isfinite(f.arrival) ||
+          !ctx.in_flight.insert(f.device).second) {
+        throw std::invalid_argument(
+            "RoundEngine: checkpoint holds a malformed in-flight report");
+      }
+    }
+    if (!std::is_heap(ck.sched.in_flight.begin(), ck.sched.in_flight.end(),
+                      heap_later)) {
+      throw std::invalid_argument(
+          "RoundEngine: checkpoint in-flight reports are not a heap");
+    }
     ctx.committer.restore(ck);
+    ctx.codecs.restore(ck.codec_state);
     util::restore_rng_state(ctx.engine_rng, ck.sched.engine_rng);
     ctx.invite_counter = ck.sched.invite_counter;
     ctx.version = ck.sched.version;
     ctx.virtual_now = ck.sched.virtual_now;
-    ctx.heap = ck.sched.in_flight;  // snapshotted verbatim: still a heap
-    for (const auto& f : ctx.heap) ctx.in_flight.insert(f.device);
-    population_.restore_state_words(ck.sched.population_state);
+    ctx.heap = ck.sched.in_flight;
     ctx.sched.invited = ck.sched.invited;
     ctx.sched.reported = ck.sched.reported;
     ctx.sched.unavailable_invited = ck.sched.unavailable_invited;
     ctx.sched.mid_round_dropouts = ck.sched.mid_round_dropouts;
     ctx.sched.discarded_stragglers = ck.sched.discarded_stragglers;
     ctx.sched.stale_discarded = ck.sched.stale_discarded;
-    if (ck.sched.codec_devices.size() != ck.sched.codec_state.size()) {
-      throw std::invalid_argument(
-          "RoundEngine: checkpoint codec device/state count mismatch");
-    }
-    for (std::size_t i = 0; i < ck.sched.codec_devices.size(); ++i) {
-      codec_for(ctx, ck.sched.codec_devices[i])
-          .restore_mutable_state(ck.sched.codec_state[i]);
-    }
-    // The word count must match this run's shard count, so a resume under
-    // a different one fails loudly instead of mis-merging.
-    ctx.committer.aggregator().restore_stats_words(ck.sched.shard_stats);
     ctx.start_round = ck.iteration + 1;
+    population_.restore_states(ck.client_state);
   }
 
   if (options_.schedule.mode == RoundMode::kBufferedAsync) {
@@ -267,20 +265,14 @@ fl::TrainerCheckpoint RoundEngine::snapshot(Ctx& ctx,
   s.invite_counter = ctx.invite_counter;
   s.engine_rng = util::rng_state_words(ctx.engine_rng);
   s.in_flight = ctx.heap;
-  s.population_state = population_.state_words();
   s.invited = ctx.sched.invited;
   s.reported = ctx.sched.reported;
   s.unavailable_invited = ctx.sched.unavailable_invited;
   s.mid_round_dropouts = ctx.sched.mid_round_dropouts;
   s.discarded_stragglers = ctx.sched.discarded_stragglers;
   s.stale_discarded = ctx.sched.stale_discarded;
-  for (const auto& [device, codec] : ctx.codecs) {  // map: sorted by device
-    s.codec_devices.push_back(device);
-    s.codec_state.push_back(codec->mutable_state());
-  }
-  // Shard counters are deterministic (index-mod-S routing), so a resumed
-  // run reports the same ingest totals as an uninterrupted one.
-  s.shard_stats = ctx.committer.aggregator().stats_words();
+  ck.client_state = population_.states();
+  ck.codec_state = ctx.codecs.states();
   return ck;
 }
 

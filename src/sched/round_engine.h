@@ -33,9 +33,11 @@
 // commits through fl::RoundCommitter, whose upload screening and
 // aggregation fan out across SimulationOptions::sharding aggregator shards
 // on the aggregator's own pool, bit-identical at any shard count.  Runs
-// checkpoint and resume bit-identically through fl::TrainerCheckpoint
-// (which carries the per-shard ingest counters), including the in-flight
-// report queue of a buffered-async run.  See DESIGN.md §11, §17 and §18.
+// checkpoint and resume bit-identically through fl::TrainerCheckpoint (the
+// committer's block with the per-shard ingest counters, the population's
+// and the codec::CodecPlane's state maps, and the scheduler block),
+// including the in-flight report queue of a buffered-async run.  See
+// DESIGN.md §11, §17 and §18.
 #pragma once
 
 #include <memory>
@@ -79,11 +81,11 @@ class RoundEngine {
   /// `population` must outlive the engine and have no acquired clients.
   /// The filter decides uploads; the evaluator runs the server-side test
   /// pass.  Updates cross the virtual wire through the configured codec
-  /// (options.codec): per-device codec objects are materialized lazily on
-  /// a device's first upload, every encode/decode runs on the engine
-  /// thread (bytes and codec streams are therefore independent of the
-  /// thread count), and the sparse per-device codec state is checkpointed
-  /// so resume stays bit-identical in all three round modes.
+  /// (options.codec): a codec::CodecPlane makes a device's codec on its
+  /// first upload, every encode/decode runs on the engine thread (bytes
+  /// and codec streams are therefore independent of the thread count), and
+  /// the plane's sparse state is checkpointed so resume stays bit-identical
+  /// in all three round modes.
   ///
   /// Honoured SimulationOptions fields: local_epochs, batch_size,
   /// learning_rate, max_iterations (rounds in sync/over-select mode,
@@ -105,9 +107,13 @@ class RoundEngine {
 
   /// Continues a checkpointed engine run (same population spec, factory
   /// and options).  Bit-identical to the uninterrupted run, including a
-  /// buffered-async run's in-flight reports.  Throws std::invalid_argument
-  /// when the checkpoint does not fit (dimension/population mismatch or a
-  /// non-engine checkpoint).
+  /// buffered-async run's in-flight reports.  Throws std::invalid_argument,
+  /// before the population changes, when the checkpoint does not fit: a
+  /// dimension, client or shard count mismatch, a non-engine checkpoint,
+  /// state for a device outside the population, or an in-flight queue that
+  /// is not a heap of distinct devices' reports of a known kind, trained on
+  /// a version the checkpoint reached, at finite arrival times, whose
+  /// uploads hold dim floats.
   EngineResult resume(const fl::TrainerCheckpoint& checkpoint);
 
   std::size_t param_count() const noexcept { return dim_; }
@@ -129,9 +135,6 @@ class RoundEngine {
                                     std::uint64_t round,
                                     std::size_t filter_iteration, float lr);
   fl::TrainerCheckpoint snapshot(Ctx& ctx, std::uint64_t iteration);
-  /// Lazily materializes device `device`'s codec (seeded
-  /// codec.seed_salt + device).
-  codec::UpdateCodec& codec_for(Ctx& ctx, std::uint64_t device);
   /// Encodes one upload through the device's codec, replaces `update` with
   /// the decoded reconstruction, and returns the encoded wire size.  Dense
   /// fast path: leaves the update untouched and prices it at
@@ -144,7 +147,6 @@ class RoundEngine {
   fl::GlobalEvaluator evaluator_;
   fl::SimulationOptions options_;
   std::size_t dim_ = 0;
-  bool use_codec_ = false;  // false: dense fast path, no codec objects
   std::uint64_t upload_wire_bytes_ = 0;  // exact bytes of one dense upload
 };
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <numbers>
 #include <span>
 #include <stdexcept>
@@ -194,5 +195,10 @@ inline void restore_rng_state(Rng& rng, std::span<const std::uint64_t> words) {
   std::copy(words.begin(), words.end(), s.begin());
   rng.set_state(s);
 }
+
+/// Per-client resumable state, client id → opaque words (a client's or a
+/// codec's mutable state), ordered by id.  fl/checkpoint.h holds its one
+/// writer and its one reader.
+using StateMap = std::map<std::uint64_t, std::vector<std::uint64_t>>;
 
 }  // namespace cmfl::util

@@ -331,5 +331,65 @@ TEST(MakeUpdateCodec, StatelessCodecsRejectNonEmptyStateBlobs) {
                std::invalid_argument);
 }
 
+// ------------------------------------------------------------- codec plane
+
+TEST(CodecPlane, ClientKsCodecEncodesAsOneSeededSaltPlusK) {
+  CodecPlane plane(CodecOptions{.spec = "quant:4", .seed_salt = 500});
+  EXPECT_TRUE(plane.enabled());
+  EXPECT_EQ(plane.id(), kCodecQuant);
+  EXPECT_EQ(plane.version(), 1);
+  EXPECT_FALSE(plane.stateful_decode());
+  const std::vector<float> update = random_update(257, 3);
+  for (const std::uint64_t k : {7u, 0u, 3u}) {
+    const auto reference = make_update_codec("quant:4", 500 + k);
+    for (int i = 0; i < 3; ++i) {  // the stream, not just its first draw
+      EXPECT_EQ(plane.at(k).encode(update).payload,
+                reference->encode(update).payload)
+          << "client " << k << " encode " << i;
+    }
+  }
+  EXPECT_EQ(&plane.at(3), &plane.at(3));  // made once, on first use
+  EXPECT_TRUE(
+      CodecPlane(CodecOptions{.spec = "codebook:4"}).stateful_decode());
+}
+
+TEST(CodecPlane, StatesRoundTripThroughRestore) {
+  const CodecOptions options{.spec = "topk:0.25", .seed_salt = 11};
+  CodecPlane plane(options);
+  plane.at(5).encode(random_update(64, 1));
+  plane.at(2).encode(random_update(64, 2));
+  const util::StateMap states = plane.states();
+  ASSERT_EQ(states.size(), 2u);  // only the codecs made, by client id
+  EXPECT_EQ(states.begin()->first, 2u);
+
+  CodecPlane restored(options);
+  restored.restore(states);
+  EXPECT_EQ(restored.states(), states);
+  const std::vector<float> next = random_update(64, 4);
+  EXPECT_EQ(restored.at(5).encode(next).payload,
+            plane.at(5).encode(next).payload);
+  EXPECT_THROW(restored.restore({{2, {1}}}), std::invalid_argument);
+}
+
+TEST(CodecPlane, DensePlaneHoldsNothing) {
+  CodecPlane dense(CodecOptions{});
+  EXPECT_FALSE(dense.enabled());
+  EXPECT_EQ(dense.id(), kCodecDense);
+  EXPECT_EQ(dense.version(), 1);
+  EXPECT_FALSE(dense.stateful_decode());
+  dense.restore({});
+  EXPECT_TRUE(dense.states().empty());
+  EXPECT_THROW(dense.restore({{0, {}}}), std::invalid_argument);
+  EXPECT_TRUE(dense.states().empty());
+}
+
+TEST(CodecPlane, BadSpecThrows) {
+  for (const char* spec : {"zstd", "quant:3", "topk:", "sign:x"}) {
+    EXPECT_THROW(CodecPlane(CodecOptions{.spec = spec}),
+                 std::invalid_argument)
+        << spec;
+  }
+}
+
 }  // namespace
 }  // namespace cmfl::codec

@@ -16,6 +16,7 @@
 #include "fl/convex_testbed.h"
 #include "fl/simulation.h"
 #include "fl/workloads.h"
+#include "net/wire.h"
 
 namespace cmfl::fl {
 namespace {
@@ -54,8 +55,10 @@ TrainerCheckpoint sample_checkpoint() {
   ck.validation.discarded_quarantined = 1;
   ck.validation.strikes = {0, 3, 1};
   ck.validation.quarantined = {0, 1, 0};
-  ck.client_state = {{10, 20, 30, 40}, {}, {50, 60, 70, 80, 90}};
-  ck.compressor_state = {{}, {11, 12, 13, 14}, {}};
+  ck.shard_stats = {39, 12, 4096, 72, 12, 8192};
+  ck.client_state = {
+      {0, {10, 20, 30, 40}}, {1, {}}, {41, {50, 60, 70, 80, 90}}};
+  ck.codec_state = {{0, {}}, {1, {11, 12, 13, 14}}, {99, {21, 22, 23}}};
   ck.meters.uplink_bytes = 1000;
   ck.meters.uplink_messages = 10;
   ck.meters.uplink_retransmitted = 100;
@@ -85,15 +88,12 @@ TrainerCheckpoint sample_checkpoint() {
   elimination.kind = 0;
   elimination.score = 0.125;
   ck.sched.in_flight = {upload, elimination};
-  ck.sched.population_state = {2, 41, 4, 1, 2, 3, 4, 99, 0};
   ck.sched.invited = 400;
   ck.sched.reported = 350;
   ck.sched.unavailable_invited = 30;
   ck.sched.mid_round_dropouts = 20;
   ck.sched.discarded_stragglers = 15;
   ck.sched.stale_discarded = 5;
-  ck.sched.codec_devices = {41, 99};
-  ck.sched.codec_state = {{21, 22, 23}, {}};
   return ck;
 }
 
@@ -113,8 +113,9 @@ void expect_checkpoints_equal(const TrainerCheckpoint& a,
   EXPECT_EQ(a.eliminations_per_client, b.eliminations_per_client);
   EXPECT_EQ(a.uploads_per_client, b.uploads_per_client);
   EXPECT_EQ(a.validation, b.validation);
+  EXPECT_EQ(a.shard_stats, b.shard_stats);
   EXPECT_EQ(a.client_state, b.client_state);
-  EXPECT_EQ(a.compressor_state, b.compressor_state);
+  EXPECT_EQ(a.codec_state, b.codec_state);
   EXPECT_EQ(a.meters, b.meters);
   EXPECT_EQ(a.sched, b.sched);
 }
@@ -168,6 +169,62 @@ TEST(Checkpoint, BitwiseEqualTreatsNaNFieldsAsEqual) {
   b.accuracy = std::numeric_limits<double>::quiet_NaN();
   b.uploads = 1;
   EXPECT_FALSE(bitwise_equal(a, b));
+}
+
+// --- The one reader of per-client words ---
+
+std::vector<std::byte> state_map_bytes(const util::StateMap& states) {
+  net::WireWriter w;
+  write_state_map(w, states);
+  return w.take();
+}
+
+util::StateMap read_all(std::span<const std::byte> bytes) {
+  net::WireReader r(bytes);
+  util::StateMap states = read_state_map(r);
+  EXPECT_TRUE(r.done());
+  return states;
+}
+
+TEST(StateMap, RoundTripsThroughTheSharedWriterAndReader) {
+  const util::StateMap states = {
+      {0, {}}, {3, {1, 2}}, {std::uint64_t{1} << 40, {7}}};
+  EXPECT_EQ(read_all(state_map_bytes(states)), states);
+  EXPECT_EQ(read_all(state_map_bytes({})), util::StateMap{});
+}
+
+TEST(StateMap, ReaderRejectsTruncationAndLyingCounts) {
+  const std::vector<std::byte> bytes =
+      state_map_bytes({{3, {1, 2}}, {9, {5}}});
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_THROW(read_all(std::span(bytes).first(cut)), std::runtime_error)
+        << "cut " << cut;
+  }
+  // An entry count no payload could hold is refused before allocating...
+  net::WireWriter lying_entries;
+  lying_entries.u64(std::uint64_t{1} << 60);
+  lying_entries.u64(0);
+  lying_entries.u64(0);
+  EXPECT_THROW(read_all(lying_entries.take()), std::runtime_error);
+  // ...and so is a word count.
+  net::WireWriter lying_words;
+  lying_words.u64(1);
+  lying_words.u64(3);
+  lying_words.u64(std::uint64_t{1} << 61);
+  lying_words.u64(5);
+  EXPECT_THROW(read_all(lying_words.take()), std::runtime_error);
+}
+
+TEST(StateMap, ReaderRejectsUnsortedAndDuplicateIds) {
+  for (const std::uint64_t second : {2u, 5u}) {  // below and equal to 5
+    net::WireWriter w;
+    w.u64(2);
+    w.u64(5);
+    w.u64(0);
+    w.u64(second);
+    w.u64(0);
+    EXPECT_THROW(read_all(w.take()), std::runtime_error) << second;
+  }
 }
 
 // --- The resume invariant ---
@@ -323,8 +380,7 @@ TEST(CheckpointResume, MismatchedCheckpointIsRejected) {
   wrong_clients.iteration = 1;
   wrong_clients.global_params.assign(8, 0.0f);
   wrong_clients.estimator_estimate.assign(8, 0.0f);
-  wrong_clients.client_state.resize(3);      // 3 states for 4 clients
-  wrong_clients.compressor_state.resize(3);
+  wrong_clients.client_state = {{0, {}}, {1, {}}, {2, {}}};  // 3 of 4
   wrong_clients.eliminations_per_client.resize(3);
   wrong_clients.validation.strikes.resize(3);
   wrong_clients.validation.quarantined.resize(3);

@@ -651,6 +651,64 @@ TEST(FlCluster, CheckpointResumeIsBitIdentical) {
   std::remove(path.c_str());
 }
 
+TEST(FlCluster, ShardCountersSurviveAResume) {
+  // The per-shard ingest counters ride in the common checkpoint block, so a
+  // resumed cluster reports the uninterrupted run's totals, not only the
+  // resumed rounds'.
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const std::string path = ::testing::TempDir() + "cluster_shard_ck.bin";
+    std::remove(path.c_str());
+    auto opt = fast_options();  // 12 iterations
+    opt.fl.sharding.shards = shards;
+    opt.fl.checkpoint_every = 4;
+    opt.fl.checkpoint_path = path;
+    const auto cluster = [](const ClusterOptions& o) {
+      fl::Workload w = fl::make_digits_mlp_workload(small_spec());
+      return FlCluster(
+          std::move(w.clients),
+          std::make_unique<core::CmflFilter>(core::Schedule::constant(0.45)),
+          w.evaluator, o);
+    };
+    auto first_half = opt;
+    first_half.fl.max_iterations = 4;
+    cluster(first_half).run();
+    const fl::TrainerCheckpoint ck = fl::load_checkpoint_file(path);
+    const ClusterResult uninterrupted = cluster(opt).run();
+    const ClusterResult resumed = cluster(opt).resume(ck);
+
+    EXPECT_EQ(resumed.sim.final_params, uninterrupted.sim.final_params);
+    ASSERT_EQ(uninterrupted.shard_uploads.size(), shards);
+    EXPECT_EQ(resumed.shard_uploads, uninterrupted.shard_uploads);
+    EXPECT_EQ(resumed.shard_uplink_bytes, uninterrupted.shard_uplink_bytes);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(FlCluster, ResumeRejectsAnInProcessCheckpoint) {
+  const std::string path = ::testing::TempDir() + "cluster_foreign_ck.bin";
+  std::remove(path.c_str());
+  auto opt = fast_options();
+  opt.fl.max_iterations = 4;
+  opt.fl.checkpoint_every = 4;
+  opt.fl.checkpoint_path = path;
+  {
+    fl::Workload w = fl::make_digits_mlp_workload(small_spec());
+    fl::FederatedSimulation sim(std::move(w.clients),
+                                std::make_unique<core::AcceptAllFilter>(),
+                                w.evaluator, opt.fl);
+    sim.run();
+  }
+  const fl::TrainerCheckpoint ck = fl::load_checkpoint_file(path);
+  ASSERT_EQ(ck.sched.engaged, 1);
+  fl::Workload w = fl::make_digits_mlp_workload(small_spec());
+  FlCluster cluster(std::move(w.clients),
+                    std::make_unique<core::AcceptAllFilter>(), w.evaluator,
+                    opt);
+  EXPECT_THROW(cluster.resume(ck), std::invalid_argument);
+  std::remove(path.c_str());
+}
+
 TEST(FlCluster, SignCodecUplinkIsOneBitPerCoordinatePlusHeader) {
   // The headline acceptance shape: with the sign codec negotiated, every
   // upload frame carries ~dim/8 payload bytes instead of 4*dim, and the
@@ -779,7 +837,7 @@ TEST(FlCluster, CodecCheckpointResumeIsBitIdentical) {
     const fl::TrainerCheckpoint ck = fl::load_checkpoint_file(path);
     EXPECT_EQ(ck.iteration, 4u);
     // The codec streams were captured: one state blob per worker.
-    ASSERT_EQ(ck.compressor_state.size(), 8u);
+    ASSERT_EQ(ck.codec_state.size(), 8u);
     auto resume_opt = opt;
     resume_opt.fl.checkpoint_path = path;
     fl::Workload w2 = fl::make_digits_mlp_workload(small_spec());
@@ -939,7 +997,7 @@ TEST(Broadcast, SealsTheCommittedRoundStateWithSeqEqualToRound) {
   ASSERT_NE(committer.estimate()[0], 0.0f);
   codec::CodecOptions sign;
   sign.spec = "sign";
-  const CodecPlane codecs(sign, 2);
+  const codec::CodecPlane codecs(sign);
 
   const std::vector<std::byte> frame =
       make_broadcast(2, /*leader_id=*/1, committer, fl_options, codecs);
@@ -980,7 +1038,7 @@ TEST(Worker, AnswersEachRoundOnceAndResendsItsCachedReply) {
   for (Channel& r : replicas) {
     uplinks.emplace_back(r, LinkFaults{}, util::Rng(0), &fault_stats);
   }
-  Worker worker(group, 0, std::move(uplinks));
+  Worker worker(group, 0, group.codec(0), std::move(uplinks));
   Channel& inbox = group.inbox(0);
 
   const auto sealed = [](const Message& m) {

@@ -271,7 +271,7 @@ TEST(Checkpoint, FileBitFlipMatrixAlwaysFailsLoudly) {
   ck.uploaded_bytes = 4096;
   ck.eliminations_per_client = {1, 2};
   ck.uploads_per_client = {3, 4};
-  ck.client_state = {{7, 8}, {9}};
+  ck.client_state = {{0, {7, 8}}, {1, {9}}};
   fl::save_checkpoint_file(path, ck);
   ASSERT_EQ(fl::load_checkpoint_file(path).iteration, 12u);  // sanity
   const auto pristine = read_raw(path);

@@ -229,13 +229,13 @@ TEST(Population, StateWordsRoundTrip) {
     c.train_local(1, 1, 0.05f);
     p.release(d);
   }
-  const auto words = p.state_words();
-  EXPECT_FALSE(words.empty());
+  const util::StateMap states = p.states();
+  EXPECT_FALSE(states.empty());
 
-  // A fresh population restored from the words reports identical state.
+  // A fresh population restored from the map reports identical state.
   Population q(spec, convex_factory());
-  q.restore_state_words(words);
-  EXPECT_EQ(q.state_words(), words);
+  q.restore_states(states);
+  EXPECT_EQ(q.states(), states);
   // And revives clients with the saved streams.
   auto& from_p = p.acquire(14);
   auto& from_q = q.acquire(14);
@@ -243,12 +243,10 @@ TEST(Population, StateWordsRoundTrip) {
   p.release(14);
   q.release(14);
 
-  // state_words while acquired is a logic error; malformed blobs rejected.
+  // states() while acquired is a logic error.
   p.acquire(3);
-  EXPECT_THROW(p.state_words(), std::logic_error);
+  EXPECT_THROW(p.states(), std::logic_error);
   p.release(3);
-  std::vector<std::uint64_t> truncated(words.begin(), words.end() - 1);
-  EXPECT_THROW(q.restore_state_words(truncated), std::invalid_argument);
 }
 
 TEST(Population, DeferredReleaseParksUntilTrimThenEvictsInSeqOrder) {
@@ -323,7 +321,7 @@ TEST(Population, ConcurrentDeferredReleasesMatchSerialEvictionExactly) {
     std::uint64_t materializations = 0;
     std::uint64_t evictions = 0;
     std::size_t resident = 0;
-    std::vector<std::uint64_t> state;
+    util::StateMap state;
   };
   // Three phases of 12 devices each, overlapping cohorts so warm hits and
   // revivals both occur.
@@ -361,7 +359,7 @@ TEST(Population, ConcurrentDeferredReleasesMatchSerialEvictionExactly) {
     o.materializations = p.materializations();
     o.evictions = p.evictions();
     o.resident = p.resident();
-    o.state = p.state_words();
+    o.state = p.states();
     return o;
   };
 

@@ -3,8 +3,10 @@
 // bit-identity invariant in both production round modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -295,10 +297,7 @@ TEST(RoundEngineResume, OverSelectionResumesBitIdentically) {
   std::remove(path.c_str());
 }
 
-TEST(RoundEngineResume, BufferedAsyncResumesBitIdentically) {
-  const std::string path = ::testing::TempDir() + "ck_sched_async.bin";
-  std::remove(path.c_str());
-
+EngineRun async_run(const std::string& path) {
   EngineRun run;
   run.spec = testbed_spec(50);
   run.testbed = std::make_shared<fl::ConvexTestbed>(run.spec);
@@ -319,6 +318,13 @@ TEST(RoundEngineResume, BufferedAsyncResumesBitIdentically) {
   run.pop_spec.latency_log_sigma = 0.6;
   run.pop_spec.max_resident = 8;
   run.pop_spec.seed = 9;
+  return run;
+}
+
+TEST(RoundEngineResume, BufferedAsyncResumesBitIdentically) {
+  const std::string path = ::testing::TempDir() + "ck_sched_async.bin";
+  std::remove(path.c_str());
+  const EngineRun run = async_run(path);
 
   const EngineResult uninterrupted = run.run();
   // The async checkpoint carries the in-flight report queue: reports
@@ -329,6 +335,59 @@ TEST(RoundEngineResume, BufferedAsyncResumesBitIdentically) {
   EXPECT_EQ(resumed.sched.reported, uninterrupted.sched.reported);
   EXPECT_EQ(resumed.sched.stale_discarded,
             uninterrupted.sched.stale_discarded);
+  std::remove(path.c_str());
+}
+
+TEST(RoundEngineResume, MalformedCheckpointIsRejectedBeforeStateChanges) {
+  // A checkpoint is read from a file: a report that would index past the
+  // population, an unknown kind, an upload of the wrong size, a device in
+  // flight twice, a model version the run never reached (its staleness
+  // would wrap around), a non-finite arrival, a queue that is not a heap,
+  // and state for a device outside the population are each refused up
+  // front.
+  const std::string path = ::testing::TempDir() + "ck_sched_async_bad.bin";
+  std::remove(path.c_str());
+  const EngineRun run = async_run(path);  // 12 aggregations
+  EngineRun first_half = run;
+  first_half.opt.max_iterations = 6;
+  first_half.run();
+  const fl::TrainerCheckpoint ck = fl::load_checkpoint_file(path);
+  auto& queue = ck.sched.in_flight;
+  ASSERT_GE(queue.size(), 2u);
+  const auto upload = static_cast<std::size_t>(
+      std::find_if(queue.begin(), queue.end(),
+                   [](const auto& f) { return f.kind == 1; }) -
+      queue.begin());
+  ASSERT_LT(upload, queue.size());
+
+  using Mutation = std::function<void(fl::TrainerCheckpoint&)>;
+  const std::vector<Mutation> mutations = {
+      [](auto& c) { c.sched.in_flight[0].device += 1000000; },
+      [](auto& c) { c.sched.in_flight[0].kind = 3; },
+      [upload](auto& c) { c.sched.in_flight[upload].update.resize(3); },
+      [](auto& c) {
+        c.sched.in_flight[1].device = c.sched.in_flight[0].device;
+      },
+      [](auto& c) { c.sched.in_flight[0].version = c.sched.version + 1; },
+      [](auto& c) { c.sched.in_flight[0].arrival = std::nan(""); },
+      [](auto& c) { c.sched.in_flight[0].arrival = HUGE_VAL; },
+      [](auto& c) {
+        std::swap(c.sched.in_flight.front(), c.sched.in_flight.back());
+      },
+      [](auto& c) { c.client_state[1000000] = {}; },
+      [](auto& c) { c.codec_state[1000000] = {}; },
+  };
+  for (std::size_t i = 0; i < mutations.size(); ++i) {
+    SCOPED_TRACE("mutation " + std::to_string(i));
+    fl::TrainerCheckpoint bad = ck;
+    mutations[i](bad);
+    Population population(run.pop_spec, factory_for(run.spec, run.testbed));
+    RoundEngine engine(population, std::make_unique<core::AcceptAllFilter>(),
+                       evaluator_for(run.testbed), run.opt);
+    const util::StateMap before = population.states();
+    EXPECT_THROW(engine.resume(bad), std::invalid_argument);
+    EXPECT_EQ(population.states(), before);
+  }
   std::remove(path.c_str());
 }
 
@@ -568,7 +627,7 @@ TEST(RoundEngineResume, ShardConfigMismatchIsRejected) {
     engine.run();
   }
   const fl::TrainerCheckpoint ck = fl::load_checkpoint_file(path);
-  EXPECT_FALSE(ck.sched.shard_stats.empty());
+  EXPECT_FALSE(ck.shard_stats.empty());
 
   // Resuming a sharded checkpoint with sharding disabled must throw...
   {
